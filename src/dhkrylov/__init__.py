@@ -8,7 +8,6 @@ from .hs_core import (
     HsSplitSystem,
     definiteness_class,
     h_inner,
-    h_norm,
     hermitian_factor,
     hermitian_solve,
     read_matrix,
@@ -72,7 +71,6 @@ from .bounds import (
     kappa_y_estimate,
     lgmres_bound_estimate,
     rapoport_bound,
-    spectral_half_width,
     spectral_interval,
     widlund_bound,
 )

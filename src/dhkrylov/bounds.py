@@ -60,10 +60,6 @@ def spectral_interval(sys: HsSplitSystem) -> SpectralInterval:
     return SpectralInterval(lam=lam, max_real_part=max_real, imag_parts=theta)
 
 
-def spectral_half_width(sys: HsSplitSystem) -> float:
-    return spectral_interval(sys).lam
-
-
 def widlund_bound(lam: float, k: int) -> float:
     """Even-iterate relative H-norm error bound 2*((sqrt(1+lam^2)-1)/(sqrt(1+lam^2)+1))^k.
 

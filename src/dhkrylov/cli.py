@@ -162,7 +162,7 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
                 if use_schur:
                     a11, bb, (nv, _) = timestep.midpoint_saddle_blocks(model, tau)
                     rep = krylov.solve_via_schur(
-                        a11, bb, b[:nv], -b[nv:], inner_solver=solver,
+                        a11, bb, b[:nv], b[nv:], inner_solver=solver,
                         tol=max(scenario.tol, 1e-14), maxit=scenario.maxit,
                     )
                     row.update(

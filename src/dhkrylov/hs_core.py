@@ -127,11 +127,6 @@ def h_inner(x, y, h):
     return value
 
 
-def h_norm(x, h):
-    """H-norm ``sqrt(<x, x>_h)`` for Hermitian positive definite ``h``."""
-    return float(np.sqrt(h_inner(x, x, h).real))
-
-
 @dataclass(frozen=True)
 class HermitianFactor:
     """Cholesky factorization of a Hermitian positive definite matrix.

@@ -11,11 +11,13 @@ with T tridiagonal and skew-Hermitian (V_k* S V_k = T_{k,k}).  On top of
 this engine:
 
 * Widlund's method: oblique projection, x_k = V_k y_k with
-  (I_k + T_{k,k}) y_k = ||b_hat||_H e_1 (the displayed Euclidean
-  orthogonality V_k* r_k = 0); I + skew-Hermitian is always nonsingular.
+  (I_k + T_{k,k}) y_k = ||b_hat||_H e_1 (the Euclidean orthogonality
+  V_k* r_k = 0); I + skew-Hermitian is always nonsingular.
 * Rapoport's method: minimal residual in the H^{-1} norm; y_k solves the
-  tridiagonal least squares min || ||b_hat||_H e_1 - T~_{k+1,k} y ||_2,
-  updated incrementally by plane rotations as in MINRES.
+  tridiagonal least squares min || ||b_hat||_H e_1 - T~_{k+1,k} y ||_2.
+  Both iterates come from one QR of T~ = [I + T_{k,k}; t_{k+1,k} e_k*],
+  updated by one plane rotation per step as in MINRES, with O(n) vector
+  updates and no rebuild of V_k y_k.
 * GMRES (modified Gram-Schmidt, no restarts), optionally applied to the
   left-preconditioned system H^{-1} A x = b_hat, which searches the same
   Krylov spaces as the two methods above.
@@ -25,17 +27,17 @@ this engine:
   Hermitian part is singular only in the trailing block.
 
 All solvers start from x_0 = 0 and stop when the relative 2-norm residual
-of the *original* system drops below ``tol``; for the H-inner-product
-methods this costs one extra multiplication with A per iteration, which is
-acceptable at desk scale.  Residual histories are kept per iteration for
-comparison plots.
+of the *original* system drops below ``tol``.  For Widlund and Rapoport each
+step therefore pays one multiplication with A for the true residual, and
+Rapoport one more H-solve for the exact H^{-1}-norm of that residual.
+Residual histories are kept per iteration for comparison plots.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -214,71 +216,86 @@ def _givens(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Widlund's method
+# Widlund's and Rapoport's methods: one driver over the H-Lanczos recurrence
 # ---------------------------------------------------------------------------
 
-def solve_widlund(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
-                  collect_basis=False, reorthogonalize=False) -> SolveReport:
-    """Oblique-projection method on (I + K) x = b_hat built on H-Lanczos.
+def _solve_hlanczos(method, sys, b, tol, maxit, x_exact, collect_basis) -> SolveReport:
+    """Widlund or Rapoport iterate from one rotated QR of T~_{k+1,k}.
 
-    The k-th iterate is x_k = V_k y_k with (I_k + T_{k,k}) y_k =
-    ||b_hat||_H e_1; the small system is skew-Hermitian plus identity and
-    therefore always nonsingular.
+    Step k turns column k of T~ = [I + T_{k,k}; t_{k+1,k} e_k*] into
+    (r_{k-2,k}, r_{k-1,k}, mu_k, t_{k+1,k}) with the last two plane
+    rotations; a new rotation G_k = (c_k, s_k) maps (mu_k, t_{k+1,k}) to
+    (r_kk, 0).  With g_k the k-th entry of the rotated right side
+    ||b_hat||_H e_1 before G_k and the unscaled direction
+    w_k = v_k - r_{k-2,k} d_{k-2} - r_{k-1,k} d_{k-1}, where d = V R^{-1}:
+
+        Rapoport:  x^R_k = x^R_{k-1} + (c_k g_k / r_kk) w_k
+        Widlund:   x^W_k = x^R_{k-1} + (g_k / mu_k) w_k
+
+    The Widlund line holds because G_1 .. G_{k-1} act on rows 1..k only, so
+    Q_{k-1}* (I + T_{k,k}) = U_k is R_{k-1} bordered by the column
+    (r_{k-2,k}, r_{k-1,k}, mu_k), and V_k U_k^{-1} Q_{k-1}* ||b_hat||_H e_1 is
+    x^R_{k-1} + (g_k / mu_k) w_k.  mu_k != 0 since I + T_{k,k}, identity plus
+    skew, is nonsingular.
+
+    Only the last two rotations and directions are kept.  Each step still
+    computes the true residual b - A x_k, and for Rapoport its H^{-1}-norm.
     """
     start = time.perf_counter()
     apply_k, h_inner_fn = _pd_operators(sys)
     b = np.asarray(b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return _zero_rhs_report(sys.n, sys.a.dtype, "widlund")
-    bhat = sys.solve_h(b)
-    state = lanczos_init(bhat, h_inner_fn, reorthogonalize)
-    beta = state.bhat_norm
-    dtype = np.result_type(sys.a.dtype, b.dtype)
+        return _zero_rhs_report(sys.n, sys.a.dtype, method)
+    state = lanczos_init(sys.solve_h(b), h_inner_fn)
+    rapoport = method == "rapoport"
 
     res_hist = [bnorm]
-    err_hist = None
-    if x_exact is not None:
-        x_exact = np.asarray(x_exact)
-        err_hist = [_h_norm_of(sys, x_exact)]
-    x = np.zeros(sys.n, dtype=dtype)
+    rhi_hist = [_hinv_norm_of(sys, b)] if rapoport else None
+    x_exact = None if x_exact is None else np.asarray(x_exact)
+    err_hist = None if x_exact is None else [_h_norm_of(sys, x_exact)]
+    x = x_r = np.zeros(sys.n, dtype=np.result_type(sys.a.dtype, b.dtype))
+    g = state.bhat_norm
+    # rotations and directions of steps k-1 and k-2: identity and zero at first
+    rot1 = rot2 = (1.0, 0.0)
+    d1 = d2 = np.zeros(sys.n)
     converged = False
-    k_done = 0
+    k = 0
     for k in range(1, maxit + 1):
         state = lanczos_advance(state, apply_k, h_inner_fn)
-        diag = 1.0 + np.asarray(state.t_diag[:k])
-        sub = np.asarray(state.t_sub[:k - 1])
-        ab = np.zeros((3, k), dtype=np.result_type(diag.dtype, dtype))
-        ab[1, :] = diag
-        if k > 1:
-            ab[0, 1:] = -np.conj(sub)
-            ab[2, :-1] = sub
-        rhs = np.zeros(k, dtype=ab.dtype)
-        rhs[0] = beta
-        y = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        x = state.basis_matrix(k) @ y
+        top = -np.conj(state.t_sub[k - 2]) if k > 1 else 0.0
+        mu = 1.0 + state.t_diag[k - 1]
+        (c2, s2), (c1, s1) = rot2, rot1
+        r2, r1 = s2 * top, c1 * (c2 * top) + s1 * mu
+        mu = -np.conj(s1) * (c2 * top) + c1 * mu
+        w = state.basis[k - 1] - r2 * d2 - r1 * d1
+        c, s, r_kk = _givens(mu, state.t_sub[k - 1])
+        x_w = x_r + (g / mu) * w
+        rot2, rot1, d2, d1 = rot1, (c, s), d1, w / r_kk
+        x_r = x_r + (c * g) * d1
+        g = -np.conj(s) * g
+        x = x_r if rapoport else x_w
         r = b - sys.a @ x
         rn = float(np.linalg.norm(r))
         res_hist.append(rn)
+        if rapoport:
+            rhi_hist.append(_hinv_norm_of(sys, r))
         if err_hist is not None:
             err_hist.append(_h_norm_of(sys, x_exact - x))
-        k_done = k
-        if rn <= tol * bnorm:
-            converged = True
-            break
-        if state.breakdown:
-            converged = rn <= tol * bnorm
+        converged = rn <= tol * bnorm
+        if converged or state.breakdown:
             break
     return SolveReport(
         solution=x,
-        iterations=k_done,
+        iterations=k,
         converged=converged,
         residual_2norm=np.asarray(res_hist),
+        residual_hinv_norm=np.asarray(rhi_hist) if rapoport else None,
         error_h_norm=np.asarray(err_hist) if err_hist is not None else None,
         breakdown=state.breakdown_step,
         wall_time=time.perf_counter() - start,
-        method="widlund",
-        basis=state.basis_matrix(k_done) if collect_basis and k_done else None,
+        method=method,
+        basis=state.basis_matrix(k) if collect_basis and k else None,
         rhs_norm=bnorm,
     )
 
@@ -291,12 +308,19 @@ def _hinv_norm_of(sys, v):
     return float(np.sqrt(max(np.vdot(v, sys.solve_h(v)).real, 0.0)))
 
 
-# ---------------------------------------------------------------------------
-# Rapoport's method
-# ---------------------------------------------------------------------------
+def solve_widlund(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
+                  collect_basis=False) -> SolveReport:
+    """Oblique-projection method on (I + K) x = b_hat built on H-Lanczos.
+
+    The k-th iterate is x_k = V_k y_k with (I_k + T_{k,k}) y_k =
+    ||b_hat||_H e_1; the small system is skew-Hermitian plus identity and
+    therefore always nonsingular.
+    """
+    return _solve_hlanczos("widlund", sys, b, tol, maxit, x_exact, collect_basis)
+
 
 def solve_rapoport(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
-                   collect_basis=False, reorthogonalize=False) -> SolveReport:
+                   collect_basis=False) -> SolveReport:
     """Minimal residual method in the H^{-1} norm on the same Krylov spaces.
 
     Solves min_y || ||b_hat||_H e_1 - T~_{k+1,k} y ||_2 with the tridiagonal
@@ -305,93 +329,7 @@ def solve_rapoport(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
     residual value for free, while the recorded history uses the exactly
     computed norms.
     """
-    start = time.perf_counter()
-    apply_k, h_inner_fn = _pd_operators(sys)
-    b = np.asarray(b)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return _zero_rhs_report(sys.n, sys.a.dtype, "rapoport")
-    bhat = sys.solve_h(b)
-    state = lanczos_init(bhat, h_inner_fn, reorthogonalize)
-    beta = state.bhat_norm
-    dtype = np.result_type(sys.a.dtype, b.dtype, np.asarray(beta).dtype)
-
-    size = maxit + 2
-    rd = np.zeros(size, dtype=complex)
-    ru1 = np.zeros(size, dtype=complex)
-    ru2 = np.zeros(size, dtype=complex)
-    g = np.zeros(size, dtype=complex)
-    g[0] = beta
-    rotations = []
-
-    res_hist = [bnorm]
-    rhi_hist = [_hinv_norm_of(sys, b)]
-    err_hist = None
-    if x_exact is not None:
-        x_exact = np.asarray(x_exact)
-        err_hist = [_h_norm_of(sys, x_exact)]
-    x = np.zeros(sys.n, dtype=dtype)
-    converged = False
-    k_done = 0
-    for k in range(1, maxit + 1):
-        state = lanczos_advance(state, apply_k, h_inner_fn)
-        j = k - 1
-        top = -np.conj(state.t_sub[j - 1]) if k >= 2 else 0.0
-        mid = 1.0 + state.t_diag[j]
-        bot = state.t_sub[j]
-        fill = 0.0
-        if k >= 3:
-            c, s = rotations[j - 2]
-            fill, top = c * fill + s * top, -np.conj(s) * fill + c * top
-        if k >= 2:
-            c, s = rotations[j - 1]
-            top, mid = c * top + s * mid, -np.conj(s) * top + c * mid
-        c, s, rr = _givens(mid, bot)
-        rotations.append((c, s))
-        if k >= 3:
-            ru2[j - 2] = fill
-        if k >= 2:
-            ru1[j - 1] = top
-        rd[j] = rr
-        g[j], g[j + 1] = c * g[j] + s * g[j + 1], -np.conj(s) * g[j] + c * g[j + 1]
-
-        y = np.zeros(k, dtype=complex)
-        for i in range(k - 1, -1, -1):
-            acc = g[i]
-            if i + 1 < k:
-                acc = acc - ru1[i] * y[i + 1]
-            if i + 2 < k:
-                acc = acc - ru2[i] * y[i + 2]
-            y[i] = acc / rd[i]
-        if np.isrealobj(sys.a) and np.isrealobj(b):
-            y = y.real
-        x = state.basis_matrix(k) @ y
-        r = b - sys.a @ x
-        rn = float(np.linalg.norm(r))
-        res_hist.append(rn)
-        rhi_hist.append(_hinv_norm_of(sys, r))
-        if err_hist is not None:
-            err_hist.append(_h_norm_of(sys, x_exact - x))
-        k_done = k
-        if rn <= tol * bnorm:
-            converged = True
-            break
-        if state.breakdown:
-            converged = rn <= tol * bnorm
-            break
-    return SolveReport(
-        solution=x,
-        iterations=k_done,
-        converged=converged,
-        residual_2norm=np.asarray(res_hist),
-        residual_hinv_norm=np.asarray(rhi_hist),
-        error_h_norm=np.asarray(err_hist) if err_hist is not None else None,
-        breakdown=state.breakdown_step,
-        wall_time=time.perf_counter() - start,
-        method="rapoport",
-        basis=state.basis_matrix(k_done) if collect_basis and k_done else None,
-        rhs_norm=bnorm,
-    )
+    return _solve_hlanczos("rapoport", sys, b, tol, maxit, x_exact, collect_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .dhdae import DhDaeSystem, nullspace_of_e
-from .errors import ConsistencyError, DimensionError, SingularHermitianPartError
+from .errors import ConsistencyError, DimensionError, SingularHermitianPartError, SolverError
 from .hs_core import DEFAULT_TOL, Definiteness, HsSplitSystem
 
 #: Relative tolerance for the algebraic-constraint residual of initial values.
@@ -151,7 +151,7 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
     diss = [0.0]
     x = x0
     t = t0
-    for _ in range(n_steps):
+    for step in range(1, n_steps + 1):
         b = midpoint_rhs(msys, x, t)
         if solver == "direct":
             x_next = scipy.linalg.lu_solve(lu, b)
@@ -161,8 +161,9 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
         resid = np.linalg.norm(msys.sys.a @ x_next - b)
         bnorm = np.linalg.norm(b)
         if bnorm > 0 and resid > max(tol, 1e-10) * bnorm:
-            raise SingularHermitianPartError(
-                f"step solve residual {resid / bnorm:.3e} exceeds tolerance"
+            raise SolverError(
+                f"{solver} solve of step {step} (t = {t + tau:g}) left relative "
+                f"residual {resid / bnorm:.3e}, above tolerance"
             )
         m = (x + x_next) / 2.0
         diss.append(tau * float(np.vdot(m, sys.r @ m).real))

@@ -96,7 +96,7 @@ def test_bench_rerun_identical_csv_bodies(mech_scenario, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_bench_schur_routing_for_index_two_model(tmp_path):
+def test_bench_schur_routing_for_index_two_model(tmp_path, monkeypatch):
     scn = {
         "name": "stokes-schur",
         "model": {"name": "stokes", "params": {"grid_n": 3, "stabilization": 0.0}},
@@ -108,10 +108,25 @@ def test_bench_schur_routing_for_index_two_model(tmp_path):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scn))
     out = tmp_path / "run"
+    reports = []
+    schur = dk.krylov.solve_via_schur
+
+    def capture(*args, **kwargs):
+        reports.append(schur(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(dk.krylov, "solve_via_schur", capture)
     assert main(["bench", "--scenario", str(path), "--out", str(out)]) == 0
     table = json.loads((out / "table.json").read_text())
     assert table[0]["converged"]
     assert table[0]["final_rel_res"] <= 1e-11
+    # the saddle solution solves the assembled midpoint system for the seeded rhs
+    model = dk.from_descriptor(scn["model"])
+    a = model.e + (1e-3 / 2) * (model.r - model.j)
+    b = np.random.default_rng(1).standard_normal(model.n)
+    (rep,) = reports
+    x = np.concatenate([rep.v, rep.p])
+    assert np.linalg.norm(a @ x - b) <= 1e-11 * np.linalg.norm(b)
 
 
 def test_bench_incompatible_solver_reported_per_row(tmp_path):

@@ -33,10 +33,11 @@ def test_lanczos_two_by_two_hand_case():
 def test_lanczos_breakdown_when_skew_vanishes():
     sysm = dk.HsSplitSystem.from_matrix(random_spd(np.random.default_rng(0), 5))
     b = np.arange(1.0, 6.0)
-    rep = dk.solve_widlund(sysm, b, tol=1e-12)
-    assert rep.breakdown == 1
-    assert rep.iterations == 1
-    assert np.allclose(rep.solution, sysm.solve_h(b), atol=1e-12)
+    for method in ("widlund", "rapoport"):
+        rep = dk.solve(method, sysm, b, tol=1e-12)
+        assert rep.breakdown == 1, method
+        assert rep.iterations == 1, method
+        assert np.allclose(rep.solution, sysm.solve_h(b), atol=1e-12), method
 
 
 def test_lanczos_relation_residual():
@@ -179,6 +180,24 @@ def test_rapoport_matches_brute_force_minimizer():
         c, *_ = np.linalg.lstsq(wm, wb, rcond=None)
         x_oracle = z @ c
         rep = dk.solve_rapoport(sysm, b, tol=1e-16, maxit=k)
+        assert np.linalg.norm(rep.solution - x_oracle) <= 1e-8 * np.linalg.norm(x_oracle)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_widlund_matches_brute_force_galerkin(complex_):
+    # Widlund's condition V_k* r_k = 0 on K_k(K, b_hat): (Z* A Z) c = Z* b
+    rng = np.random.default_rng(6)
+    sysm = random_hs_system(rng, 30, cond_h=50.0, lam=1.0, complex_=complex_)
+    b = rng.standard_normal(30)
+    if complex_:
+        b = b + 1j * rng.standard_normal(30)
+    bhat = sysm.solve_h(b)
+    for k in range(1, 16):
+        z = krylov_basis(lambda t: sysm.solve_h(sysm.s @ t), bhat, k)
+        c = np.linalg.solve(z.conj().T @ sysm.a @ z, z.conj().T @ b)
+        x_oracle = z @ c
+        rep = dk.solve_widlund(sysm, b, tol=1e-16, maxit=k)
+        assert rep.iterations == k
         assert np.linalg.norm(rep.solution - x_oracle) <= 1e-8 * np.linalg.norm(x_oracle)
 
 

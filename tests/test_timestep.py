@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dhkrylov as dk
-from dhkrylov.errors import ConsistencyError, SingularHermitianPartError
+from dhkrylov.errors import ConsistencyError, SingularHermitianPartError, SolverError
 
 
 def scalar_system(e=1.0, j=0.0, r=0.0, f=None):
@@ -139,6 +139,14 @@ def test_singular_hermitian_part_directs_to_schur_path():
     sys = dk.assemble_stokes_like(3, stabilization=0.0)
     with pytest.raises(SingularHermitianPartError, match="[Ss]chur"):
         dk.integrate(sys, np.zeros(sys.n), 1e-3, 3)
+
+
+def test_integrate_names_the_step_whose_solve_falls_short():
+    sys = dk.from_descriptor({"name": "mechanical",
+                              "params": {"n": 5, "seed": 7, "damping": 0.5}})
+    x0 = np.random.default_rng(1).standard_normal(10)
+    with pytest.raises(SolverError, match="step 1 "):
+        dk.integrate(sys, x0, 0.02, 3, solver="widlund", solver_kwargs={"maxit": 1})
 
 
 def test_integrate_with_krylov_step_solver():
