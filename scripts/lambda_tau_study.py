@@ -7,8 +7,6 @@ cheap at small steps.  Prints lambda over a tau sweep for the desk models
 and the resulting Widlund/Rapoport convergence factors.
 """
 
-import math
-
 import dhkrylov as dk
 
 MODELS = {
@@ -23,8 +21,8 @@ TAUS = [1e-2, 1e-3, 1e-4, 1e-5]
 
 
 def factors(lam):
-    root = math.sqrt(1.0 + lam * lam)
-    return (root - 1.0) / (root + 1.0), lam / (root + 1.0)
+    """Per-step Widlund and Rapoport factors: the bounds at k = 1 without the 2."""
+    return dk.widlund_bound(lam, 1) / 2, dk.rapoport_bound(lam, 1) / 2
 
 
 def main():

@@ -7,6 +7,7 @@ expressions evaluated here.  lam is computed from the Hermitian matrix
 -i L^{-1} S L^{-*} (Cholesky congruence, H = L L*), which has the imaginary
 parts of spec(K) as its real spectrum, so the purely-imaginary property is
 enforced structurally rather than trusted to a nonsymmetric eigensolver.
+L is the system's own factor, ``sys.h_factor``; nothing here factors H.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def spectral_interval(sys: HsSplitSystem) -> SpectralInterval:
         raise DefinitenessError("spectral_interval requires a positive definite Hermitian part")
     if sys.n == 0:
         return SpectralInterval(0.0, 0.0, np.zeros(0))
-    low = scipy.linalg.cholesky(sys.h, lower=True)
+    low = sys.h_factor.lower
     # m = L^{-1} S L^{-*} is skew-Hermitian up to rounding
     tmp = scipy.linalg.solve_triangular(low, sys.s, lower=True)
     m = scipy.linalg.solve_triangular(low, tmp.conj().T, lower=True).conj().T

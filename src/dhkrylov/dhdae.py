@@ -27,7 +27,7 @@ from .errors import DimensionError, ModelError
 from .hs_core import (
     DEFAULT_TOL,
     Definiteness,
-    as_square_matrix,
+    _freeze,
     definiteness_class,
     require_hermitian,
     require_skew,
@@ -59,12 +59,6 @@ class DaeIndex(enum.Enum):
     TWO = 2
 
 
-def _freeze(a):
-    a = np.array(a)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class DhDaeSystem:
     """The triple (E, J, R) plus the source f(t).
@@ -89,9 +83,9 @@ class DhDaeSystem:
 
     @classmethod
     def from_parts(cls, e, j, r, f=None, blocks=None, tol=DEFAULT_TOL):
-        e = require_hermitian(as_square_matrix(e, "e"), tol, name="e")
-        j = require_skew(as_square_matrix(j, "j"), tol, name="j")
-        r = require_hermitian(as_square_matrix(r, "r"), tol, name="r")
+        e = require_hermitian(e, tol, name="e")
+        j = require_skew(j, tol, name="j")
+        r = require_hermitian(r, tol, name="r")
         if not (e.shape == j.shape == r.shape):
             raise DimensionError("e, j, r must have equal shapes")
         if definiteness_class(e, tol) is Definiteness.INDEFINITE:
@@ -130,14 +124,14 @@ class DhDaeSystem:
 # ---------------------------------------------------------------------------
 
 def _check_hpd(a, name, tol=DEFAULT_TOL):
-    a = require_hermitian(as_square_matrix(a, name), tol, name=name)
+    a = require_hermitian(a, tol, name=name)
     if definiteness_class(a, tol) is not Definiteness.POSITIVE_DEFINITE:
         raise ModelError(f"{name} must be Hermitian positive definite")
     return a
 
 
 def _check_psd(a, name, tol=DEFAULT_TOL):
-    a = require_hermitian(as_square_matrix(a, name), tol, name=name)
+    a = require_hermitian(a, tol, name=name)
     if definiteness_class(a, tol) is Definiteness.INDEFINITE:
         raise ModelError(f"{name} must be Hermitian positive semidefinite")
     return a
@@ -394,12 +388,7 @@ class IndexReport:
 def nullspace_of_e(sys_or_e, tol=RANK_TOL):
     """Orthonormal basis of ker(E) for a PSD flow matrix (n x nullity)."""
     e = sys_or_e.e if isinstance(sys_or_e, DhDaeSystem) else np.asarray(sys_or_e)
-    eigs, vecs = np.linalg.eigh(e)
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    if scale == 0.0:
-        return np.eye(e.shape[0], dtype=vecs.dtype)
-    null_mask = eigs <= tol * scale
-    return vecs[:, null_mask]
+    return _range_of_e(e, tol)[1]
 
 
 def _range_of_e(e, tol):

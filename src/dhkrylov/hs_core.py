@@ -6,6 +6,11 @@ split, definiteness classification of Hermitian matrices, the H-inner
 product, and Cholesky-backed solves with Hermitian positive definite
 matrices.  All other modules build on these kernels.
 
+:meth:`HsSplitSystem.from_matrix` is the one place that decomposes the
+Hermitian part of a system: one spectrum sets the definiteness and is kept,
+and one Cholesky factor (when ``h`` is positive definite) serves every
+H-solve and the half-width computed in :mod:`dhkrylov.bounds`.
+
 Matrices are plain 2-D numpy arrays, real or complex.  All functions are
 pure; returned arrays are marked read-only where they become part of a
 value object.
@@ -85,6 +90,19 @@ def split_hs(a):
     return h, s
 
 
+def _classify(eigs, tol):
+    """Definiteness from an ascending spectrum; the empty one counts as definite."""
+    if eigs.size == 0:
+        return Definiteness.POSITIVE_DEFINITE
+    scale = float(np.max(np.abs(eigs)))
+    smallest = float(eigs[0])
+    if smallest > tol * scale:
+        return Definiteness.POSITIVE_DEFINITE
+    if smallest >= -tol * scale:
+        return Definiteness.POSITIVE_SEMIDEFINITE
+    return Definiteness.INDEFINITE
+
+
 def definiteness_class(h, tol=DEFAULT_TOL):
     """Classify a Hermitian matrix by the sign of its spectrum.
 
@@ -94,16 +112,7 @@ def definiteness_class(h, tol=DEFAULT_TOL):
     Hermitian within ``tol``.
     """
     h = require_hermitian(h, tol, name="h")
-    if h.size == 0:
-        return Definiteness.POSITIVE_DEFINITE
-    eigs = np.linalg.eigvalsh((h + h.conj().T) / 2)
-    scale = float(np.max(np.abs(eigs)))
-    smallest = float(eigs[0])
-    if smallest > tol * scale:
-        return Definiteness.POSITIVE_DEFINITE
-    if smallest >= -tol * scale:
-        return Definiteness.POSITIVE_SEMIDEFINITE
-    return Definiteness.INDEFINITE
+    return _classify(np.linalg.eigvalsh((h + h.conj().T) / 2), tol)
 
 
 def h_inner(x, y, h):
@@ -141,6 +150,13 @@ class HermitianFactor:
     def solve(self, b):
         return scipy.linalg.cho_solve(self.c_lower, np.asarray(b))
 
+    @property
+    def lower(self):
+        """Read-only array whose lower triangle is L (h = L L*); ignore the rest."""
+        low = self.c_lower[0].view()
+        low.setflags(write=False)
+        return low
+
 
 def hermitian_factor(h, tol=DEFAULT_TOL):
     """Factor a Hermitian positive definite matrix for repeated solves.
@@ -174,10 +190,11 @@ class HsSplitSystem:
     Fields
     ------
     a, h, s : ndarray with ``a = h + s``, ``h = (a+a*)/2``, ``s = (a-a*)/2``
-    definiteness : classification of ``h``
+    definiteness : classification of ``h`` by the sign of ``h_eigenvalues``
     h_factor : Cholesky factorization of ``h``; present iff ``h`` is
         positive definite
-    h_eigenvalues : ascending spectrum of ``h`` (reused by the bound module)
+    h_eigenvalues : ascending spectrum of ``h``, computed once; it decides
+        ``definiteness`` and is reused by the bound module
     """
 
     a: np.ndarray
@@ -194,13 +211,13 @@ class HsSplitSystem:
 
     @classmethod
     def from_matrix(cls, a, tol=DEFAULT_TOL):
-        a = as_square_matrix(a)
+        # h = (a + a*)/2 is exactly Hermitian: no symmetrization or re-check
         h, s = split_hs(a)
-        dclass = definiteness_class(h, tol)
+        eigs = np.linalg.eigvalsh(h)
+        dclass = _classify(eigs, tol)
         factor = None
         if dclass is Definiteness.POSITIVE_DEFINITE:
             factor = hermitian_factor(h, tol)
-        eigs = np.linalg.eigvalsh(h) if h.size else np.zeros(0)
         return cls(
             a=_freeze(a),
             h=_freeze(h),

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from .bounds import rapoport_bound, widlund_bound
-from .errors import DefinitenessError, SolverError
+from .errors import DefinitenessError, DimensionError, SolverError, StructureError
 from .hs_core import Definiteness, HsSplitSystem
 
 #: Lucky-breakdown threshold for the Lanczos subdiagonal, relative to ||b_hat||_H.
@@ -189,6 +189,16 @@ class SolveReport:
         return float(self.residual_2norm[-1] / self.rhs_norm)
 
 
+def _as_rhs(b, n):
+    """``b`` as an array, checked to be a finite vector of length ``n``."""
+    b = np.asarray(b)
+    if b.shape != (n,):
+        raise DimensionError(f"right-hand side must have shape ({n},), got {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise StructureError("right-hand side has non-finite entries")
+    return b
+
+
 def _zero_rhs_report(n, dtype, method):
     return SolveReport(
         solution=np.zeros(n, dtype=dtype),
@@ -243,7 +253,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact, collect_basis) -> Solve
     """
     start = time.perf_counter()
     apply_k, h_inner_fn = _pd_operators(sys)
-    b = np.asarray(b)
+    b = _as_rhs(b, sys.n)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return _zero_rhs_report(sys.n, sys.a.dtype, method)
@@ -349,14 +359,14 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
     start = time.perf_counter()
     if callable(a):
         apply_a = a
-        n = np.asarray(b).shape[0]
+        n = np.size(b)
         a_dtype = np.asarray(b).dtype
     else:
         a = np.asarray(a)
         apply_a = lambda z: a @ z
         n = a.shape[0]
         a_dtype = a.dtype
-    b = np.asarray(b)
+    b = _as_rhs(b, n)
     bnorm = float(np.linalg.norm(b))
     method = "lgmres" if precond is not None else "gmres"
     if bnorm == 0.0:
@@ -462,7 +472,7 @@ def solve_hss(sys: HsSplitSystem, b, alpha=1.0, tol=1e-12, maxit=250) -> SolveRe
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     start = time.perf_counter()
-    b = np.asarray(b)
+    b = _as_rhs(b, sys.n)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return _zero_rhs_report(sys.n, sys.a.dtype, "hss")

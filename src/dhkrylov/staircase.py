@@ -25,16 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DefinitenessError, DimensionError, RankError, SchurReductionError
-from .hs_core import max_norm, require_hermitian, require_skew
+from .hs_core import _freeze, max_norm, require_hermitian, require_skew
 
 #: Default relative threshold below which singular values count as zero.
 RANK_TOL = 1e-10
-
-
-def _freeze(a):
-    a = np.array(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -118,27 +112,24 @@ def hs_staircase(h, s, tol=RANK_TOL) -> StaircaseForm:
     dtype = np.result_type(h.dtype, s.dtype)
     decisions = []
 
-    eigs = np.linalg.eigvalsh(h) if n else np.zeros(0)
-    scale_h = float(np.max(np.abs(eigs))) if n else 0.0
-    if n and float(eigs[0]) < -tol * scale_h:
+    def form(u, block_sizes, h11, h_t, s_t):
+        return StaircaseForm(u=_freeze(u), block_sizes=block_sizes, h11=_freeze(h11),
+                             h_t=_freeze(h_t), s_t=_freeze(s_t), h_orig=_freeze(h),
+                             s_orig=_freeze(s), rank_decisions=tuple(decisions))
+
+    # one eigendecomposition serves the PSD check, the scale and the basis
+    evals, evecs = np.linalg.eigh(h)
+    scale_h = float(np.max(np.abs(evals))) if n else 0.0
+    if n and float(evals[0]) < -tol * scale_h:
         raise DefinitenessError("h has an eigenvalue below -tol * ||h||; not PSD")
 
     if scale_h == 0.0:
         # h = 0: nothing to stage, all of A is the decoupled skew block
         decisions.append({"stage": 0, "kind": "h_rank", "values": [], "threshold": 0.0,
                           "rank": 0})
-        return StaircaseForm(
-            u=_freeze(np.eye(n, dtype=dtype)),
-            block_sizes=(n,),
-            h11=_freeze(np.zeros((0, 0), dtype=dtype)),
-            h_t=_freeze(h.astype(dtype)),
-            s_t=_freeze(s.astype(dtype)),
-            h_orig=_freeze(h),
-            s_orig=_freeze(s),
-            rank_decisions=tuple(decisions),
-        )
+        return form(np.eye(n, dtype=dtype), (n,), np.zeros((0, 0), dtype=dtype),
+                    h.astype(dtype), s.astype(dtype))
 
-    evals, evecs = np.linalg.eigh(h)
     order = np.argsort(-evals)
     evals = evals[order]
     evecs = evecs[:, order]
@@ -148,16 +139,8 @@ def hs_staircase(h, s, tol=RANK_TOL) -> StaircaseForm:
 
     if n1 == n:
         # trivial case: H positive definite, no transformation needed
-        return StaircaseForm(
-            u=_freeze(np.eye(n, dtype=dtype)),
-            block_sizes=(n, 0),
-            h11=_freeze(h.astype(dtype)),
-            h_t=_freeze(h.astype(dtype)),
-            s_t=_freeze(s.astype(dtype)),
-            h_orig=_freeze(h),
-            s_orig=_freeze(s),
-            rank_decisions=tuple(decisions),
-        )
+        return form(np.eye(n, dtype=dtype), (n, 0), h.astype(dtype), h.astype(dtype),
+                    s.astype(dtype))
 
     u = evecs.astype(dtype)
     h_t = u.conj().T @ h @ u
@@ -168,7 +151,6 @@ def hs_staircase(h, s, tol=RANK_TOL) -> StaircaseForm:
     offset, prev = n1, n1
     stage = 2
     while offset < n and prev > 0:
-        rem = n - offset
         c = s_t[offset:, offset - prev:offset]
         w2, sv, v2h = np.linalg.svd(c)
         if sv.size == 0 or sv[0] <= tol * max(scale_s, 1e-300):
@@ -193,17 +175,7 @@ def hs_staircase(h, s, tol=RANK_TOL) -> StaircaseForm:
         prev = rank
         stage += 1
 
-    n_r = n - sum(blocks)
-    return StaircaseForm(
-        u=_freeze(u),
-        block_sizes=tuple(blocks) + (n_r,),
-        h11=_freeze(h_t[:n1, :n1]),
-        h_t=_freeze(h_t),
-        s_t=_freeze(s_t),
-        h_orig=_freeze(h),
-        s_orig=_freeze(s),
-        rank_decisions=tuple(decisions),
-    )
+    return form(u, tuple(blocks) + (n - sum(blocks),), h_t[:n1, :n1], h_t, s_t)
 
 
 # ---------------------------------------------------------------------------

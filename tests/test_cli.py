@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dhkrylov as dk
 from dhkrylov.cli import Scenario, audit_staircase, main, run_scenario
@@ -167,6 +168,45 @@ def test_solve_subcommand_with_matrix_file(tmp_path, capsys):
     x = dk.read_matrix(out / "solution.mtx").reshape(-1)
     b = np.random.default_rng(5).standard_normal(12)
     assert np.linalg.norm(sysm.a @ x - b) <= 1e-11 * np.linalg.norm(b)
+
+
+def test_solve_rhs_of_wrong_length_is_usage_error(tmp_path, capsys):
+    bpath = tmp_path / "b.mtx"
+    dk.write_matrix(bpath, np.ones((4, 1)))
+    code = main(["solve", "--model", "rlc", "--rhs", str(bpath),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines()), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("solver, solves_per_tau", [("lgmres", 0), ("widlund", 1)])
+def test_bench_reference_solve_only_for_error_columns(tmp_path, monkeypatch, solver,
+                                                      solves_per_tau):
+    # the dense reference solution feeds only the err_hnorm column
+    calls = []
+    solve = scipy.linalg.solve
+
+    def counted_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve", counted_solve)
+    scn = Scenario(
+        model={"name": "mechanical", "params": {"n": 6, "seed": 3, "damping": 1.0}},
+        tau_list=[1e-3, 1e-4],
+        solvers=[solver],
+        rhs={"kind": "random", "seed": 7},
+    )
+    out = tmp_path / "run"
+    table = run_scenario(scn, out)
+    assert len(calls) == solves_per_tau * len(scn.tau_list)
+    for row in table.rows:
+        assert row["converged"]
+        with open(out / f"mechanical_tau{row['tau']:g}_{solver}.csv") as fh:
+            err_column = [r["err_hnorm"] for r in csv.DictReader(fh)]
+        assert all(err_column) if solves_per_tau else not any(err_column)
 
 
 def test_integrate_subcommand(tmp_path):

@@ -1,8 +1,12 @@
+import collections
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import dhkrylov as dk
+from dhkrylov.cli import audit_staircase
 from dhkrylov.errors import DefinitenessError, DimensionError, StructureError
 from dhkrylov.hs_core import hermitian_deviation, skew_deviation
 
@@ -151,6 +155,89 @@ def test_hs_split_system_invariants():
     # value object: arrays are read-only
     with pytest.raises(ValueError):
         sysm.a[0, 0] = 99.0
+    # one spectrum drives the class and h_eigenvalues, for every class of h
+    u = random_unitary(rng, 10, complex_=True)
+    g = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+    cases = (
+        (a, dk.Definiteness.POSITIVE_DEFINITE),
+        (np.diag([2.0] * 7 + [0.0] * 3) + (a - a.T) / 2, dk.Definiteness.POSITIVE_SEMIDEFINITE),
+        (np.diag(np.linspace(-1.0, 2.0, 10)) + (a - a.T) / 2, dk.Definiteness.INDEFINITE),
+        ((u * np.geomspace(1.0, 10.0, 10)) @ u.conj().T + (g - g.conj().T) / 2,
+         dk.Definiteness.POSITIVE_DEFINITE),
+    )
+    for a_case, expected in cases:
+        sysm = dk.HsSplitSystem.from_matrix(a_case)
+        assert sysm.definiteness is expected
+        assert sysm.definiteness is dk.definiteness_class(sysm.h)
+        assert np.array_equal(sysm.h_eigenvalues, np.linalg.eigvalsh(sysm.h))
+        assert (sysm.h_factor is not None) == (expected is dk.Definiteness.POSITIVE_DEFINITE)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts calls of the dense decompositions and of ``from_matrix``."""
+    counts = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                        (scipy.linalg, "cho_factor"), (scipy.linalg, "cholesky")):
+        count(owner, name)
+    from_matrix = dk.HsSplitSystem.from_matrix.__func__
+
+    def counted_from_matrix(cls, *args, **kwargs):
+        counts["from_matrix"] += 1
+        return from_matrix(cls, *args, **kwargs)
+
+    monkeypatch.setattr(dk.HsSplitSystem, "from_matrix", classmethod(counted_from_matrix))
+    return counts
+
+
+def _skew(rng, n):
+    g = rng.standard_normal((n, n))
+    return g - g.T
+
+
+def test_from_matrix_decomposes_and_factors_h_once(decompositions):
+    rng = np.random.default_rng(13)
+    dk.HsSplitSystem.from_matrix(random_spd(rng, 8) + _skew(rng, 8))
+    assert decompositions == {"from_matrix": 1, "eigvalsh": 1, "cho_factor": 1}
+    decompositions.clear()
+    dk.HsSplitSystem.from_matrix(np.diag([1.0] * 5 + [0.0] * 3) + _skew(rng, 8))
+    assert decompositions == {"from_matrix": 1, "eigvalsh": 1}
+
+
+def test_spectral_interval_reuses_the_system_factor(decompositions):
+    rng = np.random.default_rng(14)
+    sysm = dk.HsSplitSystem.from_matrix(random_spd(rng, 8) + _skew(rng, 8))
+    decompositions.clear()
+    interval = dk.spectral_interval(sysm)
+    assert decompositions["cho_factor"] == decompositions["cholesky"] == 0
+    # oracle: spec(H^{-1} S) from a dense nonsymmetric eigensolver
+    mu = np.linalg.eigvals(np.linalg.solve(sysm.h, sysm.s))
+    assert interval.lam == pytest.approx(np.max(np.abs(mu.imag)), rel=1e-12)
+
+
+def test_staircase_eigendecomposes_h_once(decompositions):
+    rng = np.random.default_rng(15)
+    h = np.diag([3.0, 2.0, 1.0, 0.0, 0.0])
+    dk.hs_staircase(h, _skew(rng, 5))
+    assert decompositions == {"eigh": 1}
+
+
+def test_audit_staircase_builds_no_split_system(decompositions):
+    rng = np.random.default_rng(16)
+    report = audit_staircase(np.diag([3.0, 2.0, 1.0, 0.0, 0.0]) + _skew(rng, 5))
+    assert decompositions["from_matrix"] == 0
+    assert decompositions["eigh"] == 1
+    assert report["block_sizes"][0] == 3
 
 
 def test_hs_split_system_from_parts_semidefinite():

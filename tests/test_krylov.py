@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 
 import dhkrylov as dk
-from dhkrylov.errors import DefinitenessError
-from dhkrylov.krylov import lanczos_advance, lanczos_init
+from dhkrylov.errors import DefinitenessError, DimensionError, StructureError
+from dhkrylov.krylov import SOLVER_NAMES, lanczos_advance, lanczos_init
 
 from support import krylov_basis, random_hs_system, random_spd, uniform_spectrum_system
 
@@ -404,6 +404,19 @@ def test_unknown_solver_name():
     sysm = dk.HsSplitSystem.from_matrix(np.eye(2))
     with pytest.raises(ValueError):
         dk.solve("sor", sysm, np.ones(2))
+
+
+@pytest.mark.parametrize("method", SOLVER_NAMES)
+def test_bad_rhs_raises_typed_errors(method):
+    sysm = random_hs_system(np.random.default_rng(4), 5, cond_h=10.0, lam=0.5)
+    for b in (np.ones(4), np.ones((5, 1)), np.ones(6)):
+        with pytest.raises(DimensionError):
+            dk.solve(method, sysm, b)
+    for bad in (np.nan, np.inf):
+        b = np.ones(5)
+        b[2] = bad
+        with pytest.raises(StructureError):
+            dk.solve(method, sysm, b)
 
 
 def test_zero_rhs_short_circuits():
