@@ -256,6 +256,13 @@ def _default_out(prefix):
     return Path("runs") / f"{prefix}-{stamp}"
 
 
+def _make_out(args, prefix):
+    """Create the output directory; called just before the first write."""
+    out = Path(args.out) if args.out else _default_out(prefix)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _load_model_arg(args):
     if args.model.endswith(".json"):
         with open(args.model) as fh:
@@ -289,8 +296,7 @@ def cmd_models(args):
         if not args.model:
             raise DhKrylovError("models export requires --model")
         model = dhdae.from_descriptor(_load_model_arg(args))
-        out = Path(args.out) if args.out else _default_out("model")
-        out.mkdir(parents=True, exist_ok=True)
+        out = _make_out(args, "model")
         for name, mat in (("e", model.e), ("j", model.j), ("r", model.r)):
             write_matrix(out / f"{name}.mtx", mat)
         print(f"wrote e.mtx, j.mtx, r.mtx (n={model.n}) to {out}")
@@ -299,8 +305,6 @@ def cmd_models(args):
 
 
 def cmd_solve(args):
-    out = Path(args.out) if args.out else _default_out("solve")
-    out.mkdir(parents=True, exist_ok=True)
     lam = None
     if args.matrix:
         a = read_matrix(args.matrix)
@@ -318,6 +322,7 @@ def cmd_solve(args):
         lam = bounds_mod.spectral_interval(sysm).lam
     kwargs = {"alpha": args.hss_alpha} if args.solver == "hss" else {}
     rep = krylov.solve(args.solver, sysm, b, tol=args.tol, maxit=args.maxit, **kwargs)
+    out = _make_out(args, "solve")
     krylov.residual_history_csv(out / "residuals.csv", rep, lam=lam)
     write_matrix(out / "solution.mtx", rep.solution.reshape(-1, 1))
     report = {
@@ -336,12 +341,11 @@ def cmd_solve(args):
 
 
 def cmd_integrate(args):
-    out = Path(args.out) if args.out else _default_out("integrate")
-    out.mkdir(parents=True, exist_ok=True)
     model = dhdae.from_descriptor(_load_model_arg(args))
     x0 = read_matrix(args.x0).reshape(-1) if args.x0 else np.zeros(model.n)
     traj = timestep.integrate(model, x0, args.tau, args.steps, solver=args.solver,
                               tol=args.tol)
+    out = _make_out(args, "integrate")
     traj.to_csv(out / "trajectory.csv")
     summary = {
         "steps": args.steps,
@@ -376,22 +380,19 @@ def cmd_bench(args):
 
 
 def cmd_staircase(args):
-    out = Path(args.out) if args.out else _default_out("staircase")
-    out.mkdir(parents=True, exist_ok=True)
     if args.matrix:
         a = read_matrix(args.matrix)
     else:
         model = dhdae.from_descriptor(_load_model_arg(args))
         a = timestep.midpoint_system(model, args.tau).sys.a
     report = audit_staircase(a, tol=args.tol)
+    out = _make_out(args, "staircase")
     (out / "staircase.json").write_text(json.dumps(report, indent=2))
     print(json.dumps(report, indent=2))
     return 0
 
 
 def cmd_bounds(args):
-    out = Path(args.out) if args.out else _default_out("bounds")
-    out.mkdir(parents=True, exist_ok=True)
     if args.matrix:
         sysm = HsSplitSystem.from_matrix(read_matrix(args.matrix))
     else:
@@ -399,6 +400,7 @@ def cmd_bounds(args):
         sysm = timestep.midpoint_system(model, args.tau).sys
     interval = bounds_mod.spectral_interval(sysm)
     kappa = bounds_mod.kappa_y_estimate(sysm)
+    out = _make_out(args, "bounds")
     with open(out / "bounds.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "bound_widlund", "bound_rapoport", "bound_lgmres_estimate"])

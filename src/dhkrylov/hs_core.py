@@ -141,14 +141,17 @@ class HermitianFactor:
     """Cholesky factorization of a Hermitian positive definite matrix.
 
     Built once, reused for many solves.  ``c_lower`` is the scipy
-    ``cho_factor`` payload.
+    ``cho_factor`` payload, computed from a matrix checked to be finite, so
+    a solve checks only its right-hand side and never re-scans the factor.
     """
 
     c_lower: tuple
     n: int
 
     def solve(self, b):
-        return scipy.linalg.cho_solve(self.c_lower, np.asarray(b))
+        """``h^{-1} b``; a non-finite ``b`` raises ``ValueError``."""
+        return scipy.linalg.cho_solve(self.c_lower, np.asarray_chkfinite(b),
+                                      check_finite=False)
 
     @property
     def lower(self):

@@ -27,9 +27,9 @@ this engine:
   Hermitian part is singular only in the trailing block.
 
 All solvers start from x_0 = 0 and stop when the relative 2-norm residual
-of the *original* system drops below ``tol``.  For Widlund and Rapoport each
-step therefore pays one multiplication with A for the true residual, and
-Rapoport one more H-solve for the exact H^{-1}-norm of that residual.
+of the *original* system drops below ``tol``.  A Widlund or Rapoport step
+costs one H-solve and one multiplication with S for the recurrence, and one
+multiplication with A for that true residual, plus O(n) vector work.
 Residual histories are kept per iteration for comparison plots.
 """
 
@@ -146,15 +146,6 @@ def lanczos_advance(state: LanczosState, apply_k, h_inner_fn) -> LanczosState:
     return replace(state, basis=state.basis + (w / beta,), t_diag=t_diag, t_sub=t_sub)
 
 
-def _pd_operators(sys: HsSplitSystem):
-    if sys.definiteness is not Definiteness.POSITIVE_DEFINITE:
-        raise DefinitenessError("this method requires a positive definite Hermitian part")
-    h = sys.h
-    apply_k = lambda x: sys.solve_h(sys.s @ x)
-    h_inner_fn = lambda x, y: np.vdot(y, h @ x)
-    return apply_k, h_inner_fn
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -232,56 +223,84 @@ def _givens(a, b):
 def _solve_hlanczos(method, sys, b, tol, maxit, x_exact, collect_basis) -> SolveReport:
     """Widlund or Rapoport iterate from one rotated QR of T~_{k+1,k}.
 
+    The recurrence carries H v next to v, as preconditioned MINRES does, so
+    step k makes one H-solve and no product with H: with s = S v_k,
+
+        w   = H^{-1} s - t_kk v_k  + t_{k,k-1} v_{k-1},   t_kk = v_k* s,
+        H w = s        - t_kk Hv_k + t_{k,k-1} Hv_{k-1},  t_{k+1,k} = sqrt(w* H w).
+
+    It starts from H v_1 = b / ||b_hat||_H, where ||b_hat||_H^2 = b_hat* b.
+
     Step k turns column k of T~ = [I + T_{k,k}; t_{k+1,k} e_k*] into
     (r_{k-2,k}, r_{k-1,k}, mu_k, t_{k+1,k}) with the last two plane
     rotations; a new rotation G_k = (c_k, s_k) maps (mu_k, t_{k+1,k}) to
     (r_kk, 0).  With g_k the k-th entry of the rotated right side
     ||b_hat||_H e_1 before G_k and the unscaled direction
-    w_k = v_k - r_{k-2,k} d_{k-2} - r_{k-1,k} d_{k-1}, where d = V R^{-1}:
+    p_k = v_k - r_{k-2,k} d_{k-2} - r_{k-1,k} d_{k-1}, where d = V R^{-1}:
 
-        Rapoport:  x^R_k = x^R_{k-1} + (c_k g_k / r_kk) w_k
-        Widlund:   x^W_k = x^R_{k-1} + (g_k / mu_k) w_k
+        Rapoport:  x^R_k = x^R_{k-1} + (c_k g_k / r_kk) p_k
+        Widlund:   x^W_k = x^R_{k-1} + (g_k / mu_k) p_k
 
     The Widlund line holds because G_1 .. G_{k-1} act on rows 1..k only, so
     Q_{k-1}* (I + T_{k,k}) = U_k is R_{k-1} bordered by the column
     (r_{k-2,k}, r_{k-1,k}, mu_k), and V_k U_k^{-1} Q_{k-1}* ||b_hat||_H e_1 is
-    x^R_{k-1} + (g_k / mu_k) w_k.  mu_k != 0 since I + T_{k,k}, identity plus
+    x^R_{k-1} + (g_k / mu_k) p_k.  mu_k != 0 since I + T_{k,k}, identity plus
     skew, is nonsingular.
 
-    Only the last two rotations and directions are kept.  Each step still
-    computes the true residual b - A x_k, and for Rapoport its H^{-1}-norm.
+    As ||b - A x||_{H^{-1}} = || ||b_hat||_H e_1 - T~ y ||_2 for x = V_k y,
+    the Rapoport residual in the H^{-1} norm is |g_{k+1}|.  Only the last
+    two rotations, directions and basis vectors are kept.  Each step
+    computes the true residual b - A x_k, which decides stopping.
     """
     start = time.perf_counter()
-    apply_k, h_inner_fn = _pd_operators(sys)
+    if sys.definiteness is not Definiteness.POSITIVE_DEFINITE:
+        raise DefinitenessError("this method requires a positive definite Hermitian part")
     b = _as_rhs(b, sys.n)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return _zero_rhs_report(sys.n, sys.a.dtype, method)
-    state = lanczos_init(sys.solve_h(b), h_inner_fn)
+    bhat = sys.solve_h(b)
+    beta0 = float(np.sqrt(max(np.vdot(bhat, b).real, 0.0)))
+    if beta0 == 0.0:
+        raise SolverError("cannot start Lanczos from a zero right-hand side")
     rapoport = method == "rapoport"
 
     res_hist = [bnorm]
-    rhi_hist = [_hinv_norm_of(sys, b)] if rapoport else None
+    rhi_hist = [beta0] if rapoport else None
     x_exact = None if x_exact is None else np.asarray(x_exact)
     err_hist = None if x_exact is None else [_h_norm_of(sys, x_exact)]
     x = x_r = np.zeros(sys.n, dtype=np.result_type(sys.a.dtype, b.dtype))
-    g = state.bhat_norm
+    v, hv = bhat / beta0, b / beta0
+    v_prev = hv_prev = 0.0
+    beta = 0.0
+    basis = []
+    g = beta0
     # rotations and directions of steps k-1 and k-2: identity and zero at first
     rot1 = rot2 = (1.0, 0.0)
     d1 = d2 = np.zeros(sys.n)
     converged = False
+    breakdown = None
     k = 0
     for k in range(1, maxit + 1):
-        state = lanczos_advance(state, apply_k, h_inner_fn)
-        top = -np.conj(state.t_sub[k - 2]) if k > 1 else 0.0
-        mu = 1.0 + state.t_diag[k - 1]
+        if collect_basis:
+            basis.append(v)
+        sv = sys.s @ v
+        t_kk = np.vdot(v, sv)
+        top = -beta
+        w = sys.solve_h(sv) - t_kk * v + beta * v_prev
+        hw = sv - t_kk * hv + beta * hv_prev
+        beta = float(np.sqrt(max(np.vdot(w, hw).real, 0.0)))
+        if beta <= BREAKDOWN_REL * beta0:
+            breakdown = k
+
+        mu = 1.0 + t_kk
         (c2, s2), (c1, s1) = rot2, rot1
         r2, r1 = s2 * top, c1 * (c2 * top) + s1 * mu
         mu = -np.conj(s1) * (c2 * top) + c1 * mu
-        w = state.basis[k - 1] - r2 * d2 - r1 * d1
-        c, s, r_kk = _givens(mu, state.t_sub[k - 1])
-        x_w = x_r + (g / mu) * w
-        rot2, rot1, d2, d1 = rot1, (c, s), d1, w / r_kk
+        p = v - r2 * d2 - r1 * d1
+        c, s, r_kk = _givens(mu, beta)
+        x_w = x_r + (g / mu) * p
+        rot2, rot1, d2, d1 = rot1, (c, s), d1, p / r_kk
         x_r = x_r + (c * g) * d1
         g = -np.conj(s) * g
         x = x_r if rapoport else x_w
@@ -289,12 +308,13 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact, collect_basis) -> Solve
         rn = float(np.linalg.norm(r))
         res_hist.append(rn)
         if rapoport:
-            rhi_hist.append(_hinv_norm_of(sys, r))
+            rhi_hist.append(float(abs(g)))
         if err_hist is not None:
             err_hist.append(_h_norm_of(sys, x_exact - x))
         converged = rn <= tol * bnorm
-        if converged or state.breakdown:
+        if converged or breakdown is not None:
             break
+        v_prev, hv_prev, v, hv = v, hv, w / beta, hw / beta
     return SolveReport(
         solution=x,
         iterations=k,
@@ -302,20 +322,16 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact, collect_basis) -> Solve
         residual_2norm=np.asarray(res_hist),
         residual_hinv_norm=np.asarray(rhi_hist) if rapoport else None,
         error_h_norm=np.asarray(err_hist) if err_hist is not None else None,
-        breakdown=state.breakdown_step,
+        breakdown=breakdown,
         wall_time=time.perf_counter() - start,
         method=method,
-        basis=state.basis_matrix(k) if collect_basis and k else None,
+        basis=np.column_stack(basis) if basis else None,
         rhs_norm=bnorm,
     )
 
 
 def _h_norm_of(sys, v):
     return float(np.sqrt(max(np.vdot(v, sys.h @ v).real, 0.0)))
-
-
-def _hinv_norm_of(sys, v):
-    return float(np.sqrt(max(np.vdot(v, sys.solve_h(v)).real, 0.0)))
 
 
 def solve_widlund(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
@@ -335,9 +351,9 @@ def solve_rapoport(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
 
     Solves min_y || ||b_hat||_H e_1 - T~_{k+1,k} y ||_2 with the tridiagonal
     extended matrix T~ = [I + T_{k,k}; t_{k+1,k} e_k*], updated by plane
-    rotations; the rotated right side provides the (monotone) optimal
-    residual value for free, while the recorded history uses the exactly
-    computed norms.
+    rotations.  ``residual_hinv_norm`` records that minimum, the last entry
+    of the rotated right side; in exact arithmetic it equals the H^{-1}-norm
+    of the true residual b - A x_k, the quantity the Rapoport bound bounds.
     """
     return _solve_hlanczos("rapoport", sys, b, tol, maxit, x_exact, collect_basis)
 
@@ -378,13 +394,12 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
         apply_op = lambda z: precond(apply_a(z))
         r0 = precond(b)
     beta = float(np.linalg.norm(r0))
-    is_real = not (np.iscomplexobj(b) or np.iscomplexobj(np.asarray(r0))
-                   or (not callable(a) and np.iscomplexobj(a)))
-    dtype = np.result_type(a_dtype, b.dtype)
-
     v = [np.asarray(r0) / beta]
-    hess = np.zeros((maxit + 1, maxit), dtype=complex)
-    g = np.zeros(maxit + 1, dtype=complex)
+    # The first operator product fixes the arithmetic: real data stay real.
+    w = apply_op(v[0])
+    dtype = np.result_type(a_dtype, b.dtype, v[0].dtype, w.dtype)
+    hess = np.zeros((maxit + 1, maxit), dtype=dtype)
+    g = np.zeros(maxit + 1, dtype=dtype)
     g[0] = beta
     rotations = []
 
@@ -399,9 +414,8 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
     breakdown_step = None
     k_done = 0
     for k in range(1, maxit + 1):
-        w = apply_op(v[k - 1])
-        if k == 1 and np.iscomplexobj(w):
-            is_real = False
+        if k > 1:
+            w = apply_op(v[k - 1])
         for i in range(k):
             hess[i, k - 1] = np.vdot(v[i], w)
             w = w - hess[i, k - 1] * v[i]
@@ -422,8 +436,6 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
         g[k - 1], g[k] = c * g[k - 1] + s * g[k], -np.conj(s) * g[k - 1] + c * g[k]
 
         y = scipy.linalg.solve_triangular(hess[:k, :k], g[:k], lower=False)
-        if is_real:
-            y = y.real
         x = np.column_stack(v[:k]) @ y
         r = b - apply_a(x)
         rn = float(np.linalg.norm(r))

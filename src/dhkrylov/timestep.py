@@ -55,15 +55,17 @@ def midpoint_system(sys: DhDaeSystem, tau: float, tol=DEFAULT_TOL) -> MidpointSy
 def midpoint_rhs(msys: MidpointSystem, x_k, t_k: float):
     """Right side b = (E - tau/2 (R - J)) x_k + tau f(t_k + tau/2).
 
-    The source is sampled at the interval midpoint, which is what keeps the
-    rule second order.
+    The matrix term is formed as 2 E x_k - A x_k, which equals it because
+    A = E + tau/2 (R - J), so no matrix is built per step.  The source is
+    sampled at the interval midpoint, which is what keeps the rule second
+    order.
     """
     x_k = np.asarray(x_k)
     model = msys.source
     if x_k.shape[0] != model.n:
         raise DimensionError("x_k has wrong length")
     tau = msys.tau
-    b = (model.e - (tau / 2.0) * (model.r - model.j)) @ x_k
+    b = 2.0 * (model.e @ x_k) - msys.sys.a @ x_k
     return b + tau * np.asarray(model.f(t_k + tau / 2.0))
 
 

@@ -275,9 +275,11 @@ def test_unknown_solver_is_usage_error(mech_scenario, tmp_path):
     assert code == 2
 
 
-def test_unreadable_matrix_is_io_error(tmp_path):
+def test_unreadable_matrix_is_io_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code = main(["solve", "--matrix", str(tmp_path / "missing.mtx")])
     assert code == 2
+    assert not (tmp_path / "runs").exists()
 
 
 def test_from_model_rhs_requires_forcing(tmp_path):

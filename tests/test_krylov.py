@@ -91,6 +91,68 @@ def test_lanczos_reorthogonalization_mode():
 
 
 # ---------------------------------------------------------------------------
+# The H-Lanczos loop shared by Widlund and Rapoport
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("method", ["widlund", "rapoport"])
+def test_hlanczos_makes_one_h_solve_per_step(method, monkeypatch):
+    calls = []
+    solve = dk.hs_core.HermitianFactor.solve
+
+    def counted(self, b):
+        calls.append(1)
+        return solve(self, b)
+
+    monkeypatch.setattr(dk.hs_core.HermitianFactor, "solve", counted)
+    rng = np.random.default_rng(21)
+    sysm = random_hs_system(rng, 40, cond_h=100.0, lam=1.5)
+    rep = dk.solve(method, sysm, rng.standard_normal(40), tol=1e-10)
+    assert rep.converged and rep.iterations > 5
+    assert len(calls) == rep.iterations + 1
+
+
+def _criterion_five_basis(seed, k):
+    """Solver basis and lanczos_advance basis on a criterion-5 system."""
+    rng = np.random.default_rng(seed)
+    sysm = uniform_spectrum_system(rng, 240, cond_h=1e3, lam=1.0)
+    b = rng.standard_normal(240)
+    rep = dk.solve_rapoport(sysm, b, tol=1e-30, maxit=k, collect_basis=True)
+    apply_k, hin = _operators(sysm)
+    state = lanczos_init(sysm.solve_h(b), hin)
+    for _ in range(k):
+        state = lanczos_advance(state, apply_k, hin)
+    return sysm, rep.basis, state.basis_matrix(k)
+
+
+def test_hlanczos_basis_h_orthonormal():
+    for seed in range(3):
+        sysm, v, _ = _criterion_five_basis(seed, 50)
+        assert v.shape == (240, 50)
+        gram = v.conj().T @ sysm.h @ v
+        assert np.max(np.abs(gram - np.eye(50))) <= 1e-8
+
+
+def test_hlanczos_basis_matches_audit_recurrence():
+    for seed in range(3):
+        _, v, v_audit = _criterion_five_basis(seed, 30)
+        assert np.max(np.abs(v - v_audit)) <= 1e-10
+
+
+def test_rapoport_history_is_exact_hinv_residual():
+    # |g_k| of the rotated right side against sqrt(r_k* H^{-1} r_k)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        sysm = random_hs_system(rng, 50, cond_h=300.0, lam=0.9)
+        b = rng.standard_normal(50)
+        hist = dk.solve_rapoport(sysm, b, tol=1e-10, maxit=100).residual_hinv_norm
+        for k in range(len(hist)):
+            x = dk.solve_rapoport(sysm, b, tol=1e-30, maxit=k).solution if k else 0 * b
+            r = b - sysm.a @ x
+            exact = np.sqrt(np.vdot(r, sysm.solve_h(r)).real)
+            assert abs(hist[k] - exact) <= 1e-10 * hist[0], (seed, k)
+
+
+# ---------------------------------------------------------------------------
 # Widlund
 # ---------------------------------------------------------------------------
 
@@ -376,6 +438,7 @@ def test_all_solvers_agree_with_dense_solve():
     for method in dk.krylov.SOLVER_NAMES:
         rep = dk.solve(method, sysm, b, tol=tol, maxit=5000)
         assert rep.converged, method
+        assert rep.solution.dtype == np.float64, method  # real data, real arithmetic
         err = np.linalg.norm(rep.solution - x_ref) / np.linalg.norm(x_ref)
         assert err <= tol * kappa * 10, (method, err)
 

@@ -6,6 +6,8 @@ import pytest
 import dhkrylov as dk
 from dhkrylov.errors import ConsistencyError, SingularHermitianPartError, SolverError
 
+from support import random_spd
+
 
 def scalar_system(e=1.0, j=0.0, r=0.0, f=None):
     return dk.DhDaeSystem.from_parts(
@@ -65,6 +67,22 @@ def test_midpoint_rhs_hand_value():
     ms = dk.midpoint_system(sys, 0.1)
     b = dk.midpoint_rhs(ms, np.array([2.0]), 0.0)
     assert b == pytest.approx([2.1], abs=1e-15)
+
+
+def test_midpoint_rhs_matches_explicit_step_matrix():
+    # b = 2 E x - A x equals (E - tau/2 (R - J)) x, with the source added
+    rng = np.random.default_rng(11)
+    m, d, k = (random_spd(rng, 6) for _ in range(3))
+    mech = dk.assemble_mechanical(m, d, k, force=lambda t: np.cos(t) * np.ones(6))
+    rlc = dk.assemble_rlc(2.0, 3.0, 0.5, 1.5, 0.7, 1.1, eg=lambda t: np.sin(3 * t))
+    for sys in (mech, rlc):
+        for tau in (1e-3, 0.1):
+            ms = dk.midpoint_system(sys, tau)
+            x = rng.standard_normal(sys.n)
+            explicit = ((sys.e - (tau / 2) * (sys.r - sys.j)) @ x
+                        + tau * sys.f(0.3 + tau / 2))
+            b = dk.midpoint_rhs(ms, x, 0.3)
+            assert np.linalg.norm(b - explicit) <= 1e-13 * np.linalg.norm(explicit)
 
 
 def test_midpoint_rule_second_order_against_closed_form():
