@@ -62,6 +62,9 @@ class Scenario:
                 raise DhKrylovError(f"unknown solver {s!r}")
         if self.rhs.get("kind") not in ("random", "from-model", "file"):
             raise DhKrylovError("rhs kind must be one of random|from-model|file")
+        if self.rhs["kind"] == "file" and not isinstance(self.rhs.get("path"), str):
+            raise DhKrylovError("a file rhs needs a \"path\" string")
+        krylov.check_tol_maxit(self.tol, self.maxit)
 
     @classmethod
     def from_json(cls, path, overrides=None):

@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionError, ModelError
 from .hs_core import (
@@ -206,45 +207,13 @@ def rlc_dc_operating_point(L, C1, C2, RG, RL, RR, eg):
     return np.array([i, v1, v2, i, -i])
 
 
-def _grid_index(nx, ny):
-    """id(i, j) -> flat index for an nx-by-ny node grid (column-major in j)."""
-    return lambda i, j: i * ny + j
+def _grid_shift(nx, ny):
+    """1 at (a, b) when node b follows node a along either axis of an nx-by-ny grid.
 
-
-def _grid_laplacian(nx, ny):
-    """Unscaled 5-point grid Laplacian 4I - Adj with Dirichlet boundary."""
-    n = nx * ny
-    idx = _grid_index(nx, ny)
-    lap = 4.0 * np.eye(n)
-    for i in range(nx):
-        for j in range(ny):
-            a = idx(i, j)
-            if i + 1 < nx:
-                b = idx(i + 1, j)
-                lap[a, b] = lap[b, a] = -1.0
-            if j + 1 < ny:
-                b = idx(i, j + 1)
-                lap[a, b] = lap[b, a] = -1.0
-    return lap
-
-
-def _grid_centered_transport(nx, ny, amp):
-    """Skew centered-difference transport along the (1, 1) wind direction."""
-    n = nx * ny
-    idx = _grid_index(nx, ny)
-    t = np.zeros((n, n))
-    for i in range(nx):
-        for j in range(ny):
-            a = idx(i, j)
-            if i + 1 < nx:
-                b = idx(i + 1, j)
-                t[a, b] += amp
-                t[b, a] -= amp
-            if j + 1 < ny:
-                b = idx(i, j + 1)
-                t[a, b] += amp
-                t[b, a] -= amp
-    return t
+    Node (i, j) has flat index i * ny + j.  Stencils are built as
+    ``c * F - c * F.T`` from this nonnegative F, so every zero stays +0.0.
+    """
+    return np.kron(np.eye(nx, k=1), np.eye(ny)) + np.kron(np.eye(nx), np.eye(ny, k=1))
 
 
 def assemble_stokes_like(grid_n, viscosity=1.0, convection=0.0, stabilization=0.0,
@@ -271,48 +240,27 @@ def assemble_stokes_like(grid_n, viscosity=1.0, convection=0.0, stabilization=0.
     h = 1.0 / n_cells
     nu_x, nu_y = n_cells - 1, n_cells        # u on interior vertical edges
     nv_x, nv_y = n_cells, n_cells - 1        # v on interior horizontal edges
-    n_u = nu_x * nu_y
-    n_vv = nv_x * nv_y
-    n_vel = n_u + n_vv
+    n_vel = nu_x * nu_y + nv_x * nv_y
     n_p = n_cells * n_cells - 1              # constant pressure mode removed
 
-    u_idx = _grid_index(nu_x, nu_y)
-    v_idx = _grid_index(nv_x, nv_y)
-    div = np.zeros((n_cells * n_cells, n_vel))
-    for cx in range(n_cells):
-        for cy in range(n_cells):
-            row = cx * n_cells + cy
-            if cx < n_cells - 1:
-                div[row, u_idx(cx, cy)] += h          # east u-edge
-            if cx > 0:
-                div[row, u_idx(cx - 1, cy)] -= h      # west u-edge
-            if cy < n_cells - 1:
-                div[row, n_u + v_idx(cx, cy)] += h    # north v-edge
-            if cy > 0:
-                div[row, n_u + v_idx(cx, cy - 1)] -= h
+    # cell divergence: +h on the east (north) edge, -h on the west (south) one
+    east, west = np.eye(n_cells, n_cells - 1), np.eye(n_cells, n_cells - 1, k=-1)
+    eye = np.eye(n_cells)
+    div = (h * np.hstack([np.kron(east, eye), np.kron(eye, east)])
+           - h * np.hstack([np.kron(west, eye), np.kron(eye, west)]))
     b_star = div[:-1, :]
-    b = b_star.T.copy()
 
-    lap = np.zeros((n_vel, n_vel))
-    lap[:n_u, :n_u] = _grid_laplacian(nu_x, nu_y)
-    lap[n_u:, n_u:] = _grid_laplacian(nv_x, nv_y)
+    fwd = scipy.linalg.block_diag(_grid_shift(nu_x, nu_y), _grid_shift(nv_x, nv_y))
+    # unscaled 5-point Laplacian 4I - Adj with Dirichlet boundary per component
+    lap = 4.0 * np.eye(n_vel) - fwd - fwd.T
+    # skew centered-difference transport along the (1, 1) wind direction
+    amp = 0.5 * convection * h
+    a_skew = amp * fwd - amp * fwd.T
 
-    a_skew = np.zeros((n_vel, n_vel))
-    if convection != 0.0:
-        amp = 0.5 * convection * h
-        a_skew[:n_u, :n_u] = _grid_centered_transport(nu_x, nu_y, amp)
-        a_skew[n_u:, n_u:] = _grid_centered_transport(nv_x, nv_y, amp)
-
-    mass = (h * h) * np.eye(n_vel)
-    e = np.zeros((n_vel + n_p, n_vel + n_p))
-    e[:n_vel, :n_vel] = mass
-    j = np.zeros_like(e)
-    j[:n_vel, :n_vel] = a_skew
-    j[:n_vel, n_vel:] = b
-    j[n_vel:, :n_vel] = -b_star
-    r = np.zeros_like(e)
-    r[:n_vel, :n_vel] = viscosity * lap
-    r[n_vel:, n_vel:] = stabilization * np.eye(n_p)
+    zero_p = np.zeros((n_p, n_p))
+    e = scipy.linalg.block_diag((h * h) * np.eye(n_vel), zero_p)
+    j = np.block([[a_skew, b_star.T], [-b_star, zero_p]])
+    r = scipy.linalg.block_diag(viscosity * lap, stabilization * np.eye(n_p))
     f = None
     if forcing is not None:
         f = lambda t: np.concatenate([np.asarray(forcing(t)), np.zeros(n_p)])

@@ -17,6 +17,10 @@ class DefinitenessError(DhKrylovError):
     """A matrix violates a required definiteness contract."""
 
 
+class ParameterError(DhKrylovError, ValueError):
+    """A solver parameter (tolerance, iteration limit, shift) is out of range."""
+
+
 class ModelError(DhKrylovError):
     """Invalid parameters passed to a model generator."""
 

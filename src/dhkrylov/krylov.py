@@ -24,7 +24,9 @@ this engine:
 * The HSS iteration alternating shifted solves with alpha*I + H and
   alpha*I + S (exact inner solves via upfront factorizations).
 * A Schur-complement driver for saddle systems [[A, B], [-B*, 0]] whose
-  Hermitian part is singular only in the trailing block.
+  Hermitian part is singular only in the trailing block.  It builds
+  S1 = B* A^{-1} B column by column from inner solves with A and runs the
+  same method on S1, whose Hermitian part is positive definite.
 
 All solvers start from x_0 = 0 and stop when the relative 2-norm residual
 of the *original* system drops below ``tol``.  A Widlund or Rapoport step
@@ -36,6 +38,7 @@ Residual histories are kept per iteration for comparison plots.
 from __future__ import annotations
 
 import csv
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -43,7 +46,8 @@ import numpy as np
 import scipy.linalg
 
 from .bounds import rapoport_bound, widlund_bound
-from .errors import DefinitenessError, DimensionError, SolverError, StructureError
+from .errors import (DefinitenessError, DimensionError, ParameterError, SolverError,
+                     StructureError)
 from .hs_core import Definiteness, HsSplitSystem
 
 #: Lucky-breakdown threshold for the Lanczos subdiagonal, relative to ||b_hat||_H.
@@ -190,6 +194,15 @@ def _as_rhs(b, n):
     return b
 
 
+def check_tol_maxit(tol, maxit):
+    """Reject a negative or non-finite ``tol`` and a negative or non-integer ``maxit``."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
+            or not (np.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tol must be a finite nonnegative number, got {tol!r}")
+    if isinstance(maxit, bool) or not isinstance(maxit, numbers.Integral) or maxit < 0:
+        raise ParameterError(f"maxit must be a nonnegative integer, got {maxit!r}")
+
+
 def _zero_rhs_report(n, dtype, method):
     return SolveReport(
         solution=np.zeros(n, dtype=dtype),
@@ -255,6 +268,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact, collect_basis) -> Solve
     start = time.perf_counter()
     if sys.definiteness is not Definiteness.POSITIVE_DEFINITE:
         raise DefinitenessError("this method requires a positive definite Hermitian part")
+    check_tol_maxit(tol, maxit)
     b = _as_rhs(b, sys.n)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -373,31 +387,25 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
     Stopping still tests the original-system relative residual.
     """
     start = time.perf_counter()
-    if callable(a):
-        apply_a = a
-        n = np.size(b)
-        a_dtype = np.asarray(b).dtype
-    else:
-        a = np.asarray(a)
-        apply_a = lambda z: a @ z
-        n = a.shape[0]
-        a_dtype = a.dtype
+    a = np.asarray(a)
+    n = a.shape[0]
+    check_tol_maxit(tol, maxit)
     b = _as_rhs(b, n)
     bnorm = float(np.linalg.norm(b))
     method = "lgmres" if precond is not None else "gmres"
     if bnorm == 0.0:
-        return _zero_rhs_report(n, a_dtype, method)
+        return _zero_rhs_report(n, a.dtype, method)
     if precond is None:
-        apply_op = apply_a
+        apply_op = lambda z: a @ z
         r0 = b
     else:
-        apply_op = lambda z: precond(apply_a(z))
+        apply_op = lambda z: precond(a @ z)
         r0 = precond(b)
     beta = float(np.linalg.norm(r0))
     v = [np.asarray(r0) / beta]
     # The first operator product fixes the arithmetic: real data stay real.
     w = apply_op(v[0])
-    dtype = np.result_type(a_dtype, b.dtype, v[0].dtype, w.dtype)
+    dtype = np.result_type(a.dtype, b.dtype, v[0].dtype, w.dtype)
     hess = np.zeros((maxit + 1, maxit), dtype=dtype)
     g = np.zeros(maxit + 1, dtype=dtype)
     g[0] = beta
@@ -437,7 +445,7 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
 
         y = scipy.linalg.solve_triangular(hess[:k, :k], g[:k], lower=False)
         x = np.column_stack(v[:k]) @ y
-        r = b - apply_a(x)
+        r = b - a @ x
         rn = float(np.linalg.norm(r))
         res_hist.append(rn)
         pre_hist.append(abs(g[k]))
@@ -482,7 +490,8 @@ def solve_hss(sys: HsSplitSystem, b, alpha=1.0, tol=1e-12, maxit=250) -> SolveRe
     definite.
     """
     if not alpha > 0:
-        raise ValueError("alpha must be positive")
+        raise ParameterError("alpha must be positive")
+    check_tol_maxit(tol, maxit)
     start = time.perf_counter()
     b = _as_rhs(b, sys.n)
     bnorm = float(np.linalg.norm(b))
@@ -544,26 +553,25 @@ class SchurSolveReport:
 
 
 def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
-                    maxit=250, inner_tol=None, keep_schur=False) -> SchurSolveReport:
+                    maxit=250) -> SchurSolveReport:
     """Solve [[A, B], [-B*, 0]] [v; p] = [f; g] via the Schur complement.
 
-    The reduced system S1 p = g + B* A^{-1} f with S1 = B* A^{-1} B is
-    solved with the selected iterative method; every application of S1 is
-    matrix-free through nested inner solves with A.  (For the H-inner-
-    product outer methods S1 is materialized column by column through the
-    same nested solves, since they need factorizations of its Hermitian
-    part.)  A is required to have positive definite Hermitian part and B
-    full column rank, which makes S1 positive definite as well.  One
-    residual-based refinement pass is applied if needed.
+    S1 = B* A^{-1} B is materialized column by column from inner solves with
+    A at tolerance max(tol * 1e-3, 1e-15), and the reduced system
+    S1 p = g + B* A^{-1} f is solved by the same method on
+    ``HsSplitSystem.from_matrix(S1)``.  A is required to have positive
+    definite Hermitian part and B full column rank, which makes S1 positive
+    definite as well.  Up to two residual-based refinement passes are
+    applied if needed.
     """
+    check_tol_maxit(tol, maxit)
     start = time.perf_counter()
     a11 = np.asarray(a11)
     b_block = np.atleast_2d(np.asarray(b_block))
     f = np.asarray(f)
     g = np.asarray(g)
     n_v, n_p = b_block.shape
-    if inner_tol is None:
-        inner_tol = max(tol * 1e-3, 1e-15)
+    inner_tol = max(tol * 1e-3, 1e-15)
     inner_sys = HsSplitSystem.from_matrix(a11)
     inner_count = 0
     outer_count = 0
@@ -589,23 +597,14 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
             wall_time=time.perf_counter() - start,
         )
 
-    needs_matrix = inner_solver in ("widlund", "rapoport", "lgmres", "hss")
-    s1 = None
-    if needs_matrix:
-        cols = [inner_solve(b_block[:, i]) for i in range(n_p)]
-        s1 = b_block.conj().T @ np.column_stack(cols)
-        outer_sys = HsSplitSystem.from_matrix(s1)
-
-    def apply_s1(z):
-        return b_block.conj().T @ inner_solve(b_block @ z)
+    cols = [inner_solve(b_block[:, i]) for i in range(n_p)]
+    s1 = b_block.conj().T @ np.column_stack(cols)
+    outer_sys = HsSplitSystem.from_matrix(s1)
 
     def outer_solve(rhs):
         nonlocal outer_count
-        if needs_matrix:
-            rep = solve(inner_solver, outer_sys, rhs, tol=max(tol * 1e-2, 1e-15),
-                        maxit=maxit)
-        else:
-            rep = solve_gmres(apply_s1, rhs, tol=max(tol * 1e-2, 1e-15), maxit=maxit)
+        rep = solve(inner_solver, outer_sys, rhs, tol=max(tol * 1e-2, 1e-15),
+                    maxit=maxit)
         outer_count += rep.iterations
         if not rep.converged:
             raise SolverError(f"outer {inner_solver} solve with S1 failed")
@@ -636,7 +635,7 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
         v=v, p=p, relative_residual=rel, converged=rel <= tol,
         inner_iterations=inner_count, outer_iterations=outer_count,
         refinements=refinements, wall_time=time.perf_counter() - start,
-        schur_matrix=s1 if keep_schur else None,
+        schur_matrix=s1,
     )
 
 

@@ -130,6 +130,42 @@ def test_bench_schur_routing_for_index_two_model(tmp_path, monkeypatch):
     assert np.linalg.norm(a @ x - b) <= 1e-11 * np.linalg.norm(b)
 
 
+def test_bench_schur_solvers_iterate_on_convective_index_two_model(tmp_path, monkeypatch):
+    # with convection the inner and outer solves of every method really iterate
+    scn = {
+        "name": "stokes-schur-convective",
+        "model": {"name": "stokes",
+                  "params": {"grid_n": 5, "convection": 50.0, "stabilization": 0.0}},
+        "tau_list": [1e-3],
+        "solvers": ["widlund", "rapoport", "gmres", "lgmres"],
+        "tol": 1e-11,
+        "rhs": {"kind": "random", "seed": 2},
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scn))
+    reports = []
+    schur = dk.krylov.solve_via_schur
+
+    def capture(*args, **kwargs):
+        reports.append(schur(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(dk.krylov, "solve_via_schur", capture)
+    assert main(["bench", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
+    table = json.loads((tmp_path / "run" / "table.json").read_text())
+    assert [row["solver"] for row in table] == scn["solvers"]
+    assert all(row["converged"] for row in table)
+    model = dk.from_descriptor(scn["model"])
+    a = model.e + (1e-3 / 2) * (model.r - model.j)
+    b = np.random.default_rng(2).standard_normal(model.n)
+    assert len(reports) == len(scn["solvers"])
+    for rep in reports:
+        assert rep.outer_iterations > 1
+        assert rep.inner_iterations > 2 * rep.p.size
+        x = np.concatenate([rep.v, rep.p])
+        assert np.linalg.norm(a @ x - b) <= 1e-11 * np.linalg.norm(b)
+
+
 def test_bench_incompatible_solver_reported_per_row(tmp_path):
     # Widlund cannot run on the singular-H system when the Schur path is off
     scn = {
@@ -300,3 +336,38 @@ def test_from_model_rhs_requires_forcing(tmp_path):
     )
     table2 = run_scenario(scn2, tmp_path / "run2")
     assert table2.rows[0]["converged"]
+
+
+def _single_error_line(err):
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("flags", [["--maxit", "-1"], ["--tol=-1e-12"],
+                                   ["--tol", "nan"]])
+def test_bad_tol_or_maxit_is_usage_error(mech_scenario, tmp_path, capsys, flags):
+    code = main(["solve", "--model", "rlc", "--solver", "gmres", *flags,
+                 "--out", str(tmp_path / "solve")])
+    assert code == 2
+    _single_error_line(capsys.readouterr().err)
+    code = main(["bench", "--scenario", str(mech_scenario), *flags,
+                 "--out", str(tmp_path / "bench")])
+    assert code == 2
+    _single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "solve").exists() and not (tmp_path / "bench").exists()
+
+
+def test_file_rhs_without_path_is_usage_error(tmp_path, capsys):
+    scn = {
+        "name": "no-path",
+        "model": {"name": "rlc", "params": {}},
+        "tau_list": [1e-2],
+        "solvers": ["rapoport"],
+        "rhs": {"kind": "file"},
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scn))
+    code = main(["bench", "--scenario", str(path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    _single_error_line(capsys.readouterr().err)

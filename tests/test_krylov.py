@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import dhkrylov as dk
-from dhkrylov.errors import DefinitenessError, DimensionError, StructureError
+from dhkrylov.errors import DefinitenessError, DimensionError, ParameterError, StructureError
 from dhkrylov.krylov import SOLVER_NAMES, lanczos_advance, lanczos_init
 
 from support import krylov_basis, random_hs_system, random_spd, uniform_spectrum_system
@@ -418,10 +418,35 @@ def test_schur_complement_operator_hermitian_part_positive_definite():
     a11, b_block, _ = dk.midpoint_saddle_blocks(sys, 1e-2)
     rep = dk.solve_via_schur(a11, b_block, np.ones(a11.shape[0]),
                              np.zeros(b_block.shape[1]), inner_solver="rapoport",
-                             tol=1e-10, keep_schur=True)
+                             tol=1e-10)
     s1 = rep.schur_matrix
     herm = (s1 + s1.conj().T) / 2
     assert np.linalg.eigvalsh(herm)[0] > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_schur_path_gmres_iterates_to_tolerance(seed):
+    # unstabilized Stokes with convection: the outer GMRES takes dozens of steps
+    sys = dk.assemble_stokes_like(12, convection=50.0, stabilization=0.0)
+    tau = 1e-3
+    a11, b_block, (nv, _) = dk.midpoint_saddle_blocks(sys, tau)
+    rhs = np.random.default_rng([seed, 3]).standard_normal(sys.n)
+    rep = dk.solve_via_schur(a11, b_block, rhs[:nv], rhs[nv:], inner_solver="gmres",
+                             tol=1e-10)
+    assert rep.converged
+    assert rep.outer_iterations > 1
+    full = sys.e + (tau / 2) * (sys.r - sys.j)
+    x = np.concatenate([rep.v, rep.p])
+    assert np.linalg.norm(full @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_schur_path_rejects_bad_tol_and_maxit():
+    sys = dk.assemble_stokes_like(3, stabilization=0.0)
+    a11, b_block, (nv, n_p) = dk.midpoint_saddle_blocks(sys, 1e-2)
+    for tol, maxit in ((-1e-10, 250), (np.nan, 250), (1e-10, -1), (1e-10, 2.5)):
+        with pytest.raises(ParameterError):
+            dk.solve_via_schur(a11, b_block, np.ones(nv), np.zeros(n_p),
+                               tol=tol, maxit=maxit)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +505,21 @@ def test_bad_rhs_raises_typed_errors(method):
         b[2] = bad
         with pytest.raises(StructureError):
             dk.solve(method, sysm, b)
+
+
+@pytest.mark.parametrize("method", SOLVER_NAMES)
+def test_bad_tol_and_maxit_raise_typed_errors(method):
+    sysm = random_hs_system(np.random.default_rng(4), 5, cond_h=10.0, lam=0.5)
+    b = np.ones(5)
+    bad = [(-1e-12, 10), (np.nan, 10), (np.inf, 10), ("1e-12", 10),
+           (1e-12, -1), (1e-12, 2.5), (1e-12, 10.0), (1e-12, True)]
+    for tol, maxit in bad:
+        with pytest.raises(ParameterError):
+            dk.solve(method, sysm, b, tol=tol, maxit=maxit)
+    # the edges stay valid: tol 0 never stops early, maxit 0 returns x_0 = 0
+    rep = dk.solve(method, sysm, b, tol=0.0, maxit=0)
+    assert rep.iterations == 0 and not rep.converged
+    assert np.array_equal(rep.solution, np.zeros(5))
 
 
 def test_zero_rhs_short_circuits():
