@@ -150,6 +150,7 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
         if h_pd and {"widlund", "rapoport"} & set(scenario.solvers):
             x_ref = scipy.linalg.solve(msys.sys.a, b)
         use_schur = (not h_pd) and scenario.schur != "never"
+        saddle = None  # the Schur blocks of this tau, shared by every solver
         for solver in scenario.solvers:
             csv_name = f"{model_name}_tau{tau:g}_{solver}.csv"
             row = {
@@ -164,7 +165,9 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
             }
             try:
                 if use_schur:
-                    a11, bb, (nv, _) = timestep.midpoint_saddle_blocks(model, tau)
+                    if saddle is None:
+                        saddle = timestep.midpoint_saddle_blocks(model, tau)
+                    a11, bb, (nv, _) = saddle
                     rep = krylov.solve_via_schur(
                         a11, bb, b[:nv], b[nv:], inner_solver=solver,
                         tol=max(scenario.tol, 1e-14), maxit=scenario.maxit,

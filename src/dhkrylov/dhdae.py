@@ -334,8 +334,15 @@ class IndexReport:
 
 
 def nullspace_of_e(sys_or_e, tol=RANK_TOL):
-    """Orthonormal basis of ker(E) for a PSD flow matrix (n x nullity)."""
+    """Orthonormal basis of ker(E) for a PSD flow matrix (n x nullity).
+
+    The eigenvalues alone decide whether the kernel is empty; eigenvectors
+    are computed only for a singular E.
+    """
     e = sys_or_e.e if isinstance(sys_or_e, DhDaeSystem) else np.asarray(sys_or_e)
+    eigs = np.linalg.eigvalsh(e)
+    if eigs.size and eigs[0] > tol * float(np.max(np.abs(eigs))):
+        return np.zeros((e.shape[0], 0), dtype=np.result_type(e.dtype, float))
     return _range_of_e(e, tol)[1]
 
 

@@ -24,14 +24,17 @@ this engine:
 * The HSS iteration alternating shifted solves with alpha*I + H and
   alpha*I + S (exact inner solves via upfront factorizations).
 * A Schur-complement driver for saddle systems [[A, B], [-B*, 0]] whose
-  Hermitian part is singular only in the trailing block.  It builds
-  S1 = B* A^{-1} B column by column from inner solves with A and runs the
-  same method on S1, whose Hermitian part is positive definite.
+  Hermitian part is singular only in the trailing block.  It forms
+  A^{-1} [B | f] from inner solves with A, builds S1 = B* A^{-1} B and runs
+  the same method on S1, whose Hermitian part is positive definite.  For
+  Widlund and Rapoport the inner solves are one lockstep block run of the
+  recurrence over all columns of [B | f].
 
 All solvers start from x_0 = 0 and stop when the relative 2-norm residual
 of the *original* system drops below ``tol``.  A Widlund or Rapoport step
 costs one H-solve and one multiplication with S for the recurrence, and one
-multiplication with A for that true residual, plus O(n) vector work.
+multiplication with A for that true residual, plus O(n) vector work; in a
+block run each of these takes all running columns at once.
 Residual histories are kept per iteration for comparison plots.
 """
 
@@ -184,14 +187,18 @@ class SolveReport:
         return float(self.residual_2norm[-1] / self.rhs_norm)
 
 
-def _as_rhs(b, n):
-    """``b`` as an array, checked to be a finite vector of length ``n``."""
+def _as_rhs(b, *shape, name="right-hand side"):
+    """``b`` as an array, checked to have ``shape`` and finite entries."""
     b = np.asarray(b)
-    if b.shape != (n,):
-        raise DimensionError(f"right-hand side must have shape ({n},), got {b.shape}")
+    if b.shape != shape:
+        raise DimensionError(f"{name} must have shape {shape}, got {b.shape}")
     if not np.all(np.isfinite(b)):
-        raise StructureError("right-hand side has non-finite entries")
+        raise StructureError(f"{name} has non-finite entries")
     return b
+
+
+def _as_x_exact(x_exact, n):
+    return None if x_exact is None else _as_rhs(x_exact, n, name="x_exact")
 
 
 def check_tol_maxit(tol, maxit):
@@ -215,25 +222,62 @@ def _zero_rhs_report(n, dtype, method):
     )
 
 
+def _rotation(a, b):
+    """Unitary 2x2 rotation G with G [a, b]^T = [r, 0]^T for a != 0; returns (c, s, r).
+
+    Branch-free, so it applies elementwise to arrays of pairs (a, b).
+    """
+    absa = abs(a)
+    alpha = a / absa
+    norm = np.sqrt(absa * absa + abs(b) * abs(b))
+    return absa / norm, alpha * np.conj(b) / norm, alpha * norm
+
+
 def _givens(a, b):
-    """Unitary 2x2 rotation G with G [a, b]^T = [r, 0]^T; returns (c, s, r)."""
+    """:func:`_rotation` extended to a == 0 or b == 0, for one pair of scalars."""
     if b == 0:
         return 1.0, 0.0 * b, a
     if a == 0:
         return 0.0, 1.0 + 0.0 * b, b
-    absa = abs(a)
-    alpha = a / absa
-    norm = np.sqrt(absa * absa + abs(b) * abs(b))
-    c = absa / norm
-    s = alpha * np.conj(b) / norm
-    return c, s, alpha * norm
+    return _rotation(a, b)
+
+
+# Column-wise kernels of the H-Lanczos driver: a vector gets np.vdot and Python
+# floats, an (n, m) block gets length-m arrays, one entry per column.
+
+def _cdot(x, y):
+    """x* y of each column."""
+    if x.ndim == 1:
+        return np.vdot(x, y)
+    return np.einsum("ij,ij->j", x.conj(), y)
+
+
+def _cnorm(x):
+    """2-norm of each column."""
+    if x.ndim == 1:
+        return float(np.linalg.norm(x))
+    return np.linalg.norm(x, axis=0)
+
+
+def _hnorm(x, hx):
+    """H-norm of each column of ``x``, given ``hx`` = H x."""
+    z = _cdot(x, hx)
+    if x.ndim == 1:
+        return float(np.sqrt(max(z.real, 0.0)))
+    return np.sqrt(np.maximum(z.real, 0.0))
+
+
+def _keep(a, keep):
+    """The columns ``keep`` of a block or of a per-column array; scalars pass through."""
+    return a[..., keep] if np.ndim(a) else a
 
 
 # ---------------------------------------------------------------------------
 # Widlund's and Rapoport's methods: one driver over the H-Lanczos recurrence
 # ---------------------------------------------------------------------------
 
-def _solve_hlanczos(method, sys, b, tol, maxit, x_exact, collect_basis) -> SolveReport:
+def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
+                    collect_basis=False) -> SolveReport:
     """Widlund or Rapoport iterate from one rotated QR of T~_{k+1,k}.
 
     The recurrence carries H v next to v, as preconditioned MINRES does, so
@@ -264,26 +308,44 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact, collect_basis) -> Solve
     the Rapoport residual in the H^{-1} norm is |g_{k+1}|.  Only the last
     two rotations, directions and basis vectors are kept.  Each step
     computes the true residual b - A x_k, which decides stopping.
+
+    ``b`` is one checked right side of shape (n,) or a block of m of shape
+    (n, m).  A block runs the m recurrences in lockstep: every vector above
+    becomes an (n, m) block and every scalar a length-m array, so a step
+    makes one H-solve, one S-product and one A-product with m right sides.
+    A column leaves the working block at its own stopping step; a zero
+    column is solved by x = 0 in 0 steps.  The report of a block holds
+    per-column arrays: ``iterations``, ``converged``, ``breakdown`` (0 for
+    none), ``rhs_norm`` and, in ``residual_2norm``, the final true residual.
+    ``x_exact`` and ``collect_basis`` apply to a single right side.
     """
     start = time.perf_counter()
     if sys.definiteness is not Definiteness.POSITIVE_DEFINITE:
         raise DefinitenessError("this method requires a positive definite Hermitian part")
     check_tol_maxit(tol, maxit)
-    b = _as_rhs(b, sys.n)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
+    block = b.ndim == 2
+    bnorm = _cnorm(b)
+    dtype = np.result_type(sys.a.dtype, b.dtype)
+    if block:
+        # per-column outcome, filled in as columns leave the working block
+        rhs_norm, m = bnorm, b.shape[1]
+        solution = np.zeros(b.shape, dtype=dtype)
+        iterations, breakdowns = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
+        converged_cols, final_res = bnorm == 0.0, np.zeros(m)
+        cols = np.flatnonzero(bnorm)
+        b, bnorm = b[:, cols], bnorm[cols]
+    elif bnorm == 0.0:
         return _zero_rhs_report(sys.n, sys.a.dtype, method)
     bhat = sys.solve_h(b)
-    beta0 = float(np.sqrt(max(np.vdot(bhat, b).real, 0.0)))
-    if beta0 == 0.0:
+    beta0 = _hnorm(bhat, b)
+    if np.count_nonzero(beta0 == 0.0):
         raise SolverError("cannot start Lanczos from a zero right-hand side")
     rapoport = method == "rapoport"
 
     res_hist = [bnorm]
     rhi_hist = [beta0] if rapoport else None
-    x_exact = None if x_exact is None else np.asarray(x_exact)
     err_hist = None if x_exact is None else [_h_norm_of(sys, x_exact)]
-    x = x_r = np.zeros(sys.n, dtype=np.result_type(sys.a.dtype, b.dtype))
+    x = x_r = np.zeros(b.shape, dtype=dtype)
     v, hv = bhat / beta0, b / beta0
     v_prev = hv_prev = 0.0
     beta = 0.0
@@ -291,44 +353,62 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact, collect_basis) -> Solve
     g = beta0
     # rotations and directions of steps k-1 and k-2: identity and zero at first
     rot1 = rot2 = (1.0, 0.0)
-    d1 = d2 = np.zeros(sys.n)
-    converged = False
-    breakdown = None
+    d1 = d2 = 0.0
+    converged = broke = False
     k = 0
     for k in range(1, maxit + 1):
         if collect_basis:
             basis.append(v)
         sv = sys.s @ v
-        t_kk = np.vdot(v, sv)
+        t_kk = _cdot(v, sv)
         top = -beta
         w = sys.solve_h(sv) - t_kk * v + beta * v_prev
         hw = sv - t_kk * hv + beta * hv_prev
-        beta = float(np.sqrt(max(np.vdot(w, hw).real, 0.0)))
-        if beta <= BREAKDOWN_REL * beta0:
-            breakdown = k
+        beta = _hnorm(w, hw)
+        broke = beta <= BREAKDOWN_REL * beta0
 
         mu = 1.0 + t_kk
         (c2, s2), (c1, s1) = rot2, rot1
         r2, r1 = s2 * top, c1 * (c2 * top) + s1 * mu
         mu = -np.conj(s1) * (c2 * top) + c1 * mu
         p = v - r2 * d2 - r1 * d1
-        c, s, r_kk = _givens(mu, beta)
+        c, s, r_kk = _rotation(mu, beta)
         x_w = x_r + (g / mu) * p
         rot2, rot1, d2, d1 = rot1, (c, s), d1, p / r_kk
         x_r = x_r + (c * g) * d1
         g = -np.conj(s) * g
         x = x_r if rapoport else x_w
         r = b - sys.a @ x
-        rn = float(np.linalg.norm(r))
+        rn = _cnorm(r)
         res_hist.append(rn)
         if rapoport:
-            rhi_hist.append(float(abs(g)))
+            rhi_hist.append(abs(g))
         if err_hist is not None:
             err_hist.append(_h_norm_of(sys, x_exact - x))
         converged = rn <= tol * bnorm
-        if converged or breakdown is not None:
-            break
+        stop = converged | broke | (k == maxit)
+        if not block:
+            if stop:
+                break
+        elif stop.any() or not stop.size:
+            done = cols[stop]
+            solution[:, done] = x[:, stop]
+            iterations[done], converged_cols[done] = k, converged[stop]
+            breakdowns[done], final_res[done] = np.where(broke[stop], k, 0), rn[stop]
+            keep = ~stop
+            cols = cols[keep]
+            if not cols.size:
+                break
+            (b, bnorm, beta0, beta, g, x_r, v, hv, w, hw, d1, d2) = (
+                _keep(a, keep) for a in (b, bnorm, beta0, beta, g, x_r, v, hv, w, hw, d1, d2))
+            rot1, rot2 = (tuple(_keep(a, keep) for a in rot) for rot in (rot1, rot2))
         v_prev, hv_prev, v, hv = v, hv, w / beta, hw / beta
+    if block:
+        return SolveReport(
+            solution=solution, iterations=iterations, converged=converged_cols,
+            residual_2norm=final_res, breakdown=breakdowns,
+            wall_time=time.perf_counter() - start, method=method, rhs_norm=rhs_norm,
+        )
     return SolveReport(
         solution=x,
         iterations=k,
@@ -336,7 +416,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact, collect_basis) -> Solve
         residual_2norm=np.asarray(res_hist),
         residual_hinv_norm=np.asarray(rhi_hist) if rapoport else None,
         error_h_norm=np.asarray(err_hist) if err_hist is not None else None,
-        breakdown=breakdown,
+        breakdown=k if broke else None,
         wall_time=time.perf_counter() - start,
         method=method,
         basis=np.column_stack(basis) if basis else None,
@@ -356,7 +436,8 @@ def solve_widlund(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
     ||b_hat||_H e_1; the small system is skew-Hermitian plus identity and
     therefore always nonsingular.
     """
-    return _solve_hlanczos("widlund", sys, b, tol, maxit, x_exact, collect_basis)
+    return _solve_hlanczos("widlund", sys, _as_rhs(b, sys.n), tol, maxit,
+                           _as_x_exact(x_exact, sys.n), collect_basis)
 
 
 def solve_rapoport(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
@@ -369,7 +450,8 @@ def solve_rapoport(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
     of the rotated right side; in exact arithmetic it equals the H^{-1}-norm
     of the true residual b - A x_k, the quantity the Rapoport bound bounds.
     """
-    return _solve_hlanczos("rapoport", sys, b, tol, maxit, x_exact, collect_basis)
+    return _solve_hlanczos("rapoport", sys, _as_rhs(b, sys.n), tol, maxit,
+                           _as_x_exact(x_exact, sys.n), collect_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +473,7 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
     n = a.shape[0]
     check_tol_maxit(tol, maxit)
     b = _as_rhs(b, n)
+    x_exact = _as_x_exact(x_exact, n)
     bnorm = float(np.linalg.norm(b))
     method = "lgmres" if precond is not None else "gmres"
     if bnorm == 0.0:
@@ -415,7 +498,6 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
     pre_hist = [beta]
     err_hist = None
     if x_exact is not None and h_for_metrics is not None:
-        x_exact = np.asarray(x_exact)
         err_hist = [float(np.sqrt(max(np.vdot(x_exact, h_for_metrics @ x_exact).real, 0.0)))]
     x = np.zeros(n, dtype=dtype)
     converged = False
@@ -552,25 +634,46 @@ class SchurSolveReport:
     schur_matrix: np.ndarray | None = None
 
 
+#: Inner methods that build A^{-1} [B | f] as one lockstep block run.  Their
+#: short recurrence holds a fixed handful of (n_v, n_p + 1) blocks; a lockstep
+#: GMRES would hold k (n_p + 1) basis vectors (13 MB more peak memory on Stokes
+#: grid 12, n_p = 143, k = 21), so gmres, lgmres and hss solve column by column.
+_LOCKSTEP_SOLVERS = ("widlund", "rapoport")
+
+
+def _method_kwargs(method, sys):
+    """HSS runs at alpha = sqrt(lambda_min lambda_max) of H, which minimizes its
+    contraction bound (Bai, Golub & Ng, SIMAX 24 (2003) 603-626)."""
+    if method != "hss":
+        return {}
+    eigs = sys.h_eigenvalues
+    return {"alpha": float(np.sqrt(eigs[0] * eigs[-1]))}
+
+
 def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
                     maxit=250) -> SchurSolveReport:
     """Solve [[A, B], [-B*, 0]] [v; p] = [f; g] via the Schur complement.
 
-    S1 = B* A^{-1} B is materialized column by column from inner solves with
-    A at tolerance max(tol * 1e-3, 1e-15), and the reduced system
-    S1 p = g + B* A^{-1} f is solved by the same method on
-    ``HsSplitSystem.from_matrix(S1)``.  A is required to have positive
-    definite Hermitian part and B full column rank, which makes S1 positive
-    definite as well.  Up to two residual-based refinement passes are
-    applied if needed.
+    X = A^{-1} B and w = A^{-1} f are formed together from the n_p + 1
+    columns of [B | f] at tolerance max(tol * 1e-3, 1e-15).  Widlund and
+    Rapoport run them as one lockstep block (:func:`_solve_hlanczos`), the
+    other methods one column at a time.  The reduced system
+    S1 p = g + B* w with S1 = B* X is solved by the same method on
+    ``HsSplitSystem.from_matrix(S1)``.  Then v = w - X p for Widlund and
+    Rapoport; the other methods solve A v = f - B p once more.  HSS runs at
+    alpha = sqrt(lambda_min lambda_max) of each system's Hermitian part.  A
+    is required to have positive definite Hermitian part and B full column
+    rank, which makes S1 positive definite as well.  Up to two
+    residual-based refinement passes are applied if needed.
+    ``inner_iterations`` sums the steps of every inner column.
     """
     check_tol_maxit(tol, maxit)
     start = time.perf_counter()
     a11 = np.asarray(a11)
     b_block = np.atleast_2d(np.asarray(b_block))
-    f = np.asarray(f)
-    g = np.asarray(g)
     n_v, n_p = b_block.shape
+    f = _as_rhs(f, n_v)
+    g = _as_rhs(g, n_p)
     inner_tol = max(tol * 1e-3, 1e-15)
     inner_sys = HsSplitSystem.from_matrix(a11)
     inner_count = 0
@@ -578,33 +681,40 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
 
     def inner_solve(rhs):
         nonlocal inner_count
-        rep = solve(inner_solver, inner_sys, rhs, tol=inner_tol, maxit=maxit)
-        inner_count += rep.iterations
-        if not rep.converged:
+        if rhs.ndim == 2:
+            rep = _solve_hlanczos(inner_solver, inner_sys, rhs, inner_tol, maxit)
+        else:
+            rep = solve(inner_solver, inner_sys, rhs, tol=inner_tol, maxit=maxit,
+                        **_method_kwargs(inner_solver, inner_sys))
+        inner_count += int(np.sum(rep.iterations))
+        if not np.all(rep.converged):
             raise SolverError(
                 f"inner {inner_solver} solve with A failed to reach {inner_tol}"
             )
         return rep.solution
 
+    rhs = _as_rhs(np.column_stack([b_block, f]), inner_sys.n, n_p + 1)
+    lockstep = inner_solver in _LOCKSTEP_SOLVERS
+    sol = inner_solve(rhs) if lockstep else np.column_stack([inner_solve(c) for c in rhs.T])
+    x_b, w = sol[:, :n_p], sol[:, n_p]
+
     if n_p == 0:
-        v = inner_solve(f)
-        resid = np.linalg.norm(a11 @ v - f)
+        resid = np.linalg.norm(a11 @ w - f)
         rel = resid / np.linalg.norm(f) if np.linalg.norm(f) > 0 else 0.0
         return SchurSolveReport(
-            v=v, p=np.zeros(0), relative_residual=float(rel),
+            v=w, p=np.zeros(0), relative_residual=float(rel),
             converged=rel <= tol, inner_iterations=inner_count,
             outer_iterations=0, refinements=0,
             wall_time=time.perf_counter() - start,
         )
 
-    cols = [inner_solve(b_block[:, i]) for i in range(n_p)]
-    s1 = b_block.conj().T @ np.column_stack(cols)
+    s1 = b_block.conj().T @ x_b
     outer_sys = HsSplitSystem.from_matrix(s1)
 
     def outer_solve(rhs):
         nonlocal outer_count
         rep = solve(inner_solver, outer_sys, rhs, tol=max(tol * 1e-2, 1e-15),
-                    maxit=maxit)
+                    maxit=maxit, **_method_kwargs(inner_solver, outer_sys))
         outer_count += rep.iterations
         if not rep.converged:
             raise SolverError(f"outer {inner_solver} solve with S1 failed")
@@ -618,10 +728,10 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
     for sweep in range(3):
         rf = f - (a11 @ v + b_block @ p)
         rg = g - (-(b_block.conj().T @ v))
-        w = inner_solve(rf)
+        if sweep > 0:
+            w = inner_solve(rf)
         dp = outer_solve(rg + b_block.conj().T @ w)
-        dv = inner_solve(rf - b_block @ dp)
-        v = v + dv
+        v = v + (w - x_b @ dp if lockstep else inner_solve(rf - b_block @ dp))
         p = p + dp
         r1 = f - (a11 @ v + b_block @ p)
         r2 = g + b_block.conj().T @ v

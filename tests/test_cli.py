@@ -166,6 +166,29 @@ def test_bench_schur_solvers_iterate_on_convective_index_two_model(tmp_path, mon
         assert np.linalg.norm(a @ x - b) <= 1e-11 * np.linalg.norm(b)
 
 
+def test_bench_schur_blocks_built_once_per_tau_and_hss_converges(tmp_path, monkeypatch):
+    scn = Scenario(
+        name="schur-hss",
+        model={"name": "stokes",
+               "params": {"grid_n": 3, "convection": 50.0, "stabilization": 0.0}},
+        tau_list=[1e-3, 1e-2], solvers=["rapoport", "hss"], tol=1e-12,
+        rhs={"kind": "random", "seed": 3},
+    )
+    calls = []
+    blocks = dk.timestep.midpoint_saddle_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return blocks(*args, **kwargs)
+
+    monkeypatch.setattr(dk.timestep, "midpoint_saddle_blocks", counted)
+    table = run_scenario(scn, tmp_path / "run")
+    assert calls == [1e-3, 1e-2]
+    assert [(row["solver"], row["converged"]) for row in table.rows] == \
+        [("rapoport", True), ("hss", True)] * 2
+    assert all(row["final_rel_res"] <= 1e-12 for row in table.rows)
+
+
 def test_bench_incompatible_solver_reported_per_row(tmp_path):
     # Widlund cannot run on the singular-H system when the Schur path is off
     scn = {

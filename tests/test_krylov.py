@@ -111,6 +111,64 @@ def test_hlanczos_makes_one_h_solve_per_step(method, monkeypatch):
     assert len(calls) == rep.iterations + 1
 
 
+def _block_cases():
+    """(system, block of right sides) pairs for the lockstep H-Lanczos driver."""
+    rng = np.random.default_rng(31)
+    real = random_hs_system(rng, 40, cond_h=100.0, lam=1.5)
+    cplx = random_hs_system(rng, 30, cond_h=50.0, lam=1.0, complex_=True)
+    # a decoupled leading 2x2 block: a right side supported there spans a
+    # two-dimensional Krylov space, so its column stops long before the rest
+    small = random_hs_system(rng, 2, cond_h=3.0, lam=0.7).a
+    split = dk.HsSplitSystem.from_matrix(scipy.linalg.block_diag(small, real.a))
+    early = np.zeros(42)
+    early[:2] = rng.standard_normal(2)
+    spd = dk.HsSplitSystem.from_matrix(random_spd(rng, 25, cond=20.0))  # S = 0
+    return {
+        "real": (real, rng.standard_normal((40, 4))),
+        "complex": (cplx, rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))),
+        "early-and-zero-columns": (
+            split, np.column_stack([rng.standard_normal(42), early, np.zeros(42),
+                                    rng.standard_normal(42)])),
+        "s-zero": (spd, rng.standard_normal((25, 3))),
+    }
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "early-and-zero-columns", "s-zero"])
+@pytest.mark.parametrize("method", ["widlund", "rapoport"])
+def test_block_hlanczos_matches_column_solves(method, case):
+    sysm, rhs = _block_cases()[case]
+    block = dk.krylov._solve_hlanczos(method, sysm, rhs, 1e-10, 250)
+    assert block.solution.shape == rhs.shape
+    for j in range(rhs.shape[1]):
+        single = dk.solve(method, sysm, rhs[:, j], tol=1e-10)
+        assert block.iterations[j] == single.iterations, j
+        assert block.converged[j] == single.converged, j
+        assert block.breakdown[j] == (single.breakdown or 0), j
+        err = np.linalg.norm(block.solution[:, j] - single.solution)
+        assert err <= 1e-12 * np.linalg.norm(single.solution), (j, err)
+    its = block.iterations
+    if case == "early-and-zero-columns":
+        assert its[1] <= 2 < min(its[0], its[3]) and its[2] == 0
+    if case == "s-zero":
+        assert np.all(its == 1) and np.all(block.breakdown == 1)
+
+
+def test_block_hlanczos_maxit_leaves_columns_unconverged():
+    sysm, rhs = _block_cases()["real"]
+    block = dk.krylov._solve_hlanczos("rapoport", sysm, rhs, 1e-10, 3)
+    assert np.all(block.iterations == 3) and not np.any(block.converged)
+    for j in range(rhs.shape[1]):
+        single = dk.solve_rapoport(sysm, rhs[:, j], tol=1e-10, maxit=3)
+        assert np.allclose(block.solution[:, j], single.solution, rtol=1e-12, atol=0)
+
+
+def test_block_hlanczos_zero_block_takes_no_step():
+    sysm, rhs = _block_cases()["real"]
+    block = dk.krylov._solve_hlanczos("widlund", sysm, np.zeros_like(rhs), 1e-10, 250)
+    assert np.all(block.iterations == 0) and np.all(block.converged)
+    assert not np.any(block.solution)
+
+
 def _criterion_five_basis(seed, k):
     """Solver basis and lanczos_advance basis on a criterion-5 system."""
     rng = np.random.default_rng(seed)
@@ -440,6 +498,45 @@ def test_schur_path_gmres_iterates_to_tolerance(seed):
     assert np.linalg.norm(full @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
+@pytest.mark.parametrize("method", ["widlund", "rapoport"])
+def test_schur_build_is_one_lockstep_run(method, monkeypatch):
+    # the n_p + 1 inner solves of S1 and A^{-1} f share one H-solve per step
+    sys = dk.assemble_stokes_like(12, convection=50.0, stabilization=0.0)
+    a11, b_block, (nv, _) = dk.midpoint_saddle_blocks(sys, 1e-3)
+    rhs = np.random.default_rng([0, 3]).standard_normal(sys.n)
+    inner = dk.HsSplitSystem.from_matrix(a11)
+    steps = np.array([dk.solve(method, inner, col, tol=1e-13).iterations
+                      for col in np.column_stack([b_block, rhs[:nv]]).T])
+    calls = []
+    solve = dk.hs_core.HermitianFactor.solve
+
+    def counted(self, b):
+        if self.n == nv:
+            calls.append(np.shape(b))
+        return solve(self, b)
+
+    monkeypatch.setattr(dk.hs_core.HermitianFactor, "solve", counted)
+    rep = dk.solve_via_schur(a11, b_block, rhs[:nv], rhs[nv:], inner_solver=method, tol=1e-10)
+    assert rep.converged and rep.refinements == 0
+    assert len(calls) <= steps.max() + 1
+    assert rep.inner_iterations == steps.sum()
+
+
+@pytest.mark.parametrize("grid_n, tol", [(3, 1e-12), (5, 1e-10)])
+def test_schur_path_hss_converges(grid_n, tol):
+    # alpha = sqrt(lambda_min lambda_max) of each H; alpha = 1 stalls near 1e-9
+    sys = dk.assemble_stokes_like(grid_n, convection=50.0, stabilization=0.0)
+    tau = 1e-3
+    a11, b_block, (nv, _) = dk.midpoint_saddle_blocks(sys, tau)
+    rhs = np.random.default_rng([1, 3]).standard_normal(sys.n)
+    rep = dk.solve_via_schur(a11, b_block, rhs[:nv], rhs[nv:], inner_solver="hss", tol=tol)
+    assert rep.converged
+    assert rep.outer_iterations > 1
+    full = sys.e + (tau / 2) * (sys.r - sys.j)
+    x = np.concatenate([rep.v, rep.p])
+    assert np.linalg.norm(full @ x - rhs) <= tol * np.linalg.norm(rhs)
+
+
 def test_schur_path_rejects_bad_tol_and_maxit():
     sys = dk.assemble_stokes_like(3, stabilization=0.0)
     a11, b_block, (nv, n_p) = dk.midpoint_saddle_blocks(sys, 1e-2)
@@ -505,6 +602,20 @@ def test_bad_rhs_raises_typed_errors(method):
         b[2] = bad
         with pytest.raises(StructureError):
             dk.solve(method, sysm, b)
+
+
+@pytest.mark.parametrize("method", ["widlund", "rapoport", "lgmres"])
+def test_bad_x_exact_raises_typed_errors(method):
+    sysm = random_hs_system(np.random.default_rng(4), 5, cond_h=10.0, lam=0.5)
+    b = np.ones(5)
+    for x_exact in (np.ones(4), np.ones((5, 1)), np.ones(6)):
+        with pytest.raises(DimensionError):
+            dk.solve(method, sysm, b, x_exact=x_exact)
+    for bad in (np.nan, np.inf):
+        x_exact = np.ones(5)
+        x_exact[2] = bad
+        with pytest.raises(StructureError):
+            dk.solve(method, sysm, b, x_exact=x_exact)
 
 
 @pytest.mark.parametrize("method", SOLVER_NAMES)

@@ -153,6 +153,26 @@ def test_inconsistent_initial_value_rejected():
         dk.integrate(sys, np.zeros(5), 0.1, 5)
 
 
+def test_consistency_check_of_index_zero_model_computes_no_eigenvectors(monkeypatch):
+    # E is positive definite, so its eigenvalues alone show that ker(E) = {0}
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sys = dk.from_descriptor({"name": "mechanical",
+                              "params": {"n": 6, "seed": 3, "damping": 1.0}})
+    x0 = np.random.default_rng(5).standard_normal(12)
+    dk.integrate(sys, x0, 0.05, 5, solver="widlund")
+    assert calls == []
+    # a singular E still gets its kernel basis from eigh
+    assert dk.nullspace_of_e(dk.assemble_rlc(1, 1, 1, 1, 1, 1, eg=1.0)).shape[1] > 0
+    assert calls == [1]
+
+
 def test_singular_hermitian_part_directs_to_schur_path():
     sys = dk.assemble_stokes_like(3, stabilization=0.0)
     with pytest.raises(SingularHermitianPartError, match="[Ss]chur"):
