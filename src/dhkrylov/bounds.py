@@ -33,9 +33,10 @@ class BoundMethod(enum.Enum):
 class SpectralInterval:
     """Half-width report for spec(K) contained in i[-lam, lam].
 
-    ``max_real_part`` bounds |Re mu| over the eigenvalues of K (it is the
-    spectral norm of the Hermitian residue left after symmetrization) and
-    should be tiny relative to ``lam``; it is reported as a sanity value.
+    ``max_real_part`` is the Frobenius norm of the Hermitian residue left
+    after symmetrizing ``L^{-1} S L^{-*}``.  By Bendixson's theorem it bounds
+    |Re mu| over the eigenvalues of K, as any norm of that residue does; it
+    should be tiny relative to ``lam`` and is reported as a sanity value.
     """
 
     lam: float
@@ -57,7 +58,7 @@ def spectral_interval(sys: HsSplitSystem) -> SpectralInterval:
     skew = (m - m.conj().T) / 2
     theta = np.linalg.eigvalsh(-1j * skew)
     lam = float(np.max(np.abs(theta))) if theta.size else 0.0
-    max_real = float(np.linalg.norm(herm_residue, 2)) if herm_residue.size else 0.0
+    max_real = float(np.linalg.norm(herm_residue))
     return SpectralInterval(lam=lam, max_real_part=max_real, imag_parts=theta)
 
 

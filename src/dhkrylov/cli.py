@@ -53,8 +53,10 @@ class Scenario:
     name: str = "scenario"
 
     def validate(self):
-        if not self.tau_list or any(t <= 0 for t in self.tau_list):
-            raise DhKrylovError("tau_list must be nonempty with positive entries")
+        if not self.tau_list:
+            raise DhKrylovError("tau_list must be nonempty")
+        for tau in self.tau_list:
+            timestep.check_tau(tau)
         if not self.solvers:
             raise DhKrylovError("at least one solver is required")
         for s in self.solvers:

@@ -29,7 +29,9 @@ from .hs_core import (
     DEFAULT_TOL,
     Definiteness,
     _freeze,
+    certify_definiteness,
     definiteness_class,
+    is_semidefinite,
     require_hermitian,
     require_skew,
 )
@@ -89,9 +91,9 @@ class DhDaeSystem:
         r = require_hermitian(r, tol, name="r")
         if not (e.shape == j.shape == r.shape):
             raise DimensionError("e, j, r must have equal shapes")
-        if definiteness_class(e, tol) is Definiteness.INDEFINITE:
+        if not is_semidefinite(e, tol):
             raise ModelError("flow matrix e must be positive semidefinite")
-        if definiteness_class(r, tol) is Definiteness.INDEFINITE:
+        if not is_semidefinite(r, tol):
             raise ModelError("dissipation matrix r must be positive semidefinite")
         if f is None:
             f = ZeroSource(e.shape[0])
@@ -133,7 +135,7 @@ def _check_hpd(a, name, tol=DEFAULT_TOL):
 
 def _check_psd(a, name, tol=DEFAULT_TOL):
     a = require_hermitian(a, tol, name=name)
-    if definiteness_class(a, tol) is Definiteness.INDEFINITE:
+    if not is_semidefinite(a, tol):
         raise ModelError(f"{name} must be Hermitian positive semidefinite")
     return a
 
@@ -336,12 +338,12 @@ class IndexReport:
 def nullspace_of_e(sys_or_e, tol=RANK_TOL):
     """Orthonormal basis of ker(E) for a PSD flow matrix (n x nullity).
 
-    The eigenvalues alone decide whether the kernel is empty; eigenvectors
-    are computed only for a singular E.
+    A Cholesky certificate at ``tol`` (:func:`certify_definiteness`) shows a
+    positive definite E to have an empty kernel; eigenvectors are computed
+    only for a singular E.
     """
     e = sys_or_e.e if isinstance(sys_or_e, DhDaeSystem) else np.asarray(sys_or_e)
-    eigs = np.linalg.eigvalsh(e)
-    if eigs.size and eigs[0] > tol * float(np.max(np.abs(eigs))):
+    if certify_definiteness(e, tol)[0] is Definiteness.POSITIVE_DEFINITE:
         return np.zeros((e.shape[0], 0), dtype=np.result_type(e.dtype, float))
     return _range_of_e(e, tol)[1]
 
@@ -474,8 +476,16 @@ def _random_spd(rng, n, cond=10.0):
     return (q * eigs) @ q.T
 
 
+def _size(params, key, default):
+    """A block size from a descriptor; zero is allowed, negative is a ``ModelError``."""
+    size = int(params.get(key, default))
+    if size < 0:
+        raise ModelError(f"{key} must be nonnegative, got {size}")
+    return size
+
+
 def _build_mechanical(params):
-    n = int(params.get("n", 20))
+    n = _size(params, "n", 20)
     seed = int(params.get("seed", 0))
     damping = float(params.get("damping", 1.0))
     cond = float(params.get("cond", 10.0))
@@ -527,8 +537,8 @@ def _build_stokes(params):
 
 
 def _build_poroelastic(params):
-    n = int(params.get("n", 8))
-    p = int(params.get("p", 4))
+    n = _size(params, "n", 8)
+    p = _size(params, "p", 4)
     seed = int(params.get("seed", 0))
     y_scale = float(params.get("y_scale", 1e-3))
     k_scale = float(params.get("k_scale", 1.0))

@@ -6,10 +6,14 @@ split, definiteness classification of Hermitian matrices, the H-inner
 product, and Cholesky-backed solves with Hermitian positive definite
 matrices.  All other modules build on these kernels.
 
-:meth:`HsSplitSystem.from_matrix` is the one place that decomposes the
-Hermitian part of a system: one spectrum sets the definiteness and is kept,
-and one Cholesky factor (when ``h`` is positive definite) serves every
-H-solve and the half-width computed in :mod:`dhkrylov.bounds`.
+Definiteness is certified, not read off a spectrum, wherever it can be:
+:func:`certify_definiteness` factors ``h = L L*`` and accepts ``h`` as
+positive definite when ``1/trace(h^{-1}) = 1/||L^{-1}||_F^2`` exceeds
+``(tol + n eps) ||h||_inf``.  Only an inconclusive certificate falls back to
+``eigvalsh``.  :meth:`HsSplitSystem.from_matrix` is the one place that
+decomposes the Hermitian part of a system: the certified Cholesky factor
+serves every H-solve and the half-width computed in :mod:`dhkrylov.bounds`,
+and the spectrum of ``h`` is computed only when a caller reads it.
 
 Matrices are plain 2-D numpy arrays, real or complex.  All functions are
 pure; returned arrays are marked read-only where they become part of a
@@ -19,6 +23,7 @@ value object.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,11 +113,78 @@ def definiteness_class(h, tol=DEFAULT_TOL):
 
     Positive definite iff the smallest eigenvalue exceeds ``tol * ||h||_2``,
     positive semidefinite iff it is no smaller than ``-tol * ||h||_2``,
-    indefinite otherwise.  Raises ``StructureError`` for inputs that are not
-    Hermitian within ``tol``.
+    indefinite otherwise.  The class comes from :func:`certify_definiteness`,
+    so a positive definite ``h`` is recognized from its Cholesky factor and
+    only the other classes need the spectrum.  Raises ``StructureError`` for
+    inputs that are not Hermitian within ``tol``.
     """
     h = require_hermitian(h, tol, name="h")
-    return _classify(np.linalg.eigvalsh((h + h.conj().T) / 2), tol)
+    return certify_definiteness((h + h.conj().T) / 2, tol)[0]
+
+
+def _cholesky(h):
+    """The ``cho_factor`` payload of ``h = L L*``, or None when it fails."""
+    try:
+        return scipy.linalg.cho_factor(h, lower=True)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        return None
+
+
+def _trace_bound_certifies(c_lower, h, tol):
+    """True when ``1/||L^{-1}||_F^2 > (tol + n eps) ||h||_inf``.
+
+    ``||L^{-1}||_F^2 = trace(h^{-1}) >= 1/lambda_min`` and
+    ``||h||_inf >= lambda_max``, so the test implies ``lambda_min > tol *
+    lambda_max`` with a margin of ``n eps`` for rounding.
+    """
+    n = h.shape[0]
+    if n == 0:
+        return True  # trtri rejects an empty matrix, which counts as definite
+    threshold = (tol + n * np.finfo(float).eps) * np.linalg.norm(h, np.inf)
+    # the transpose of a C-ordered copy of L is Fortran-ordered, so trtri
+    # inverts L^T in place; (L^T)^{-1} = (L^{-1})^T has the same F-norm
+    upper = np.tril(c_lower[0]).T
+    trtri, = scipy.linalg.lapack.get_lapack_funcs(("trtri",), (upper,))
+    inv, info = trtri(upper, lower=0, overwrite_c=1)
+    return bool(info == 0 and np.linalg.norm(inv) ** 2 * threshold < 1.0)
+
+
+def certify_definiteness(h, tol=DEFAULT_TOL):
+    """Definiteness of an exactly Hermitian ``h``, certified by Cholesky first.
+
+    Returns ``(definiteness, factor, eigs)``.  When the Cholesky factor
+    exists and passes the trace bound of :func:`_trace_bound_certifies`,
+    ``h`` is positive definite in the sense of :func:`_classify` and
+    ``eigs`` is None.  Otherwise the ascending spectrum decides through
+    :func:`_classify` and is returned as ``eigs``.  ``factor`` is the
+    :class:`HermitianFactor` of ``h`` for a positive definite class whose
+    factorization succeeded, and None otherwise.
+    """
+    c = _cholesky(h)
+    eigs = None
+    if c is None or not _trace_bound_certifies(c, h, tol):
+        eigs = np.linalg.eigvalsh(h)
+    dclass = Definiteness.POSITIVE_DEFINITE if eigs is None else _classify(eigs, tol)
+    factor = None
+    if c is not None and dclass is Definiteness.POSITIVE_DEFINITE:
+        factor = HermitianFactor(c_lower=c, n=h.shape[0])
+    return dclass, factor, eigs
+
+
+def is_semidefinite(a, tol=DEFAULT_TOL):
+    """True unless the Hermitian matrix ``a`` is indefinite.
+
+    Three tests in order of cost: a nonnegative diagonal that weakly
+    dominates every row (all Gershgorin discs lie in [0, inf)), a successful
+    Cholesky factorization, and only then the spectrum through
+    :func:`_classify`.
+    """
+    diag = np.diagonal(a).real
+    if np.all(2.0 * diag >= np.abs(a).sum(axis=1)):
+        return True
+    if _cholesky(a) is not None:
+        return True
+    return _classify(np.linalg.eigvalsh(a), tol) is not Definiteness.INDEFINITE
 
 
 def h_inner(x, y, h):
@@ -168,10 +240,9 @@ def hermitian_factor(h, tol=DEFAULT_TOL):
     reported as ``DefinitenessError``.
     """
     h = require_hermitian(h, tol, name="h")
-    try:
-        c = scipy.linalg.cho_factor(h, lower=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise DefinitenessError(f"Cholesky failed: h is not positive definite ({exc})")
+    c = _cholesky(h)
+    if c is None:
+        raise DefinitenessError("Cholesky failed: h is not positive definite")
     return HermitianFactor(c_lower=c, n=h.shape[0])
 
 
@@ -193,11 +264,14 @@ class HsSplitSystem:
     Fields
     ------
     a, h, s : ndarray with ``a = h + s``, ``h = (a+a*)/2``, ``s = (a-a*)/2``
-    definiteness : classification of ``h`` by the sign of ``h_eigenvalues``
-    h_factor : Cholesky factorization of ``h``; present iff ``h`` is
-        positive definite
-    h_eigenvalues : ascending spectrum of ``h``, computed once; it decides
-        ``definiteness`` and is reused by the bound module
+    definiteness : classification of ``h``, certified by its Cholesky
+        factor (:func:`certify_definiteness`) and decided by the spectrum
+        only when that certificate is inconclusive
+    h_factor : the certified Cholesky factorization of ``h``; present iff
+        ``h`` is positive definite
+
+    ``h_eigenvalues``, the ascending spectrum of ``h``, is computed on first
+    read and kept; a spectrum computed for the classification is reused.
     """
 
     a: np.ndarray
@@ -205,31 +279,35 @@ class HsSplitSystem:
     s: np.ndarray
     definiteness: Definiteness
     h_factor: HermitianFactor | None
-    h_eigenvalues: np.ndarray
     tol: float = DEFAULT_TOL
 
     @property
     def n(self):
         return self.a.shape[0]
 
+    @functools.cached_property
+    def h_eigenvalues(self):
+        return _freeze(np.linalg.eigvalsh(self.h))
+
     @classmethod
     def from_matrix(cls, a, tol=DEFAULT_TOL):
         # h = (a + a*)/2 is exactly Hermitian: no symmetrization or re-check
         h, s = split_hs(a)
-        eigs = np.linalg.eigvalsh(h)
-        dclass = _classify(eigs, tol)
-        factor = None
-        if dclass is Definiteness.POSITIVE_DEFINITE:
-            factor = hermitian_factor(h, tol)
-        return cls(
+        dclass, factor, eigs = certify_definiteness(h, tol)
+        if dclass is Definiteness.POSITIVE_DEFINITE and factor is None:
+            raise DefinitenessError("Cholesky failed: h is not positive definite")
+        system = cls(
             a=_freeze(a),
             h=_freeze(h),
             s=_freeze(s),
             definiteness=dclass,
             h_factor=factor,
-            h_eigenvalues=_freeze(eigs),
             tol=tol,
         )
+        if eigs is not None:
+            # seed the cache of the lazy property with the spectrum just computed
+            vars(system)["h_eigenvalues"] = _freeze(eigs)
+        return system
 
     @classmethod
     def from_parts(cls, h, s, tol=DEFAULT_TOL):

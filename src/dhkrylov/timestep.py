@@ -18,13 +18,20 @@ exactly: with midpoint state m_k = (x_k + x_{k+1})/2 and f = 0,
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .dhdae import DhDaeSystem, nullspace_of_e
-from .errors import ConsistencyError, DimensionError, SingularHermitianPartError, SolverError
+from .errors import (
+    ConsistencyError,
+    DimensionError,
+    ParameterError,
+    SingularHermitianPartError,
+    SolverError,
+)
 from .hs_core import DEFAULT_TOL, Definiteness, HsSplitSystem
 
 #: Relative tolerance for the algebraic-constraint residual of initial values.
@@ -44,10 +51,15 @@ class MidpointSystem:
         return self.sys.n
 
 
+def check_tau(tau):
+    """Raise ``ParameterError`` unless the step size is positive and finite."""
+    if not (tau > 0 and math.isfinite(tau)):
+        raise ParameterError(f"tau must be positive and finite, got {tau}")
+
+
 def midpoint_system(sys: DhDaeSystem, tau: float, tol=DEFAULT_TOL) -> MidpointSystem:
     """Assemble A = E + tau/2 (R - J) with its Hermitian/skew split."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    check_tau(tau)
     a = sys.e + (tau / 2.0) * (sys.r - sys.j)
     return MidpointSystem(sys=HsSplitSystem.from_matrix(a, tol), tau=tau, source=sys)
 
@@ -190,6 +202,7 @@ def midpoint_saddle_blocks(sys: DhDaeSystem, tau: float):
     together with the block sizes.  Raises when the trailing diagonal block
     is not negligible.
     """
+    check_tau(tau)
     if sys.blocks is None or len(sys.blocks) != 2:
         raise DimensionError("model must carry two named blocks")
     n1 = sys.blocks[0][1]

@@ -381,6 +381,28 @@ def test_bad_tol_or_maxit_is_usage_error(mech_scenario, tmp_path, capsys, flags)
     assert not (tmp_path / "solve").exists() and not (tmp_path / "bench").exists()
 
 
+@pytest.mark.parametrize("tau", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", ["solve", "bounds", "integrate", "bench"])
+def test_bad_tau_is_usage_error(mech_scenario, tmp_path, capsys, command, tau):
+    args = {"solve": ["--model", "rlc"], "bounds": ["--model", "rlc"],
+            "integrate": ["--model", "rlc", "--steps", "3"],
+            "bench": ["--scenario", str(mech_scenario)]}[command]
+    code = main([command, *args, f"--tau={tau}", "--out", str(tmp_path / "run")])
+    assert code == 2
+    _single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("model, param", [("mechanical", "n=-1"), ("poroelastic", "n=-2"),
+                                          ("poroelastic", "p=-1")])
+def test_negative_model_size_is_usage_error(tmp_path, capsys, model, param):
+    code = main(["solve", "--model", model, "--param", param,
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    _single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_file_rhs_without_path_is_usage_error(tmp_path, capsys):
     scn = {
         "name": "no-path",

@@ -240,3 +240,39 @@ def test_hamiltonian_nonnegative():
     rng = np.random.default_rng(0)
     for _ in range(10):
         assert sys.hamiltonian(rng.standard_normal(5)) >= 0
+
+
+@pytest.mark.parametrize("which", ["e", "r", "d"])
+def test_indefinite_flow_or_dissipation_matrix_rejected(monkeypatch, which):
+    # [[1, 2], [2, 1]] has eigenvalues 3 and -1: its off-diagonal outweighs the
+    # diagonal (no Gershgorin certificate) and its Cholesky factorization fails,
+    # so the spectrum is taken, and only for this matrix
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    bad, eye, zero = np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), np.zeros((2, 2))
+    with pytest.raises(ModelError, match="semidefinite"):
+        if which == "d":
+            dk.assemble_mechanical(eye, bad, eye)
+        else:
+            dk.DhDaeSystem.from_parts(bad if which == "e" else eye, zero,
+                                      bad if which == "r" else eye)
+    assert calls == [(2, 2)]
+
+
+@pytest.mark.parametrize("name, params", [("mechanical", {"n": -1}),
+                                          ("poroelastic", {"n": -2}),
+                                          ("poroelastic", {"p": -1})])
+def test_negative_model_sizes_rejected(name, params):
+    with pytest.raises(ModelError, match="nonnegative"):
+        dk.from_descriptor({"name": name, "params": params})
+
+
+def test_empty_model_sizes_stay_valid():
+    assert dk.from_descriptor({"name": "mechanical", "params": {"n": 0}}).n == 0
+    assert dk.from_descriptor({"name": "poroelastic", "params": {"n": 0, "p": 0}}).n == 0

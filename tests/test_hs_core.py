@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 import dhkrylov as dk
 from dhkrylov.cli import audit_staircase
 from dhkrylov.errors import DefinitenessError, DimensionError, StructureError
-from dhkrylov.hs_core import hermitian_deviation, skew_deviation
+from dhkrylov.hs_core import (
+    _classify,
+    certify_definiteness,
+    hermitian_deviation,
+    skew_deviation,
+)
 
 from support import random_spd, random_unitary
 
@@ -85,6 +90,50 @@ def test_definiteness_unitary_congruence_invariant():
             hc = u.conj().T @ h @ u
             hc = (hc + hc.conj().T) / 2
             assert dk.definiteness_class(hc, tol=1e-10) is cls
+
+
+def _planted_hermitian(rng, n, kind, tol, complex_):
+    """Q diag(lam) Q* with max(lam) = 1 (for n > 1) and lam[0] set by ``kind``."""
+    lam = np.geomspace(1.0, 10.0 ** rng.uniform(0.0, 4.0), n)
+    lam /= lam[-1]
+    if kind == "psd":
+        lam[:rng.integers(1, n) if n > 1 else 1] = 0.0
+    elif kind == "indefinite":
+        lam[0] = -rng.uniform(1e-3, 1.0)
+    elif kind == "near_above":
+        lam[0] = 10.0 * tol
+    elif kind == "near_below":
+        lam[0] = 0.1 * tol
+    q = random_unitary(rng, n, complex_)
+    h = (q * (lam * 10.0 ** rng.uniform(-3.0, 3.0))) @ q.conj().T
+    return (h + h.conj().T) / 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from(["pd", "psd", "indefinite", "near_above", "near_below"]),
+       st.sampled_from([1e-12, 1e-8]))
+def test_certificate_agrees_with_spectrum(n, seed, complex_, kind, tol):
+    h = _planted_hermitian(np.random.default_rng(seed), n, kind, tol, complex_)
+    eigs_ref = np.linalg.eigvalsh(h)
+    dclass, factor, eigs = certify_definiteness(h, tol)
+    assert dclass is _classify(eigs_ref, tol)
+    if eigs is not None:
+        assert np.array_equal(eigs, eigs_ref)
+    # below the threshold the trace bound cannot certify; the spectrum decides
+    if kind in ("psd", "indefinite") or (kind == "near_below" and n > 1):
+        assert eigs is not None
+    if factor is not None:
+        assert dclass is dk.Definiteness.POSITIVE_DEFINITE
+        low = np.tril(factor.lower)
+        assert np.allclose(low @ low.conj().T, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
+
+
+def test_certificate_of_empty_matrix(capfd):
+    dclass, factor, eigs = certify_definiteness(np.zeros((0, 0)))
+    assert dclass is dk.Definiteness.POSITIVE_DEFINITE
+    assert factor is not None and eigs is None
+    assert capfd.readouterr().err == ""
 
 
 def test_h_inner_examples():
@@ -206,12 +255,30 @@ def _skew(rng, n):
 
 
 def test_from_matrix_decomposes_and_factors_h_once(decompositions):
+    # a positive definite h is certified by its one Cholesky factor
     rng = np.random.default_rng(13)
-    dk.HsSplitSystem.from_matrix(random_spd(rng, 8) + _skew(rng, 8))
-    assert decompositions == {"from_matrix": 1, "eigvalsh": 1, "cho_factor": 1}
+    sysm = dk.HsSplitSystem.from_matrix(random_spd(rng, 8) + _skew(rng, 8))
+    assert decompositions == {"from_matrix": 1, "cho_factor": 1}
+    # a semidefinite h fails the factorization and is classified by one spectrum
     decompositions.clear()
-    dk.HsSplitSystem.from_matrix(np.diag([1.0] * 5 + [0.0] * 3) + _skew(rng, 8))
-    assert decompositions == {"from_matrix": 1, "eigvalsh": 1}
+    semi = dk.HsSplitSystem.from_matrix(np.diag([1.0] * 5 + [0.0] * 3) + _skew(rng, 8))
+    assert decompositions == {"from_matrix": 1, "cho_factor": 1, "eigvalsh": 1}
+    # the spectrum is computed on first read and kept; the fallback one is reused
+    decompositions.clear()
+    first = (sysm.h_eigenvalues, semi.h_eigenvalues)
+    assert sysm.h_eigenvalues is first[0] and semi.h_eigenvalues is first[1]
+    assert decompositions == {"eigvalsh": 1}
+    for system in (sysm, semi):
+        assert np.array_equal(system.h_eigenvalues, np.linalg.eigvalsh(system.h))
+
+
+def test_stokes_setup_computes_no_spectrum(decompositions):
+    model = dk.from_descriptor({"name": "stokes", "params": {
+        "grid_n": 8, "viscosity": 100.0, "stabilization": 0.005}})
+    msys = dk.midpoint_system(model, 1e-3)
+    assert msys.sys.definiteness is dk.Definiteness.POSITIVE_DEFINITE
+    assert decompositions["eigvalsh"] == decompositions["eigh"] == 0
+    assert decompositions["cho_factor"] == 1
 
 
 def test_spectral_interval_reuses_the_system_factor(decompositions):
@@ -223,6 +290,30 @@ def test_spectral_interval_reuses_the_system_factor(decompositions):
     # oracle: spec(H^{-1} S) from a dense nonsymmetric eigensolver
     mu = np.linalg.eigvals(np.linalg.solve(sysm.h, sysm.s))
     assert interval.lam == pytest.approx(np.max(np.abs(mu.imag)), rel=1e-12)
+
+
+def test_spectral_interval_takes_one_spectrum_and_no_svd(decompositions, monkeypatch):
+    svds = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counted_svd(*args, **kwargs):
+        svds.append("svd")
+        return svd(*args, **kwargs)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if np.ndim(x) == 2 and ord in (2, -2):
+            svds.append("norm")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    rng = np.random.default_rng(17)
+    sysm = dk.HsSplitSystem.from_matrix(random_spd(rng, 30) + _skew(rng, 30))
+    decompositions.clear()
+    interval = dk.spectral_interval(sysm)
+    assert decompositions == {"eigvalsh": 1}
+    assert svds == []
+    assert 0.0 <= interval.max_real_part <= 1e-10 * interval.lam
 
 
 def test_staircase_eigendecomposes_h_once(decompositions):

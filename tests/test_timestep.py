@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import dhkrylov as dk
-from dhkrylov.errors import ConsistencyError, SingularHermitianPartError, SolverError
+from dhkrylov.errors import (
+    ConsistencyError,
+    ParameterError,
+    SingularHermitianPartError,
+    SolverError,
+)
 
 from support import random_spd
 
@@ -20,6 +25,15 @@ def test_midpoint_matrix_trivial():
     ms = dk.midpoint_system(sys, 0.5)
     assert np.allclose(ms.sys.a, [[2.0]])
     assert np.allclose(ms.sys.s, [[0.0]])
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tau_raises_parameter_error(tau):
+    stokes = dk.assemble_stokes_like(3)
+    with pytest.raises(ParameterError, match="tau"):
+        dk.midpoint_system(stokes, tau)
+    with pytest.raises(ParameterError, match="tau"):
+        dk.midpoint_saddle_blocks(stokes, tau)
 
 
 def test_midpoint_rlc_hermitian_part_entries():
