@@ -3,11 +3,14 @@
 With H Hermitian positive definite and S skew-Hermitian, the preconditioned
 operator K = H^{-1} S has purely imaginary spectrum contained in an interval
 i[-lam, lam].  That half-width lam drives all three convergence-rate
-expressions evaluated here.  lam is computed from the Hermitian matrix
--i L^{-1} S L^{-*} (Cholesky congruence, H = L L*), which has the imaginary
-parts of spec(K) as its real spectrum, so the purely-imaginary property is
-enforced structurally rather than trusted to a nonsymmetric eigensolver.
-L is the system's own factor, ``sys.h_factor``; nothing here factors H.
+expressions evaluated here.  lam is computed from the skew-Hermitian matrix
+M = L^{-1} S L^{-*} (Cholesky congruence, H = L L*), which is similar to K,
+so the purely-imaginary property is enforced structurally rather than
+trusted to a nonsymmetric eigensolver.  The eigenvalues of the Gram matrix
+M* M = -M^2 are the squares of the moduli |Im mu| over spec(K), so lam is
+the square root of its largest eigenvalue; on real data that is a real
+symmetric eigenproblem.  L is the system's own factor, ``sys.h_factor``;
+nothing here factors H.
 """
 
 from __future__ import annotations
@@ -33,15 +36,15 @@ class BoundMethod(enum.Enum):
 class SpectralInterval:
     """Half-width report for spec(K) contained in i[-lam, lam].
 
-    ``max_real_part`` is the Frobenius norm of the Hermitian residue left
-    after symmetrizing ``L^{-1} S L^{-*}``.  By Bendixson's theorem it bounds
-    |Re mu| over the eigenvalues of K, as any norm of that residue does; it
-    should be tiny relative to ``lam`` and is reported as a sanity value.
+    ``lam`` is exact up to rounding.  ``max_real_part`` is the Frobenius
+    norm of the Hermitian residue left after symmetrizing ``L^{-1} S L^{-*}``.
+    By Bendixson's theorem it bounds |Re mu| over the eigenvalues of K, as
+    any norm of that residue does; it should be tiny relative to ``lam`` and
+    is reported as a sanity value.
     """
 
     lam: float
     max_real_part: float
-    imag_parts: np.ndarray
 
 
 def spectral_interval(sys: HsSplitSystem) -> SpectralInterval:
@@ -49,17 +52,18 @@ def spectral_interval(sys: HsSplitSystem) -> SpectralInterval:
     if sys.definiteness is not Definiteness.POSITIVE_DEFINITE:
         raise DefinitenessError("spectral_interval requires a positive definite Hermitian part")
     if sys.n == 0:
-        return SpectralInterval(0.0, 0.0, np.zeros(0))
+        return SpectralInterval(0.0, 0.0)
     low = sys.h_factor.lower
     # m = L^{-1} S L^{-*} is skew-Hermitian up to rounding
     tmp = scipy.linalg.solve_triangular(low, sys.s, lower=True)
     m = scipy.linalg.solve_triangular(low, tmp.conj().T, lower=True).conj().T
     herm_residue = (m + m.conj().T) / 2
     skew = (m - m.conj().T) / 2
-    theta = np.linalg.eigvalsh(-1j * skew)
-    lam = float(np.max(np.abs(theta))) if theta.size else 0.0
+    # spec(skew* skew) = {theta^2}: real arithmetic on real data
+    theta2 = np.linalg.eigvalsh(skew.conj().T @ skew)
+    lam = float(np.sqrt(max(theta2[-1], 0.0)))
     max_real = float(np.linalg.norm(herm_residue))
-    return SpectralInterval(lam=lam, max_real_part=max_real, imag_parts=theta)
+    return SpectralInterval(lam=lam, max_real_part=max_real)
 
 
 def widlund_bound(lam: float, k: int) -> float:

@@ -177,11 +177,17 @@ def is_semidefinite(a, tol=DEFAULT_TOL):
     Three tests in order of cost: a nonnegative diagonal that weakly
     dominates every row (all Gershgorin discs lie in [0, inf)), a successful
     Cholesky factorization, and only then the spectrum through
-    :func:`_classify`.
+    :func:`_classify`.  The last two see only the rows and columns that are
+    not identically zero: ``a`` is semidefinite iff that principal
+    submatrix is, and a zero block would make every Cholesky fail.
     """
     diag = np.diagonal(a).real
     if np.all(2.0 * diag >= np.abs(a).sum(axis=1)):
         return True
+    touched = a != 0
+    nonzero = np.flatnonzero(touched.any(axis=0) | touched.any(axis=1))
+    if nonzero.size < a.shape[0]:
+        a = a[np.ix_(nonzero, nonzero)]
     if _cholesky(a) is not None:
         return True
     return _classify(np.linalg.eigvalsh(a), tol) is not Definiteness.INDEFINITE

@@ -41,6 +41,7 @@ Residual histories are kept per iteration for comparison plots.
 from __future__ import annotations
 
 import csv
+import functools
 import numbers
 import time
 from dataclasses import dataclass, replace
@@ -164,7 +165,10 @@ class SolveReport:
     Residual histories are absolute norms indexed by iteration, starting at
     k = 0 (the zero iterate).  ``error_h_norm`` is filled only when a
     reference solution was supplied.  ``breakdown`` is the step index of a
-    lucky Lanczos/Arnoldi breakdown, or None.
+    lucky Lanczos/Arnoldi breakdown, or None.  A 1-D Widlund or Rapoport
+    solve keeps the recurrence coefficients t_kk and t_{k+1,k} of each step
+    in ``t_diag`` and ``t_sub``, from which :attr:`ritz_half_width` is
+    computed on first read.
     """
 
     solution: np.ndarray
@@ -179,12 +183,29 @@ class SolveReport:
     method: str = ""
     basis: np.ndarray | None = None
     rhs_norm: float = 0.0
+    t_diag: list | None = None
+    t_sub: list | None = None
 
     @property
     def final_relative_residual(self):
         if self.rhs_norm == 0.0:
             return 0.0
         return float(self.residual_2norm[-1] / self.rhs_norm)
+
+    @functools.cached_property
+    def ritz_half_width(self):
+        """Largest |eigenvalue| of T_k = V_k* S V_k: a Ritz lower bound on ``lam``.
+
+        -i T_k is Hermitian tridiagonal with diagonal Im t_kk and
+        off-diagonal moduli t_{k+1,k}, so a diagonal unitary scaling makes
+        it real symmetric.  None when the solve kept no coefficients (other
+        methods, blocks, k = 0).
+        """
+        if not self.t_diag:
+            return None
+        k = len(self.t_diag)
+        theta = scipy.linalg.eigvalsh_tridiagonal(np.imag(self.t_diag), self.t_sub[:k - 1])
+        return float(np.max(np.abs(theta)))
 
 
 def _as_rhs(b, *shape, name="right-hand side"):
@@ -349,7 +370,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
     v, hv = bhat / beta0, b / beta0
     v_prev = hv_prev = 0.0
     beta = 0.0
-    basis = []
+    basis, t_diag, t_sub = [], [], []
     g = beta0
     # rotations and directions of steps k-1 and k-2: identity and zero at first
     rot1 = rot2 = (1.0, 0.0)
@@ -366,6 +387,8 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
         hw = sv - t_kk * hv + beta * hv_prev
         beta = _hnorm(w, hw)
         broke = beta <= BREAKDOWN_REL * beta0
+        t_diag.append(t_kk)
+        t_sub.append(beta)
 
         mu = 1.0 + t_kk
         (c2, s2), (c1, s1) = rot2, rot1
@@ -421,6 +444,8 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
         method=method,
         basis=np.column_stack(basis) if basis else None,
         rhs_norm=bnorm,
+        t_diag=t_diag,
+        t_sub=t_sub,
     )
 
 

@@ -169,10 +169,12 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
         b = midpoint_rhs(msys, x, t)
         if solver == "direct":
             x_next = scipy.linalg.lu_solve(lu, b)
+            resid = np.linalg.norm(msys.sys.a @ x_next - b)
         else:
             report = krylov.solve(solver, msys.sys, b, tol=tol, **solver_kwargs)
             x_next = report.solution
-        resid = np.linalg.norm(msys.sys.a @ x_next - b)
+            # the solver has just computed ||b - A x_next|| for this x_next
+            resid = report.residual_2norm[-1]
         bnorm = np.linalg.norm(b)
         if bnorm > 0 and resid > max(tol, 1e-10) * bnorm:
             raise SolverError(

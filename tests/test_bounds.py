@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 import dhkrylov as dk
 from dhkrylov.errors import DefinitenessError
 
-from support import printed_lam_interval, random_hs_system, random_spd
+from support import printed_lam_interval, random_hs_system, random_spd, random_unitary
 
 
 def test_widlund_bound_zero_lambda():
@@ -114,6 +115,47 @@ def test_spectral_interval_mechanical_linear_in_tau():
     lam1 = dk.spectral_interval(dk.midpoint_system(model, 1e-2).sys).lam
     lam2 = dk.spectral_interval(dk.midpoint_system(model, 1e-3).sys).lam
     assert abs(lam1 / lam2 - 10.0) <= 1e-10 * 10.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([0.0, 1e-6, 1.0, 1e3]))
+@example(1, 0, False, 1.0)    # a real 1x1 skew part is zero
+@example(39, 1, False, 1.0)   # a real skew part of odd order is singular
+@example(39, 2, True, 1e3)
+def test_spectral_interval_matches_eigenvalue_oracle(n, seed, complex_, scale):
+    # lam = sqrt(lambda_max(M* M)), M = L^{-1} S L^{-*}, against max |Im mu|
+    # over spec(H^{-1} S) from a dense nonsymmetric eigensolver; kappa(H) = 10
+    # keeps that oracle accurate to a few eps.  S = 0 gives exactly 0.0.
+    rng = np.random.default_rng(seed)
+    q = random_unitary(rng, n, complex_)
+    h = (q * np.geomspace(1.0, 10.0, n)) @ q.conj().T
+    g = rng.standard_normal((n, n))
+    if complex_:
+        g = g + 1j * rng.standard_normal((n, n))
+    sysm = dk.HsSplitSystem.from_matrix((h + h.conj().T) / 2 + scale * (g - g.conj().T) / 2)
+    lam = dk.spectral_interval(sysm).lam
+    if scale == 0.0:
+        assert lam == 0.0
+        return
+    mu = scipy.linalg.eigvals(np.linalg.solve(sysm.h, sysm.s))
+    assert lam == pytest.approx(float(np.max(np.abs(mu.imag))), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("complex_, dtype", [(False, np.float64), (True, np.complex128)])
+def test_spectral_interval_spectrum_in_the_arithmetic_of_the_data(monkeypatch, complex_, dtype):
+    # a real system takes its one spectrum in real arithmetic, with no complex copy
+    sysm = random_hs_system(np.random.default_rng(29), 25, lam=0.7, complex_=complex_)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    assert dk.spectral_interval(sysm).lam == pytest.approx(0.7, rel=1e-12)
+    assert seen == [dtype]
 
 
 def test_kappa_y_estimate():

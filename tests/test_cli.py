@@ -416,3 +416,24 @@ def test_file_rhs_without_path_is_usage_error(tmp_path, capsys):
     code = main(["bench", "--scenario", str(path), "--out", str(tmp_path / "run")])
     assert code == 2
     _single_error_line(capsys.readouterr().err)
+
+
+def test_bench_rows_report_ritz_lambda_next_to_lambda(tmp_path):
+    # the stokes-pipeline systems: the Ritz value of each Widlund and Rapoport
+    # solve is a lower bound on lam and, after 10 steps, within 2 % of it
+    scn = Scenario(
+        model={"name": "stokes", "params": {"grid_n": 16, "viscosity": 100.0,
+                                            "stabilization": 0.005}},
+        tau_list=[1e-3, 1e-4], solvers=["widlund", "rapoport", "lgmres"],
+        rhs={"kind": "random", "seed": 3},
+    )
+    run_scenario(scn, tmp_path / "run")
+    rows = json.loads((tmp_path / "run" / "table.json").read_text())
+    assert len(rows) == 6
+    for row in rows:
+        keys = list(row)
+        assert keys[keys.index("lambda") + 1] == "ritz_lambda"
+        if row["solver"] == "lgmres":
+            assert row["ritz_lambda"] is None
+        else:
+            assert 0.98 * row["lambda"] <= row["ritz_lambda"] <= row["lambda"] * (1 + 1e-12)

@@ -265,6 +265,21 @@ def test_indefinite_flow_or_dissipation_matrix_rejected(monkeypatch, which):
     assert calls == [(2, 2)]
 
 
+def test_mechanical_model_build_takes_no_spectrum(monkeypatch):
+    # R = blkdiag(D, 0) is certified by a Cholesky factor of D alone
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    model = dk.from_descriptor({"name": "mechanical", "params": {"n": 40, "seed": 61}})
+    assert model.n == 80 and np.any(model.r)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name, params", [("mechanical", {"n": -1}),
                                           ("poroelastic", {"n": -2}),
                                           ("poroelastic", {"p": -1})])

@@ -12,6 +12,7 @@ from dhkrylov.hs_core import (
     _classify,
     certify_definiteness,
     hermitian_deviation,
+    is_semidefinite,
     skew_deviation,
 )
 
@@ -314,6 +315,21 @@ def test_spectral_interval_takes_one_spectrum_and_no_svd(decompositions, monkeyp
     assert decompositions == {"eigvalsh": 1}
     assert svds == []
     assert 0.0 <= interval.max_real_part <= 1e-10 * interval.lam
+
+
+def test_semidefinite_with_zero_rows_certified_without_spectrum(decompositions):
+    # blkdiag(D, 0) with a dense SPD D: no dominant diagonal, and the zero
+    # block fails a Cholesky of the whole matrix, but not one of D
+    rng = np.random.default_rng(18)
+    d, zero = random_spd(rng, 6), np.zeros((6, 6))
+    assert is_semidefinite(np.block([[d, zero], [zero, zero]]))
+    assert decompositions == {"cho_factor": 1}
+    # an indefinite nonzero block is still found, from its own spectrum
+    decompositions.clear()
+    bad = np.zeros((5, 5))
+    bad[np.ix_([0, 3], [0, 3])] = [[1.0, 2.0], [2.0, 1.0]]
+    assert not is_semidefinite(bad)
+    assert decompositions == {"cho_factor": 1, "eigvalsh": 1}
 
 
 def test_staircase_eigendecomposes_h_once(decompositions):

@@ -658,3 +658,53 @@ def test_residual_history_csv_schema(tmp_path):
     assert float(rows[1][5]) == 2.0  # Rapoport bound at k = 0
     if len(rows) > 3:
         assert float(rows[3][4]) == dk.widlund_bound(0.5, 1)
+
+
+# ---------------------------------------------------------------------------
+# Ritz estimate of the half-width
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("method", ["widlund", "rapoport"])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_ritz_half_width_is_the_extreme_ritz_value(method, complex_):
+    # max |eig(V_k* S V_k)| of the kept basis, and never above lam
+    rng = np.random.default_rng(43)
+    sysm = random_hs_system(rng, 60, cond_h=50.0, lam=1.5, complex_=complex_)
+    lam = dk.spectral_interval(sysm).lam
+    b = rng.standard_normal(60)
+    for maxit in (1, 2, 7, 15):
+        rep = dk.krylov.solve(method, sysm, b, tol=1e-14, maxit=maxit, collect_basis=True)
+        assert rep.iterations == maxit
+        v = rep.basis
+        ritz = np.max(np.abs(np.linalg.eigvals(v.conj().T @ sysm.s @ v)))
+        assert rep.ritz_half_width == pytest.approx(ritz, rel=1e-12)
+        assert rep.ritz_half_width <= lam * (1 + 1e-12)
+
+
+def test_ritz_half_width_computed_on_first_read_only(monkeypatch):
+    calls = []
+    tridiagonal = scipy.linalg.eigvalsh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counted)
+    sysm = random_hs_system(np.random.default_rng(44), 30, lam=0.8)
+    rep = dk.solve_rapoport(sysm, np.ones(30))
+    assert calls == []
+    first = rep.ritz_half_width
+    assert first > 0 and rep.ritz_half_width == first
+    assert calls == [1]
+
+
+def test_ritz_half_width_only_for_single_hlanczos_solves():
+    rng = np.random.default_rng(45)
+    sysm = random_hs_system(rng, 20, lam=0.8)
+    b = rng.standard_normal(20)
+    for method in ("gmres", "lgmres", "hss"):
+        assert dk.krylov.solve(method, sysm, b).ritz_half_width is None
+    assert dk.solve_widlund(sysm, np.zeros(20)).ritz_half_width is None
+    assert dk.solve_widlund(sysm, b, maxit=0).ritz_half_width is None
+    block = dk.krylov._solve_hlanczos("rapoport", sysm, np.column_stack([b, 2 * b]), 1e-12, 250)
+    assert block.ritz_half_width is None

@@ -201,6 +201,24 @@ def test_integrate_names_the_step_whose_solve_falls_short():
         dk.integrate(sys, x0, 0.02, 3, solver="widlund", solver_kwargs={"maxit": 1})
 
 
+def test_integrate_reads_the_residual_its_krylov_solver_reports(monkeypatch):
+    # the step check uses the solver's own last true residual; a report that
+    # claims a large one fails the step although its solution is accurate
+    sys = dk.from_descriptor({"name": "mechanical",
+                              "params": {"n": 5, "seed": 7, "damping": 0.5}})
+    x0 = np.random.default_rng(1).standard_normal(10)
+    solve = dk.krylov.solve
+
+    def overstated(*args, **kwargs):
+        rep = solve(*args, **kwargs)
+        rep.residual_2norm = np.append(rep.residual_2norm, rep.rhs_norm)
+        return rep
+
+    monkeypatch.setattr(dk.krylov, "solve", overstated)
+    with pytest.raises(SolverError, match="step 1 "):
+        dk.integrate(sys, x0, 0.02, 3, solver="rapoport")
+
+
 def test_integrate_with_krylov_step_solver():
     sys = dk.from_descriptor({"name": "mechanical",
                               "params": {"n": 5, "seed": 7, "damping": 0.5}})
