@@ -8,8 +8,6 @@ from .hs_core import (
     HsSplitSystem,
     definiteness_class,
     h_inner,
-    hermitian_factor,
-    hermitian_solve,
     read_matrix,
     split_hs,
     write_matrix,
@@ -64,8 +62,6 @@ from .krylov import (
 )
 from .bounds import (
     BendixsonRectangle,
-    BoundMethod,
-    ConvergenceBound,
     SpectralInterval,
     bendixson_rectangle,
     kappa_y_estimate,

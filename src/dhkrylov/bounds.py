@@ -15,7 +15,6 @@ nothing here factors H.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -24,12 +23,6 @@ import scipy.linalg
 
 from .errors import DefinitenessError
 from .hs_core import Definiteness, HsSplitSystem
-
-
-class BoundMethod(enum.Enum):
-    WIDLUND = "widlund"
-    RAPOPORT = "rapoport"
-    LGMRES = "lgmres"
 
 
 @dataclass(frozen=True)
@@ -115,23 +108,6 @@ def kappa_y_estimate(sys: HsSplitSystem) -> float:
     if eigs[0] <= 0:
         raise DefinitenessError("kappa_y_estimate requires a positive definite Hermitian part")
     return float(np.sqrt(eigs[-1] / eigs[0]))
-
-
-@dataclass(frozen=True)
-class ConvergenceBound:
-    """Evaluable bound curve for one method at a fixed half-width lam."""
-
-    lam: float
-    method: BoundMethod
-    kappa_y: float | None = None
-
-    def evaluate(self, k: int) -> float:
-        if self.method is BoundMethod.WIDLUND:
-            return widlund_bound(self.lam, k)
-        if self.method is BoundMethod.RAPOPORT:
-            return rapoport_bound(self.lam, k)
-        kappa = 1.0 if self.kappa_y is None else self.kappa_y
-        return lgmres_bound_estimate(self.lam, k, kappa)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,6 @@ class Scenario:
     tol: float = 1e-12
     maxit: int = 250
     rhs: dict = field(default_factory=lambda: {"kind": "random", "seed": 0})
-    hss_alpha: float = 1.0
-    schur: str = "auto"  # auto | never
     name: str = "scenario"
 
     def validate(self):
@@ -73,8 +71,10 @@ class Scenario:
         with open(path) as fh:
             data = json.load(fh)
         data.update(overrides or {})
-        known = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
-        sc = cls(**known)
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise DhKrylovError(f"unknown scenario keys: {', '.join(unknown)}")
+        sc = cls(**data)
         sc.validate()
         return sc
 
@@ -152,7 +152,6 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
         x_ref = None
         if h_pd and {"widlund", "rapoport"} & set(scenario.solvers):
             x_ref = scipy.linalg.solve(msys.sys.a, b)
-        use_schur = (not h_pd) and scenario.schur != "never"
         saddle = None  # the Schur blocks of this tau, shared by every solver
         for solver in scenario.solvers:
             csv_name = f"{model_name}_tau{tau:g}_{solver}.csv"
@@ -168,7 +167,7 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
                 "wall_time_s": 0.0,
             }
             try:
-                if use_schur:
+                if not h_pd:
                     if saddle is None:
                         saddle = timestep.midpoint_saddle_blocks(model, tau)
                     a11, bb, (nv, _) = saddle
@@ -184,11 +183,7 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
                     )
                     _write_schur_csv(out / csv_name, b, rep)
                 else:
-                    kwargs = {}
-                    if solver == "hss":
-                        kwargs["alpha"] = scenario.hss_alpha
-                    elif solver in ("widlund", "rapoport"):
-                        kwargs["x_exact"] = x_ref
+                    kwargs = {"x_exact": x_ref} if solver in ("widlund", "rapoport") else {}
                     rep = krylov.solve(solver, msys.sys, b, tol=scenario.tol,
                                        maxit=scenario.maxit, **kwargs)
                     row.update(
@@ -215,8 +210,6 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
             "tol": scenario.tol,
             "maxit": scenario.maxit,
             "rhs": scenario.rhs,
-            "hss_alpha": scenario.hss_alpha,
-            "schur": scenario.schur,
         },
         "rhs_metadata": meta,
         "artifacts": artifacts + ["table.json", "table.txt"],
@@ -331,8 +324,7 @@ def cmd_solve(args):
         b = rng.standard_normal(sysm.n)
     if sysm.definiteness is Definiteness.POSITIVE_DEFINITE:
         lam = bounds_mod.spectral_interval(sysm).lam
-    kwargs = {"alpha": args.hss_alpha} if args.solver == "hss" else {}
-    rep = krylov.solve(args.solver, sysm, b, tol=args.tol, maxit=args.maxit, **kwargs)
+    rep = krylov.solve(args.solver, sysm, b, tol=args.tol, maxit=args.maxit)
     out = _make_out(args, "solve")
     krylov.residual_history_csv(out / "residuals.csv", rep, lam=lam)
     write_matrix(out / "solution.mtx", rep.solution.reshape(-1, 1))
@@ -454,7 +446,6 @@ def build_parser():
     p.add_argument("--solver", default="rapoport", choices=krylov.SOLVER_NAMES)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--maxit", type=int, default=250)
-    p.add_argument("--hss-alpha", type=float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
@@ -463,7 +454,7 @@ def build_parser():
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--x0", help="Matrix Market file with the initial state")
-    p.add_argument("--solver", default="direct")
+    p.add_argument("--solver", default="direct", choices=("direct",) + krylov.SOLVER_NAMES)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out")
     p.set_defaults(func=cmd_integrate)

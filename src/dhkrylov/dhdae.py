@@ -78,7 +78,6 @@ class DhDaeSystem:
     r: np.ndarray
     f: object
     blocks: tuple | None = None
-    tol: float = DEFAULT_TOL
 
     @property
     def n(self):
@@ -101,7 +100,7 @@ class DhDaeSystem:
             blocks = tuple((str(name), int(size)) for name, size in blocks)
             if sum(size for _, size in blocks) != e.shape[0]:
                 raise DimensionError("block sizes must sum to the system order")
-        return cls(e=_freeze(e), j=_freeze(j), r=_freeze(r), f=f, blocks=blocks, tol=tol)
+        return cls(e=_freeze(e), j=_freeze(j), r=_freeze(r), f=f, blocks=blocks)
 
     def operator(self):
         """The right-hand-side matrix J - R."""

@@ -18,7 +18,7 @@ class DefinitenessError(DhKrylovError):
 
 
 class ParameterError(DhKrylovError, ValueError):
-    """A solver parameter (tolerance, iteration limit, shift) is out of range."""
+    """A solver parameter (tolerance, iteration limit, solver name) is invalid."""
 
 
 class ModelError(DhKrylovError):

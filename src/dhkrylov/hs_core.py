@@ -239,24 +239,6 @@ class HermitianFactor:
         return low
 
 
-def hermitian_factor(h, tol=DEFAULT_TOL):
-    """Factor a Hermitian positive definite matrix for repeated solves.
-
-    Failure of the Cholesky factorization signals a non-HPD input and is
-    reported as ``DefinitenessError``.
-    """
-    h = require_hermitian(h, tol, name="h")
-    c = _cholesky(h)
-    if c is None:
-        raise DefinitenessError("Cholesky failed: h is not positive definite")
-    return HermitianFactor(c_lower=c, n=h.shape[0])
-
-
-def hermitian_solve(h_factor, b):
-    """Solve ``h x = b`` using a prebuilt :class:`HermitianFactor`."""
-    return h_factor.solve(b)
-
-
 def _freeze(a):
     a = np.array(a)
     a.setflags(write=False)
@@ -285,7 +267,6 @@ class HsSplitSystem:
     s: np.ndarray
     definiteness: Definiteness
     h_factor: HermitianFactor | None
-    tol: float = DEFAULT_TOL
 
     @property
     def n(self):
@@ -308,7 +289,6 @@ class HsSplitSystem:
             s=_freeze(s),
             definiteness=dclass,
             h_factor=factor,
-            tol=tol,
         )
         if eigs is not None:
             # seed the cache of the lazy property with the spectrum just computed

@@ -22,7 +22,9 @@ this engine:
   left-preconditioned system H^{-1} A x = b_hat, which searches the same
   Krylov spaces as the two methods above.
 * The HSS iteration alternating shifted solves with alpha*I + H and
-  alpha*I + S (exact inner solves via upfront factorizations).
+  alpha*I + S (exact inner solves via upfront factorizations), at the shift
+  alpha = sqrt(lambda_min lambda_max) of H that minimizes its contraction
+  bound.
 * A Schur-complement driver for saddle systems [[A, B], [-B*, 0]] whose
   Hermitian part is singular only in the trailing block.  It forms
   A^{-1} [B | f] from inner solves with A, builds S1 = B* A^{-1} B and runs
@@ -80,7 +82,6 @@ class LanczosState:
     bhat_norm: float
     breakdown: bool = False
     breakdown_step: int | None = None
-    reorthogonalize: bool = False
 
     @property
     def k(self):
@@ -111,7 +112,7 @@ class LanczosState:
         return t
 
 
-def lanczos_init(bhat, h_inner_fn, reorthogonalize=False) -> LanczosState:
+def lanczos_init(bhat, h_inner_fn) -> LanczosState:
     """Start the recurrence with v_1 = b_hat / ||b_hat||_H."""
     bhat = np.asarray(bhat)
     beta = float(np.sqrt(max(h_inner_fn(bhat, bhat).real, 0.0)))
@@ -122,7 +123,6 @@ def lanczos_init(bhat, h_inner_fn, reorthogonalize=False) -> LanczosState:
         t_diag=(),
         t_sub=(),
         bhat_norm=beta,
-        reorthogonalize=reorthogonalize,
     )
 
 
@@ -142,9 +142,6 @@ def lanczos_advance(state: LanczosState, apply_k, h_inner_fn) -> LanczosState:
     w = u - t_kk * v
     if state.v_prev is not None:
         w = w + state.t_sub[-1] * state.v_prev
-    if state.reorthogonalize:
-        for vi in state.basis:
-            w = w - h_inner_fn(w, vi) * vi
     beta = float(np.sqrt(max(h_inner_fn(w, w).real, 0.0)))
     t_diag = state.t_diag + (t_kk,)
     t_sub = state.t_sub + (beta,)
@@ -586,7 +583,7 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
 # HSS iteration
 # ---------------------------------------------------------------------------
 
-def solve_hss(sys: HsSplitSystem, b, alpha=1.0, tol=1e-12, maxit=250) -> SolveReport:
+def solve_hss(sys: HsSplitSystem, b, tol=1e-12, maxit=250) -> SolveReport:
     """Alternating shifted Hermitian/skew-Hermitian solves.
 
     (alpha I + H) x^{k+1/2} = (alpha I - S) x^k + b
@@ -594,34 +591,31 @@ def solve_hss(sys: HsSplitSystem, b, alpha=1.0, tol=1e-12, maxit=250) -> SolveRe
 
     With exact inner solves (upfront factorizations, reused every sweep)
     the iteration converges for every alpha > 0 when H is positive
-    definite.
+    definite.  It runs at alpha = sqrt(lambda_min lambda_max) of H, which
+    minimizes its contraction bound (Bai, Golub & Ng, SIMAX 24 (2003)
+    603-626).
     """
-    if not alpha > 0:
-        raise ParameterError("alpha must be positive")
+    if sys.definiteness is not Definiteness.POSITIVE_DEFINITE:
+        raise DefinitenessError("hss requires a positive definite Hermitian part")
     check_tol_maxit(tol, maxit)
     start = time.perf_counter()
     b = _as_rhs(b, sys.n)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return _zero_rhs_report(sys.n, sys.a.dtype, "hss")
+    eigs = sys.h_eigenvalues
+    alpha = float(np.sqrt(eigs[0] * eigs[-1]))
     n = sys.n
     eye = np.eye(n, dtype=sys.a.dtype)
-    shifted_h = alpha * eye + sys.h
-    shifted_s = alpha * eye + sys.s
-    try:
-        ch = scipy.linalg.cho_factor(shifted_h, lower=True)
-        solve_h = lambda rhs: scipy.linalg.cho_solve(ch, rhs)
-    except scipy.linalg.LinAlgError:
-        luh = scipy.linalg.lu_factor(shifted_h)
-        solve_h = lambda rhs: scipy.linalg.lu_solve(luh, rhs)
-    lus = scipy.linalg.lu_factor(shifted_s)
+    ch = scipy.linalg.cho_factor(alpha * eye + sys.h, lower=True)
+    lus = scipy.linalg.lu_factor(alpha * eye + sys.s)
 
     x = np.zeros(n, dtype=np.result_type(sys.a.dtype, b.dtype))
     res_hist = [bnorm]
     converged = False
     k_done = 0
     for k in range(1, maxit + 1):
-        x_half = solve_h(alpha * x - sys.s @ x + b)
+        x_half = scipy.linalg.cho_solve(ch, alpha * x - sys.s @ x + b)
         x = scipy.linalg.lu_solve(lus, alpha * x_half - sys.h @ x_half + b)
         rn = float(np.linalg.norm(b - sys.a @ x))
         res_hist.append(rn)
@@ -666,15 +660,6 @@ class SchurSolveReport:
 _LOCKSTEP_SOLVERS = ("widlund", "rapoport")
 
 
-def _method_kwargs(method, sys):
-    """HSS runs at alpha = sqrt(lambda_min lambda_max) of H, which minimizes its
-    contraction bound (Bai, Golub & Ng, SIMAX 24 (2003) 603-626)."""
-    if method != "hss":
-        return {}
-    eigs = sys.h_eigenvalues
-    return {"alpha": float(np.sqrt(eigs[0] * eigs[-1]))}
-
-
 def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
                     maxit=250) -> SchurSolveReport:
     """Solve [[A, B], [-B*, 0]] [v; p] = [f; g] via the Schur complement.
@@ -685,9 +670,8 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
     other methods one column at a time.  The reduced system
     S1 p = g + B* w with S1 = B* X is solved by the same method on
     ``HsSplitSystem.from_matrix(S1)``.  Then v = w - X p for Widlund and
-    Rapoport; the other methods solve A v = f - B p once more.  HSS runs at
-    alpha = sqrt(lambda_min lambda_max) of each system's Hermitian part.  A
-    is required to have positive definite Hermitian part and B full column
+    Rapoport; the other methods solve A v = f - B p once more.  A is
+    required to have positive definite Hermitian part and B full column
     rank, which makes S1 positive definite as well.  Up to two
     residual-based refinement passes are applied if needed.
     ``inner_iterations`` sums the steps of every inner column.
@@ -709,8 +693,7 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
         if rhs.ndim == 2:
             rep = _solve_hlanczos(inner_solver, inner_sys, rhs, inner_tol, maxit)
         else:
-            rep = solve(inner_solver, inner_sys, rhs, tol=inner_tol, maxit=maxit,
-                        **_method_kwargs(inner_solver, inner_sys))
+            rep = solve(inner_solver, inner_sys, rhs, tol=inner_tol, maxit=maxit)
         inner_count += int(np.sum(rep.iterations))
         if not np.all(rep.converged):
             raise SolverError(
@@ -723,23 +706,12 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
     sol = inner_solve(rhs) if lockstep else np.column_stack([inner_solve(c) for c in rhs.T])
     x_b, w = sol[:, :n_p], sol[:, n_p]
 
-    if n_p == 0:
-        resid = np.linalg.norm(a11 @ w - f)
-        rel = resid / np.linalg.norm(f) if np.linalg.norm(f) > 0 else 0.0
-        return SchurSolveReport(
-            v=w, p=np.zeros(0), relative_residual=float(rel),
-            converged=rel <= tol, inner_iterations=inner_count,
-            outer_iterations=0, refinements=0,
-            wall_time=time.perf_counter() - start,
-        )
-
     s1 = b_block.conj().T @ x_b
     outer_sys = HsSplitSystem.from_matrix(s1)
 
     def outer_solve(rhs):
         nonlocal outer_count
-        rep = solve(inner_solver, outer_sys, rhs, tol=max(tol * 1e-2, 1e-15),
-                    maxit=maxit, **_method_kwargs(inner_solver, outer_sys))
+        rep = solve(inner_solver, outer_sys, rhs, tol=max(tol * 1e-2, 1e-15), maxit=maxit)
         outer_count += rep.iterations
         if not rep.converged:
             raise SolverError(f"outer {inner_solver} solve with S1 failed")
@@ -749,18 +721,17 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
     v = np.zeros(n_v, dtype=np.result_type(a11.dtype, f.dtype))
     p = np.zeros(n_p, dtype=v.dtype)
     refinements = 0
-    rel = np.inf
+    # the assembled residual [rf; rg] of (v, p), starting from v = p = 0
+    rf, rg = f, g
     for sweep in range(3):
-        rf = f - (a11 @ v + b_block @ p)
-        rg = g - (-(b_block.conj().T @ v))
         if sweep > 0:
             w = inner_solve(rf)
         dp = outer_solve(rg + b_block.conj().T @ w)
         v = v + (w - x_b @ dp if lockstep else inner_solve(rf - b_block @ dp))
         p = p + dp
-        r1 = f - (a11 @ v + b_block @ p)
-        r2 = g + b_block.conj().T @ v
-        rel = float(np.sqrt(np.linalg.norm(r1) ** 2 + np.linalg.norm(r2) ** 2)
+        rf = f - (a11 @ v + b_block @ p)
+        rg = g + b_block.conj().T @ v
+        rel = float(np.sqrt(np.linalg.norm(rf) ** 2 + np.linalg.norm(rg) ** 2)
                     / (fnorm if fnorm > 0 else 1.0))
         if sweep > 0:
             refinements += 1
@@ -793,7 +764,7 @@ def solve(method: str, sys: HsSplitSystem, b, tol=1e-12, maxit=250, **kwargs) ->
                            h_for_metrics=sys.h, **kwargs)
     if method == "hss":
         return solve_hss(sys, b, tol=tol, maxit=maxit, **kwargs)
-    raise ValueError(f"unknown solver {method!r}; known: {SOLVER_NAMES}")
+    raise ParameterError(f"unknown solver {method!r}; known: {SOLVER_NAMES}")
 
 
 def residual_history_csv(path, report: SolveReport, lam=None):

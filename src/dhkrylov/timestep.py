@@ -133,17 +133,21 @@ def check_consistency(sys: DhDaeSystem, x0, t0=0.0, tol=CONSISTENCY_TOL, rank_to
 
 
 def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
-              tol=1e-12, t0=0.0, solver_kwargs=None) -> Trajectory:
+              tol=1e-12, t0=0.0) -> Trajectory:
     """Integrate with the implicit midpoint rule on a uniform grid.
 
     ``solver`` selects how each step's linear system is solved: "direct"
     (LU of A, factored once) or one of the Krylov methods "widlund",
-    "rapoport", "gmres", "lgmres", "hss".  The Hermitian part of the step
-    matrix must be positive definite; singular-H systems (index two) go
-    through the Schur path of :mod:`dhkrylov.krylov` instead.
+    "rapoport", "gmres", "lgmres", "hss"; any other name raises
+    ``ParameterError`` before the step matrix is assembled.  The Hermitian
+    part of the step matrix must be positive definite; singular-H systems
+    (index two) go through the Schur path of :mod:`dhkrylov.krylov` instead.
     """
     from . import krylov  # local import to avoid a cycle
 
+    if solver != "direct" and solver not in krylov.SOLVER_NAMES:
+        raise ParameterError(
+            f"unknown solver {solver!r}; known: {('direct',) + krylov.SOLVER_NAMES}")
     x0 = np.asarray(x0)
     x0 = x0.astype(np.result_type(sys.e.dtype, x0.dtype))
     if x0.shape[0] != sys.n:
@@ -156,7 +160,6 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
         )
     check_consistency(sys, x0, t0)
 
-    solver_kwargs = dict(solver_kwargs or {})
     lu = scipy.linalg.lu_factor(msys.sys.a) if solver == "direct" else None
 
     times = [t0]
@@ -171,7 +174,7 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
             x_next = scipy.linalg.lu_solve(lu, b)
             resid = np.linalg.norm(msys.sys.a @ x_next - b)
         else:
-            report = krylov.solve(solver, msys.sys, b, tol=tol, **solver_kwargs)
+            report = krylov.solve(solver, msys.sys, b, tol=tol)
             x_next = report.solution
             # the solver has just computed ||b - A x_next|| for this x_next
             resid = report.residual_2norm[-1]

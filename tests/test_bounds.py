@@ -166,13 +166,8 @@ def test_kappa_y_estimate():
 
 
 def test_convergence_bound_objects():
-    cb_w = dk.ConvergenceBound(lam=0.5, method=dk.BoundMethod.WIDLUND)
-    cb_r = dk.ConvergenceBound(lam=0.5, method=dk.BoundMethod.RAPOPORT)
-    cb_l = dk.ConvergenceBound(lam=0.5, method=dk.BoundMethod.LGMRES, kappa_y=3.0)
-    assert cb_w.evaluate(4) == dk.widlund_bound(0.5, 4)
-    assert cb_r.evaluate(4) == dk.rapoport_bound(0.5, 4)
-    assert cb_l.evaluate(4) == 3.0 * dk.rapoport_bound(0.5, 4)
-    assert 0 < cb_r.evaluate(1) <= 2.0
+    assert dk.lgmres_bound_estimate(0.5, 4, 3.0) == 3.0 * dk.rapoport_bound(0.5, 4)
+    assert 0 < dk.rapoport_bound(0.5, 1) <= 2.0
 
 
 def test_bendixson_degenerate_segment():

@@ -190,13 +190,15 @@ def test_bench_schur_blocks_built_once_per_tau_and_hss_converges(tmp_path, monke
 
 
 def test_bench_incompatible_solver_reported_per_row(tmp_path):
-    # Widlund cannot run on the singular-H system when the Schur path is off
+    # unpreconditioned GMRES cannot reach tol on S1 within 20 steps; Rapoport can
     scn = {
         "name": "bad",
-        "model": {"name": "stokes", "params": {"grid_n": 3, "stabilization": 0.0}},
+        "model": {"name": "stokes", "params": {"grid_n": 5, "convection": 50.0,
+                                               "stabilization": 0.0}},
         "tau_list": [1e-3],
-        "solvers": ["widlund", "gmres"],
-        "schur": "never",
+        "solvers": ["rapoport", "gmres"],
+        "tol": 1e-10,
+        "maxit": 20,
         "rhs": {"kind": "random", "seed": 1},
     }
     path = tmp_path / "scn.json"
@@ -205,8 +207,9 @@ def test_bench_incompatible_solver_reported_per_row(tmp_path):
     assert main(["bench", "--scenario", str(path), "--out", str(out)]) == 0
     table = json.loads((out / "table.json").read_text())
     errors = [r for r in table if "error" in r]
-    assert len(errors) == 1 and errors[0]["solver"] == "widlund"
-    assert len(table) == 2  # the run continued
+    assert len(errors) == 1 and errors[0]["solver"] == "gmres"
+    assert errors[0]["error"] == "outer gmres solve with S1 failed"
+    assert len(table) == 2 and table[0]["converged"]  # the run continued
 
 
 def test_solve_subcommand_with_matrix_file(tmp_path, capsys):
@@ -332,6 +335,37 @@ def test_unknown_solver_is_usage_error(mech_scenario, tmp_path):
     code = main(["bench", "--scenario", str(mech_scenario),
                  "--solvers", "jacobi", "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+@pytest.mark.parametrize("key, value", [("solver", ["rapoport"]), ("schur", "never"),
+                                        ("hss_alpha", 2.0)])
+def test_scenario_unknown_key_is_usage_error(mech_scenario, tmp_path, capsys, key, value):
+    # a misspelt or retired key would otherwise change the run without a word
+    scn = json.loads(mech_scenario.read_text())
+    scn[key] = value
+    if key == "solver":
+        del scn["solvers"]
+    mech_scenario.write_text(json.dumps(scn))
+    code = main(["bench", "--scenario", str(mech_scenario), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    _single_error_line(err)
+    assert key in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_integrate_unknown_solver_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--model", "rlc", "--tau", "0.01", "--steps", "3",
+              "--solver", "foo", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert lines[0].startswith("usage:")
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert "'foo'" in lines[-1]
+    assert not (tmp_path / "run").exists()
 
 
 def test_unreadable_matrix_is_io_error(tmp_path, monkeypatch):

@@ -161,19 +161,17 @@ def test_h_inner_indefinite_rejected():
 
 
 def test_hermitian_solve_trivial():
-    f = dk.hermitian_factor(np.eye(3))
     b = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(dk.hermitian_solve(f, b), b)
-    f4 = dk.hermitian_factor(np.array([[4.0]]))
-    assert np.allclose(dk.hermitian_solve(f4, np.array([8.0])), [2.0])
+    assert np.allclose(dk.HsSplitSystem.from_matrix(np.eye(3)).solve_h(b), b)
+    sys4 = dk.HsSplitSystem.from_matrix(np.array([[4.0]]))
+    assert np.allclose(sys4.solve_h(np.array([8.0])), [2.0])
 
 
 def test_hermitian_solve_dense_inverse_oracle():
     rng = np.random.default_rng(11)
     h = random_spd(rng, 50, cond=1e3)
-    f = dk.hermitian_factor(h)
     b = rng.standard_normal(50)
-    x = dk.hermitian_solve(f, b)
+    x = dk.HsSplitSystem.from_matrix(h).solve_h(b)
     x_ref = np.linalg.inv(h) @ b
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
@@ -183,14 +181,16 @@ def test_hermitian_solve_multiply_back():
     rng = np.random.default_rng(12)
     for cond in (1e2, 1e4, 1e6):
         h = random_spd(rng, 40, cond=cond)
-        f = dk.hermitian_factor(h)
         b = rng.standard_normal(40)
-        assert np.linalg.norm(h @ dk.hermitian_solve(f, b) - b) <= 1e-10 * np.linalg.norm(b)
+        x = dk.HsSplitSystem.from_matrix(h).solve_h(b)
+        assert np.linalg.norm(h @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_hermitian_factor_rejects_indefinite():
+    sysm = dk.HsSplitSystem.from_matrix(np.diag([1.0, -2.0]))
+    assert sysm.h_factor is None
     with pytest.raises(DefinitenessError):
-        dk.hermitian_factor(np.diag([1.0, -2.0]))
+        sysm.solve_h(np.ones(2))
 
 
 def test_hs_split_system_invariants():

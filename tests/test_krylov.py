@@ -77,19 +77,6 @@ def test_lanczos_h_orthonormality_and_skew_tridiagonal():
     assert np.max(off) == 0.0
 
 
-def test_lanczos_reorthogonalization_mode():
-    rng = np.random.default_rng(10)
-    sysm = random_hs_system(rng, 80, cond_h=1e3, lam=1.0)
-    apply_k, hin = _operators(sysm)
-    state = lanczos_init(sysm.solve_h(rng.standard_normal(80)), hin,
-                         reorthogonalize=True)
-    for _ in range(50):
-        state = lanczos_advance(state, apply_k, hin)
-    v = state.basis_matrix(50)
-    gram = v.conj().T @ sysm.h @ v
-    assert np.max(np.abs(gram - np.eye(50))) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # The H-Lanczos loop shared by Widlund and Rapoport
 # ---------------------------------------------------------------------------
@@ -404,20 +391,19 @@ def test_widlund_rapoport_lgmres_share_search_spaces():
 # HSS
 # ---------------------------------------------------------------------------
 
-def test_hss_large_alpha_contracts_on_hermitian_system():
+def test_hss_contracts_on_hermitian_system():
     rng = np.random.default_rng(1)
     sysm = dk.HsSplitSystem.from_matrix(random_spd(rng, 10))
-    rep = dk.solve_hss(sysm, rng.standard_normal(10), alpha=50.0, tol=1e-10,
-                       maxit=5000)
+    rep = dk.solve_hss(sysm, rng.standard_normal(10), tol=1e-10, maxit=5000)
     assert rep.converged
 
 
-def test_hss_converges_for_alpha_one():
+def test_hss_converges_at_computed_shift():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         sysm = random_hs_system(rng, 30, cond_h=100.0, lam=1.0)
         b = rng.standard_normal(30)
-        rep = dk.solve_hss(sysm, b, alpha=1.0, tol=1e-10, maxit=5000)
+        rep = dk.solve_hss(sysm, b, tol=1e-10, maxit=5000)
         assert rep.converged
         x_ref = np.linalg.solve(sysm.a, b)
         assert np.linalg.norm(rep.solution - x_ref) <= 1e-7 * np.linalg.norm(x_ref)
@@ -428,16 +414,35 @@ def test_hss_slower_than_rapoport_on_mechanical_benchmark():
                               "params": {"n": 30, "seed": 9, "damping": 1.0}})
     ms = dk.midpoint_system(sys, 1e-2)
     b = np.random.default_rng(3).standard_normal(sys.n)
-    rep_h = dk.solve_hss(ms.sys, b, alpha=1.0, tol=1e-10, maxit=5000)
+    rep_h = dk.solve_hss(ms.sys, b, tol=1e-10, maxit=5000)
     rep_r = dk.solve_rapoport(ms.sys, b, tol=1e-10, maxit=250)
     assert rep_h.converged and rep_r.converged
     assert rep_h.iterations > rep_r.iterations
 
 
-def test_hss_requires_positive_alpha():
-    sysm = dk.HsSplitSystem.from_matrix(np.eye(2))
-    with pytest.raises(ValueError):
-        dk.solve_hss(sysm, np.ones(2), alpha=0.0)
+def test_hss_requires_pd_hermitian_part():
+    sysm = dk.HsSplitSystem.from_matrix(np.diag([1.0, 0.0]))
+    with pytest.raises(DefinitenessError):
+        dk.solve_hss(sysm, np.ones(2))
+
+
+def test_hss_shift_is_geometric_mean_of_extreme_eigenvalues(monkeypatch):
+    # alpha = sqrt(lambda_min lambda_max) minimizes the HSS contraction bound
+    rng = np.random.default_rng(8)
+    d = np.geomspace(0.5, 200.0, 12)
+    g = rng.standard_normal((12, 12))
+    sysm = dk.HsSplitSystem.from_matrix(np.diag(d) + (g - g.T) / 2)
+    shifts = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def recorded(a, *args, **kwargs):
+        shifts.append(np.diagonal(a) - d)
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", recorded)
+    assert dk.solve_hss(sysm, rng.standard_normal(12), tol=1e-10, maxit=5000).converged
+    assert len(shifts) == 1
+    assert np.allclose(shifts[0], np.sqrt(d.min() * d.max()), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +592,7 @@ def test_all_solvers_complex_arithmetic():
 
 def test_unknown_solver_name():
     sysm = dk.HsSplitSystem.from_matrix(np.eye(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         dk.solve("sor", sysm, np.ones(2))
 
 

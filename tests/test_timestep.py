@@ -193,12 +193,28 @@ def test_singular_hermitian_part_directs_to_schur_path():
         dk.integrate(sys, np.zeros(sys.n), 1e-3, 3)
 
 
-def test_integrate_names_the_step_whose_solve_falls_short():
+def test_integrate_names_the_step_whose_solve_falls_short(monkeypatch):
     sys = dk.from_descriptor({"name": "mechanical",
                               "params": {"n": 5, "seed": 7, "damping": 0.5}})
     x0 = np.random.default_rng(1).standard_normal(10)
+    solve = dk.krylov.solve
+
+    def one_step(*args, **kwargs):
+        return solve(*args, **kwargs, maxit=1)
+
+    monkeypatch.setattr(dk.krylov, "solve", one_step)
     with pytest.raises(SolverError, match="step 1 "):
-        dk.integrate(sys, x0, 0.02, 3, solver="widlund", solver_kwargs={"maxit": 1})
+        dk.integrate(sys, x0, 0.02, 3, solver="widlund")
+
+
+def test_integrate_rejects_unknown_solver_before_assembly(monkeypatch):
+    sys = dk.from_descriptor({"name": "mechanical",
+                              "params": {"n": 5, "seed": 7, "damping": 0.5}})
+    calls = []
+    monkeypatch.setattr(dk.timestep, "midpoint_system", lambda *args: calls.append(args))
+    with pytest.raises(ParameterError, match="'foo'"):
+        dk.integrate(sys, np.zeros(10), 0.02, 3, solver="foo")
+    assert calls == []
 
 
 def test_integrate_reads_the_residual_its_krylov_solver_reports(monkeypatch):
