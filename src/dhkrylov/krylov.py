@@ -18,9 +18,10 @@ this engine:
   Both iterates come from one QR of T~ = [I + T_{k,k}; t_{k+1,k} e_k*],
   updated by one plane rotation per step as in MINRES, with O(n) vector
   updates and no rebuild of V_k y_k.
-* GMRES (modified Gram-Schmidt, no restarts), optionally applied to the
-  left-preconditioned system H^{-1} A x = b_hat, which searches the same
-  Krylov spaces as the two methods above.
+* GMRES (classical Gram-Schmidt done twice, no restarts, basis capped at
+  min(maxit, n) vectors), optionally applied to the left-preconditioned
+  system H^{-1} A x = b_hat, which searches the same Krylov spaces as the
+  two methods above.
 * The HSS iteration alternating shifted solves with alpha*I + H and
   alpha*I + S (exact inner solves via upfront factorizations), at the shift
   alpha = sqrt(lambda_min lambda_max) of H that minimizes its contraction
@@ -36,7 +37,9 @@ All solvers start from x_0 = 0 and stop when the relative 2-norm residual
 of the *original* system drops below ``tol``.  A Widlund or Rapoport step
 costs one H-solve and one multiplication with S for the recurrence, and one
 multiplication with A for that true residual, plus O(n) vector work; in a
-block run each of these takes all running columns at once.
+block run each of these takes all running columns at once.  An L-GMRES step
+makes one H-solve and two multiplications with A, plus five products of the
+k-vector basis with a vector.
 Residual histories are kept per iteration for comparison plots.
 """
 
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import numbers
 import time
 from dataclasses import dataclass, replace
@@ -252,12 +256,18 @@ def _rotation(a, b):
 
 
 def _givens(a, b):
-    """:func:`_rotation` extended to a == 0 or b == 0, for one pair of scalars."""
+    """:func:`_rotation` for a Python scalar a and a real b >= 0, extended to a == 0 or b == 0.
+
+    Returns Python scalars, so the GMRES loop never touches numpy scalars.
+    """
     if b == 0:
-        return 1.0, 0.0 * b, a
+        return 1.0, 0.0, a
     if a == 0:
-        return 0.0, 1.0 + 0.0 * b, b
-    return _rotation(a, b)
+        return 0.0, 1.0, b
+    absa = abs(a)
+    alpha = a / absa
+    norm = math.sqrt(absa * absa + b * b)
+    return absa / norm, alpha * b / norm, alpha * norm
 
 
 # Column-wise kernels of the H-Lanczos driver: a vector gets np.vdot and Python
@@ -477,18 +487,26 @@ def solve_rapoport(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
 
 
 # ---------------------------------------------------------------------------
-# GMRES (modified Gram-Schmidt, no restarts), plain or left-preconditioned
+# GMRES (classical Gram-Schmidt twice, no restarts), plain or left-preconditioned
 # ---------------------------------------------------------------------------
 
 def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
                 collect_basis=False, h_for_metrics=None) -> SolveReport:
-    """GMRES with MGS Arnoldi; optional left preconditioning by an HPD solve.
+    """GMRES by classical Gram-Schmidt done twice; optional left preconditioning by an HPD solve.
 
     Without ``precond`` the iterates minimize ||b - A z||_2 over K_k(A, b).
     With ``precond`` (a callable applying H^{-1}) they minimize the
     preconditioned residual ||b_hat - H^{-1} A z||_2 over K_k(H^{-1}A,
     b_hat), the same search spaces as the Widlund/Rapoport methods.
     Stopping still tests the original-system relative residual.
+
+    The Arnoldi basis is the rows of one (m + 1, n) array with
+    m = min(maxit, n), since a Krylov space in C^n has dimension at most n.
+    Each new vector is orthogonalized against all rows by two block passes
+    of classical Gram-Schmidt ("twice is enough": Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50 (2005) 1069-1075), and only the new
+    Hessenberg column is rotated, so a step costs four GEMVs, one triangular
+    solve and one GEMV for x_k = V_k y beyond its operator products.
     """
     start = time.perf_counter()
     a = np.asarray(a)
@@ -507,13 +525,15 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
         apply_op = lambda z: precond(a @ z)
         r0 = precond(b)
     beta = float(np.linalg.norm(r0))
-    v = [np.asarray(r0) / beta]
+    m = min(maxit, n)
+    v0 = np.asarray(r0) / beta
     # The first operator product fixes the arithmetic: real data stay real.
-    w = apply_op(v[0])
-    dtype = np.result_type(a.dtype, b.dtype, v[0].dtype, w.dtype)
-    hess = np.zeros((maxit + 1, maxit), dtype=dtype)
-    g = np.zeros(maxit + 1, dtype=dtype)
-    g[0] = beta
+    w = apply_op(v0)
+    dtype = np.result_type(a.dtype, b.dtype, v0.dtype, w.dtype)
+    basis = np.zeros((m + 1, n), dtype=dtype)
+    basis[0] = v0
+    r_mat = np.zeros((m, m), dtype=dtype)
+    g = [beta]
     rotations = []
 
     res_hist = [bnorm]
@@ -522,59 +542,52 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
     if x_exact is not None and h_for_metrics is not None:
         err_hist = [float(np.sqrt(max(np.vdot(x_exact, h_for_metrics @ x_exact).real, 0.0)))]
     x = np.zeros(n, dtype=dtype)
-    converged = False
-    breakdown_step = None
-    k_done = 0
-    for k in range(1, maxit + 1):
+    converged = happy = False
+    k = 0
+    for k in range(1, m + 1):
         if k > 1:
-            w = apply_op(v[k - 1])
-        for i in range(k):
-            hess[i, k - 1] = np.vdot(v[i], w)
-            w = w - hess[i, k - 1] * v[i]
+            w = apply_op(basis[k - 1])
+        v_k = basis[:k]
+        h = (v_k @ w.conj()).conj()
+        w = w - h @ v_k
+        h2 = (v_k @ w.conj()).conj()
+        w -= h2 @ v_k
         hnorm = float(np.linalg.norm(w))
-        hess[k, k - 1] = hnorm
         happy = hnorm <= 1e-14 * beta
         if not happy:
-            v.append(w / hnorm)
+            basis[k] = w / hnorm
         # rotate the new column and update the rotated right side
-        col = hess[:k + 1, k - 1].copy()
+        col = (h + h2).tolist()
         for i, (c, s) in enumerate(rotations):
             col[i], col[i + 1] = c * col[i] + s * col[i + 1], \
-                -np.conj(s) * col[i] + c * col[i + 1]
-        c, s, rr = _givens(col[k - 1], col[k])
+                -s.conjugate() * col[i] + c * col[i + 1]
+        c, s, col[k - 1] = _givens(col[k - 1], hnorm)
         rotations.append((c, s))
-        col[k - 1], col[k] = rr, 0.0
-        hess[:k + 1, k - 1] = col
-        g[k - 1], g[k] = c * g[k - 1] + s * g[k], -np.conj(s) * g[k - 1] + c * g[k]
+        r_mat[:k, k - 1] = col
+        g[k - 1:] = c * g[k - 1], -s.conjugate() * g[k - 1]
 
-        y = scipy.linalg.solve_triangular(hess[:k, :k], g[:k], lower=False)
-        x = np.column_stack(v[:k]) @ y
-        r = b - a @ x
-        rn = float(np.linalg.norm(r))
+        y = scipy.linalg.solve_triangular(r_mat[:k, :k], g[:k], check_finite=False)
+        x = y @ v_k
+        rn = float(np.linalg.norm(b - a @ x))
         res_hist.append(rn)
         pre_hist.append(abs(g[k]))
         if err_hist is not None:
             d = x_exact - x
             err_hist.append(float(np.sqrt(max(np.vdot(d, h_for_metrics @ d).real, 0.0))))
-        k_done = k
-        if rn <= tol * bnorm:
-            converged = True
-            break
-        if happy:
-            breakdown_step = k
-            converged = rn <= tol * bnorm
+        converged = rn <= tol * bnorm
+        if converged or happy:
             break
     return SolveReport(
         solution=x,
-        iterations=k_done,
+        iterations=k,
         converged=converged,
         residual_2norm=np.asarray(res_hist),
         residual_precond_norm=np.asarray(pre_hist),
         error_h_norm=np.asarray(err_hist) if err_hist is not None else None,
-        breakdown=breakdown_step,
+        breakdown=k if happy and not converged else None,
         wall_time=time.perf_counter() - start,
         method=method,
-        basis=np.column_stack(v[:k_done]) if collect_basis and k_done else None,
+        basis=basis[:k].T.copy() if collect_basis and k else None,
         rhs_norm=bnorm,
     )
 
@@ -670,9 +683,10 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
     other methods one column at a time.  The reduced system
     S1 p = g + B* w with S1 = B* X is solved by the same method on
     ``HsSplitSystem.from_matrix(S1)``.  Then v = w - X p for Widlund and
-    Rapoport; the other methods solve A v = f - B p once more.  A is
-    required to have positive definite Hermitian part and B full column
-    rank, which makes S1 positive definite as well.  Up to two
+    Rapoport, and for every method when n_p = 0; the other methods solve
+    A v = f - B p once more.  A is required to have positive definite
+    Hermitian part and B full column rank, which makes S1 positive definite
+    as well.  Up to two
     residual-based refinement passes are applied if needed.
     ``inner_iterations`` sums the steps of every inner column.
     """
@@ -727,7 +741,7 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
         if sweep > 0:
             w = inner_solve(rf)
         dp = outer_solve(rg + b_block.conj().T @ w)
-        v = v + (w - x_b @ dp if lockstep else inner_solve(rf - b_block @ dp))
+        v = v + (w - x_b @ dp if lockstep or not n_p else inner_solve(rf - b_block @ dp))
         p = p + dp
         rf = f - (a11 @ v + b_block @ p)
         rg = g + b_block.conj().T @ v

@@ -1,6 +1,7 @@
 """Shared builders and independent oracles used across the test modules."""
 
 import numpy as np
+import scipy.linalg
 
 import dhkrylov as dk
 
@@ -89,6 +90,78 @@ def krylov_basis(apply_a, b, k):
         cols.append(apply_a(q[:, -1]))
         q = np.linalg.qr(np.column_stack(cols))[0]
     return q
+
+
+def _givens_reference(a, b):
+    """Unitary 2x2 rotation (c, s) and r with G [a, b]^T = [r, 0]^T."""
+    if b == 0:
+        return 1.0, 0.0 * b, a
+    if a == 0:
+        return 0.0, 1.0 + 0.0 * b, b
+    absa = abs(a)
+    alpha = a / absa
+    norm = np.sqrt(absa * absa + abs(b) * abs(b))
+    return absa / norm, alpha * np.conj(b) / norm, alpha * norm
+
+
+def mgs_gmres_reference(a, b, tol, maxit, precond=None):
+    """GMRES with modified Gram-Schmidt Arnoldi, one basis vector at a time.
+
+    Test-only reference for :func:`dhkrylov.solve_gmres`: the loop it
+    replaced, kept step for step.  It sizes the Hessenberg matrix by
+    ``maxit``, rebuilds x_k = V_k y from the column list at every step and
+    stops on the true residual ``b - A x_k`` or a breakdown
+    ``||w|| <= 1e-14 ||r_0||``.  Returns ``(x, iterations, converged,
+    residual_2norm)``.
+    """
+    bnorm = float(np.linalg.norm(b))
+    if precond is None:
+        apply_op = lambda z: a @ z
+        r0 = b
+    else:
+        apply_op = lambda z: precond(a @ z)
+        r0 = precond(b)
+    beta = float(np.linalg.norm(r0))
+    v = [np.asarray(r0) / beta]
+    w = apply_op(v[0])
+    dtype = np.result_type(a.dtype, b.dtype, v[0].dtype, w.dtype)
+    hess = np.zeros((maxit + 1, maxit), dtype=dtype)
+    g = np.zeros(maxit + 1, dtype=dtype)
+    g[0] = beta
+    rotations = []
+    res_hist = [bnorm]
+    x = np.zeros(len(b), dtype=dtype)
+    converged = False
+    k_done = 0
+    for k in range(1, maxit + 1):
+        if k > 1:
+            w = apply_op(v[k - 1])
+        for i in range(k):
+            hess[i, k - 1] = np.vdot(v[i], w)
+            w = w - hess[i, k - 1] * v[i]
+        hnorm = float(np.linalg.norm(w))
+        hess[k, k - 1] = hnorm
+        happy = hnorm <= 1e-14 * beta
+        if not happy:
+            v.append(w / hnorm)
+        col = hess[:k + 1, k - 1].copy()
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], \
+                -np.conj(s) * col[i] + c * col[i + 1]
+        c, s, rr = _givens_reference(col[k - 1], col[k])
+        rotations.append((c, s))
+        col[k - 1], col[k] = rr, 0.0
+        hess[:k + 1, k - 1] = col
+        g[k - 1], g[k] = c * g[k - 1] + s * g[k], -np.conj(s) * g[k - 1] + c * g[k]
+        y = scipy.linalg.solve_triangular(hess[:k, :k], g[:k], lower=False)
+        x = np.column_stack(v[:k]) @ y
+        rn = float(np.linalg.norm(b - a @ x))
+        res_hist.append(rn)
+        k_done = k
+        converged = rn <= tol * bnorm
+        if converged or happy:
+            break
+    return x, k_done, converged, np.asarray(res_hist)
 
 
 def pencil_index_exact(e, a0):

@@ -8,7 +8,8 @@ import dhkrylov as dk
 from dhkrylov.errors import DefinitenessError, DimensionError, ParameterError, StructureError
 from dhkrylov.krylov import SOLVER_NAMES, lanczos_advance, lanczos_init
 
-from support import krylov_basis, random_hs_system, random_spd, uniform_spectrum_system
+from support import (krylov_basis, mgs_gmres_reference, random_hs_system, random_spd,
+                     uniform_spectrum_system)
 
 
 def _operators(sysm):
@@ -387,6 +388,80 @@ def test_widlund_rapoport_lgmres_share_search_spaces():
         assert np.max(angles) <= 1e-8
 
 
+def _gmres_parity_system(case):
+    """(A, b, H) of a real or complex random system, or of criterion 10's Stokes system."""
+    if case == "stokes":
+        sysm = dk.midpoint_system(
+            dk.assemble_stokes_like(12, viscosity=100.0, stabilization=0.005), 1e-3).sys
+        return sysm.a, np.random.default_rng(11).standard_normal(sysm.n), sysm
+    kind, n = case.split("-")
+    rng = np.random.default_rng([61, int(n)])
+    sysm = random_hs_system(rng, int(n), cond_h=200.0, lam=2.0, complex_=kind == "complex")
+    b = rng.standard_normal(int(n))
+    if kind == "complex":
+        b = b + 1j * rng.standard_normal(int(n))
+    return sysm.a, b, sysm
+
+
+@pytest.mark.parametrize("precond", [False, True])
+@pytest.mark.parametrize("case", ["real-20", "complex-33", "real-47", "complex-60", "stokes"])
+def test_gmres_matches_mgs_reference(case, precond):
+    a, b, sysm = _gmres_parity_system(case)
+    precond = sysm.solve_h if precond else None
+    tol, maxit = 1e-12, 250
+    x_ref, k_ref, conv_ref, res_ref = mgs_gmres_reference(a, b, tol, maxit, precond)
+    rep = dk.solve_gmres(a, b, tol=tol, maxit=maxit, precond=precond)
+    assert rep.iterations == k_ref and rep.converged == conv_ref
+    if case == "stokes" and precond is None:
+        # acceptance criterion 10: plain GMRES stalls for all 250 steps
+        assert rep.iterations == 250 and not rep.converged
+    assert np.linalg.norm(rep.solution - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    # a computed b - A x carries rounding of order eps ||A|| ||x||: the last
+    # entries sit there, where the Arnoldi summation order shows
+    floor = 1e3 * np.finfo(float).eps * np.linalg.norm(a, 2) * np.linalg.norm(x_ref)
+    np.testing.assert_allclose(rep.residual_2norm, res_ref, rtol=1e-6, atol=floor)
+
+
+def test_gmres_basis_capped_at_system_size():
+    # a Krylov space in C^5 has dimension at most 5, whatever maxit says
+    rng = np.random.default_rng(62)
+    a = random_hs_system(rng, 5, cond_h=10.0, lam=1.0).a
+    b = rng.standard_normal(5)
+    rep = dk.solve_gmres(a, b, tol=1e-12, maxit=200000)
+    assert rep.converged and rep.iterations <= 5
+    assert rep.final_relative_residual <= 1e-12
+    rep = dk.solve_gmres(a, b, tol=1e-30, maxit=200000)
+    assert rep.iterations <= 5 and not rep.converged
+
+
+def test_lgmres_makes_one_h_solve_per_step(monkeypatch):
+    calls = []
+    solve = dk.hs_core.HermitianFactor.solve
+
+    def counted(self, b):
+        calls.append(1)
+        return solve(self, b)
+
+    monkeypatch.setattr(dk.hs_core.HermitianFactor, "solve", counted)
+    rng = np.random.default_rng(21)
+    sysm = random_hs_system(rng, 40, cond_h=100.0, lam=1.5)
+    rep = dk.solve("lgmres", sysm, rng.standard_normal(40), tol=1e-10)
+    assert rep.converged and rep.iterations > 5
+    assert len(calls) == rep.iterations + 1
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_lgmres_basis_stays_orthonormal_over_long_runs(complex_):
+    rng = np.random.default_rng(63)
+    sysm = random_hs_system(rng, 200, cond_h=1e3, lam=8.0, complex_=complex_)
+    b = rng.standard_normal(200)
+    rep = dk.solve("lgmres", sysm, b, tol=1e-30, maxit=160, collect_basis=True)
+    assert rep.iterations == 160 and rep.breakdown is None
+    v = rep.basis
+    assert v.shape == (200, 160)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(160))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # HSS
 # ---------------------------------------------------------------------------
@@ -457,6 +532,19 @@ def test_schur_path_zero_column_b_reduces_to_single_solve():
     assert rep.converged
     assert rep.p.shape == (0,)
     assert np.linalg.norm(sysm.a @ rep.v - f) <= 1e-9 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("inner", ["gmres", "lgmres", "hss"])
+def test_schur_path_zero_column_b_solves_once(inner):
+    # with no B, f - B dp is f: the column solve of [B | f] already gave v
+    rng = np.random.default_rng(0)
+    sysm = random_hs_system(rng, 8, cond_h=10.0, lam=0.5)
+    f = rng.standard_normal(8)
+    rep = dk.solve_via_schur(sysm.a, np.zeros((8, 0)), f, np.zeros(0), inner_solver=inner)
+    single = dk.solve(inner, dk.HsSplitSystem.from_matrix(sysm.a), f, tol=1e-13)
+    assert rep.converged and rep.refinements == 0
+    assert rep.inner_iterations == single.iterations
+    assert np.array_equal(rep.v, single.solution)
 
 
 @pytest.mark.parametrize("inner", ["rapoport", "widlund", "gmres", "lgmres"])
