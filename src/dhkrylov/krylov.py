@@ -37,9 +37,12 @@ All solvers start from x_0 = 0 and stop when the relative 2-norm residual
 of the *original* system drops below ``tol``.  A Widlund or Rapoport step
 costs one H-solve and one multiplication with S for the recurrence, and one
 multiplication with A for that true residual, plus O(n) vector work; in a
-block run each of these takes all running columns at once.  An L-GMRES step
-makes one H-solve and two multiplications with A, plus five products of the
-k-vector basis with a vector.
+block run each of these takes all running columns at once.  The H-solve of
+one vector is two BLAS-2 triangular solves with the Cholesky factor of H,
+and that of a block one LAPACK ``potrs`` call over all its columns
+(:meth:`HermitianFactor.solve`).  An L-GMRES step makes one H-solve and two
+multiplications with A, plus five products of the k-vector basis with a
+vector and one k x k triangular solve.
 Residual histories are kept per iteration for comparison plots.
 """
 
@@ -58,7 +61,7 @@ import scipy.linalg
 from .bounds import rapoport_bound, widlund_bound
 from .errors import (DefinitenessError, DimensionError, ParameterError, SolverError,
                      StructureError)
-from .hs_core import Definiteness, HsSplitSystem
+from .hs_core import Definiteness, HermitianFactor, HsSplitSystem
 
 #: Lucky-breakdown threshold for the Lanczos subdiagonal, relative to ||b_hat||_H.
 BREAKDOWN_REL = 1e-14
@@ -532,7 +535,9 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
     dtype = np.result_type(a.dtype, b.dtype, v0.dtype, w.dtype)
     basis = np.zeros((m + 1, n), dtype=dtype)
     basis[0] = v0
-    r_mat = np.zeros((m, m), dtype=dtype)
+    # Fortran order: the k x k block that trsv copies each step is k contiguous runs
+    r_mat = np.zeros((m, m), dtype=dtype, order="F")
+    trsv, = scipy.linalg.get_blas_funcs(("trsv",), (r_mat,))
     g = [beta]
     rotations = []
 
@@ -566,7 +571,7 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
         r_mat[:k, k - 1] = col
         g[k - 1:] = c * g[k - 1], -s.conjugate() * g[k - 1]
 
-        y = scipy.linalg.solve_triangular(r_mat[:k, :k], g[:k], check_finite=False)
+        y = trsv(r_mat[:k, :k], g[:k])
         x = y @ v_k
         rn = float(np.linalg.norm(b - a @ x))
         res_hist.append(rn)
@@ -620,7 +625,7 @@ def solve_hss(sys: HsSplitSystem, b, tol=1e-12, maxit=250) -> SolveReport:
     alpha = float(np.sqrt(eigs[0] * eigs[-1]))
     n = sys.n
     eye = np.eye(n, dtype=sys.a.dtype)
-    ch = scipy.linalg.cho_factor(alpha * eye + sys.h, lower=True)
+    ch = HermitianFactor(scipy.linalg.cho_factor(alpha * eye + sys.h, lower=True), n)
     lus = scipy.linalg.lu_factor(alpha * eye + sys.s)
 
     x = np.zeros(n, dtype=np.result_type(sys.a.dtype, b.dtype))
@@ -628,7 +633,7 @@ def solve_hss(sys: HsSplitSystem, b, tol=1e-12, maxit=250) -> SolveReport:
     converged = False
     k_done = 0
     for k in range(1, maxit + 1):
-        x_half = scipy.linalg.cho_solve(ch, alpha * x - sys.s @ x + b)
+        x_half = ch.solve(alpha * x - sys.s @ x + b)
         x = scipy.linalg.lu_solve(lus, alpha * x_half - sys.h @ x_half + b)
         rn = float(np.linalg.norm(b - sys.a @ x))
         res_hist.append(rn)

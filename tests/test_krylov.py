@@ -470,16 +470,16 @@ def test_hss_contracts_on_hermitian_system():
     rng = np.random.default_rng(1)
     sysm = dk.HsSplitSystem.from_matrix(random_spd(rng, 10))
     rep = dk.solve_hss(sysm, rng.standard_normal(10), tol=1e-10, maxit=5000)
-    assert rep.converged
+    assert rep.converged and rep.iterations == 35
 
 
 def test_hss_converges_at_computed_shift():
-    for seed in range(5):
+    for seed, sweeps in zip(range(5), (81, 81, 77, 86, 72)):
         rng = np.random.default_rng(seed)
         sysm = random_hs_system(rng, 30, cond_h=100.0, lam=1.0)
         b = rng.standard_normal(30)
         rep = dk.solve_hss(sysm, b, tol=1e-10, maxit=5000)
-        assert rep.converged
+        assert rep.converged and rep.iterations == sweeps
         x_ref = np.linalg.solve(sysm.a, b)
         assert np.linalg.norm(rep.solution - x_ref) <= 1e-7 * np.linalg.norm(x_ref)
 
@@ -492,7 +492,27 @@ def test_hss_slower_than_rapoport_on_mechanical_benchmark():
     rep_h = dk.solve_hss(ms.sys, b, tol=1e-10, maxit=5000)
     rep_r = dk.solve_rapoport(ms.sys, b, tol=1e-10, maxit=250)
     assert rep_h.converged and rep_r.converged
-    assert rep_h.iterations > rep_r.iterations
+    assert rep_h.iterations == 33 > rep_r.iterations
+
+
+def test_hss_sweep_solves_through_hermitian_factor(monkeypatch):
+    # alpha I + H is a HermitianFactor: one vector H-solve per sweep, no potrs
+    def refused(*args, **kwargs):
+        raise AssertionError("cho_solve called")
+
+    calls = []
+    solve = dk.hs_core.HermitianFactor.solve
+
+    def counted(self, b):
+        calls.append(1)
+        return solve(self, b)
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", refused)
+    monkeypatch.setattr(dk.hs_core.HermitianFactor, "solve", counted)
+    rng = np.random.default_rng(2)
+    sysm = random_hs_system(rng, 30, cond_h=100.0, lam=1.0)
+    rep = dk.solve_hss(sysm, rng.standard_normal(30), tol=1e-10, maxit=5000)
+    assert rep.converged and len(calls) == rep.iterations == 77
 
 
 def test_hss_requires_pd_hermitian_part():
