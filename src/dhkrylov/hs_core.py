@@ -227,9 +227,7 @@ class HermitianFactor:
     L* on the Fortran-ordered payload, which read only its lower triangle;
     at n = 143-800 with one BLAS thread they take 2.5-3.7x less time than
     LAPACK ``potrs``.  A block of columns goes through ``potrs``, whose
-    BLAS-3 kernel is faster for several right sides at once.  Complex data
-    on a real factor are solved as their real and imaginary parts, so the
-    factor is never cast to complex.
+    BLAS-3 kernel is faster for several right sides at once.
     """
 
     c_lower: tuple
@@ -238,9 +236,12 @@ class HermitianFactor:
     def solve(self, b):
         """``h^{-1} b`` for a vector or block ``b``; a non-finite ``b`` raises ``ValueError``."""
         b = np.asarray_chkfinite(b)
-        if np.iscomplexobj(b) and not np.iscomplexobj(self.c_lower[0]):
-            return _cho_solve(self.c_lower, b.real) + 1j * _cho_solve(self.c_lower, b.imag)
-        return _cho_solve(self.c_lower, b)
+        low = self.c_lower[0]
+        if b.ndim == 2 or not b.size:
+            # trsv rejects an empty vector
+            return scipy.linalg.cho_solve(self.c_lower, b, check_finite=False)
+        trsv, = scipy.linalg.get_blas_funcs(("trsv",), (low, b))
+        return trsv(low, trsv(low, b, lower=1), lower=1, trans=2, overwrite_x=1)
 
     @property
     def lower(self):
@@ -248,16 +249,6 @@ class HermitianFactor:
         low = self.c_lower[0].view()
         low.setflags(write=False)
         return low
-
-
-def _cho_solve(c_lower, b):
-    """``h^{-1} b`` from the lower Cholesky payload of ``h``, for a finite ``b``."""
-    low = c_lower[0]
-    if b.ndim == 2 or not b.size:
-        # trsv rejects an empty vector
-        return scipy.linalg.cho_solve(c_lower, b, check_finite=False)
-    trsv, = scipy.linalg.get_blas_funcs(("trsv",), (low, b))
-    return trsv(low, trsv(low, b, lower=1), lower=1, trans=2, overwrite_x=1)
 
 
 def _freeze(a):

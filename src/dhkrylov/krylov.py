@@ -571,6 +571,10 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
         r_mat[:k, k - 1] = col
         g[k - 1:] = c * g[k - 1], -s.conjugate() * g[k - 1]
 
+        if col[k - 1] == 0:
+            # trsv would divide by the zero diagonal of R without a word
+            raise np.linalg.LinAlgError(
+                f"singular matrix: resolution failed at diagonal {k - 1}")
         y = trsv(r_mat[:k, :k], g[:k])
         x = y @ v_k
         rn = float(np.linalg.norm(b - a @ x))

@@ -362,6 +362,14 @@ def test_gmres_happy_breakdown_returns_exact_solution():
     assert rep.final_relative_residual <= 1e-13
 
 
+@pytest.mark.parametrize("a", [np.zeros((1, 1)), np.zeros((2, 2), complex),
+                               np.array([[0.0, 1.0], [0.0, 0.0]])])
+def test_gmres_singular_triangle_raises(a):
+    # R y = g with r_kk = 0 has no solution; it must not return inf or nan
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        dk.solve_gmres(a, np.eye(a.shape[0])[0])
+
+
 def test_lgmres_preconditioned_residual_monotone():
     rng = np.random.default_rng(5)
     sysm = random_hs_system(rng, 40, cond_h=1e3, lam=1.5)
