@@ -7,7 +7,6 @@ from .hs_core import (
     HermitianFactor,
     HsSplitSystem,
     definiteness_class,
-    h_inner,
     read_matrix,
     split_hs,
     write_matrix,
@@ -37,21 +36,14 @@ from .timestep import (
 )
 from .staircase import (
     BlockDiagonalReduction,
-    SaddleStaircase,
     StaircaseForm,
     hs_staircase,
-    negate_offdiagonal_blocks,
-    saddle_staircase,
     schur_block_diagonalize,
-    schur_complement,
     staircase_report,
 )
 from .krylov import (
-    LanczosState,
     SchurSolveReport,
     SolveReport,
-    lanczos_advance,
-    lanczos_init,
     residual_history_csv,
     solve,
     solve_gmres,

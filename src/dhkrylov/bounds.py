@@ -122,12 +122,6 @@ class BendixsonRectangle:
     max_violation: float
     eigenvalues: np.ndarray
 
-    def contains(self, z, slack=0.0):
-        return (
-            self.re_min - slack <= z.real <= self.re_max + slack
-            and self.im_min - slack <= z.imag <= self.im_max + slack
-        )
-
 
 def bendixson_rectangle(sys: HsSplitSystem, slack_rel=1e-10) -> BendixsonRectangle:
     """Rectangle containment of spec(A) by the spectra of H and S.

@@ -25,7 +25,6 @@ import csv
 import datetime
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +33,7 @@ import scipy.linalg
 
 from . import bounds as bounds_mod
 from . import dhdae, krylov, staircase, timestep
-from .errors import DhKrylovError
+from .errors import DhKrylovError, ModelError
 from .hs_core import Definiteness, HsSplitSystem, read_matrix, split_hs, write_matrix
 
 
@@ -98,6 +97,8 @@ class ComparisonTable:
                 f"{r['iterations']:>6d}  {res:>14}  {str(r['converged']):>5}  "
                 f"{lam:>12}  {r['wall_time_s']:>8.3f}"
             )
+            if "error" in r:
+                lines.append(f"  error: {r['error']}")
         return "\n".join(lines)
 
 
@@ -238,7 +239,7 @@ def audit_staircase(a, tol=staircase.RANK_TOL) -> dict:
     sf = staircase.hs_staircase(h, s, tol=tol)
     report = staircase.staircase_report(sf)
     try:
-        red = staircase.schur_block_diagonalize(sf, tol=tol)
+        red = staircase.schur_block_diagonalize(sf)
         resid = float(np.linalg.norm(red.reconstruct() - (sf.h_t + sf.s_t), 2))
         scale = float(np.linalg.norm(a, 2)) if a.size else 0.0
         report["schur"] = {
@@ -268,16 +269,19 @@ def _make_out(args, prefix):
 
 
 def _load_model_arg(args):
-    if args.model.endswith(".json"):
-        with open(args.model) as fh:
-            desc = json.load(fh)
-    else:
-        desc = {"name": args.model, "params": {}}
-    if args.param:
-        params = desc.setdefault("params", {})
-        for kv in args.param:
-            key, _, val = kv.partition("=")
-            params[key] = json.loads(val)
+    """``--model`` with the ``--param`` overrides; ``from_descriptor`` checks its shape."""
+    try:
+        if args.model.endswith(".json"):
+            with open(args.model) as fh:
+                desc = json.load(fh)
+        else:
+            desc = {"name": args.model, "params": {}}
+        overrides = {key: json.loads(val)
+                     for key, _, val in (kv.partition("=") for kv in args.param or ())}
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"invalid JSON in --model or --param: {exc}")
+    if overrides and isinstance(desc, dict) and isinstance(desc.get("params", {}), dict):
+        desc["params"] = {**desc.get("params", {}), **overrides}
     return desc
 
 
@@ -380,7 +384,7 @@ def cmd_bench(args):
     table = run_scenario(scenario, out)
     print(table.to_text())
     print(f"\nartifacts in {out}")
-    return 0
+    return 0 if all(r["converged"] for r in table.rows) else 1
 
 
 def cmd_staircase(args):
@@ -473,7 +477,8 @@ def build_parser():
     p.add_argument("--matrix")
     _add_model_args(p, required=False)
     p.add_argument("--tau", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=staircase.RANK_TOL)
+    p.add_argument("--tol", type=float, default=staircase.RANK_TOL,
+                   help="relative rank threshold of the staircase form (hs_staircase)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_staircase)
 

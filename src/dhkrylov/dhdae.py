@@ -36,7 +36,7 @@ from .hs_core import (
     require_skew,
 )
 
-#: Default rank-decision tolerance for index classification (relative to
+#: Rank-decision tolerance of the index classifier and of ker(E) (relative to
 #: the largest singular value entering each decision).
 RANK_TOL = 1e-10
 
@@ -111,15 +111,6 @@ class DhDaeSystem:
         x = np.asarray(x)
         return 0.5 * float(np.vdot(x, self.e @ x).real)
 
-    def block_slices(self):
-        if self.blocks is None:
-            return None
-        out, off = {}, 0
-        for name, size in self.blocks:
-            out[name] = slice(off, off + size)
-            off += size
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Model generators
@@ -193,19 +184,6 @@ def assemble_rlc(L, C1, C2, RG, RL, RR, eg=0.0):
         f = lambda t: np.array([0.0, 0.0, 0.0, float(eg), 0.0])
     blocks = (("dynamic", 3), ("algebraic", 2))
     return DhDaeSystem.from_parts(e, j, r, f=f, blocks=blocks)
-
-
-def rlc_dc_operating_point(L, C1, C2, RG, RL, RR, eg):
-    """Closed-form DC steady state of the RLC model (loop-current analysis).
-
-    At DC the capacitors block the loop current except through the single
-    resistive path R_G -> R_L -> R_R, so I = E_G / (R_G + R_L + R_R);
-    the remaining quantities follow from the branch relations.
-    """
-    i = eg / (RG + RL + RR)
-    v1 = RG * i - eg
-    v2 = -RR * i
-    return np.array([i, v1, v2, i, -i])
 
 
 def _grid_shift(nx, ny):
@@ -334,29 +312,29 @@ class IndexReport:
     diagnostics: dict = field(default_factory=dict, repr=False)
 
 
-def nullspace_of_e(sys_or_e, tol=RANK_TOL):
+def nullspace_of_e(sys_or_e):
     """Orthonormal basis of ker(E) for a PSD flow matrix (n x nullity).
 
-    A Cholesky certificate at ``tol`` (:func:`certify_definiteness`) shows a
-    positive definite E to have an empty kernel; eigenvectors are computed
-    only for a singular E.
+    A Cholesky certificate at ``RANK_TOL`` (:func:`certify_definiteness`)
+    shows a positive definite E to have an empty kernel; eigenvectors are
+    computed only for a singular E.
     """
     e = sys_or_e.e if isinstance(sys_or_e, DhDaeSystem) else np.asarray(sys_or_e)
-    if certify_definiteness(e, tol)[0] is Definiteness.POSITIVE_DEFINITE:
+    if certify_definiteness(e, RANK_TOL)[0] is Definiteness.POSITIVE_DEFINITE:
         return np.zeros((e.shape[0], 0), dtype=np.result_type(e.dtype, float))
-    return _range_of_e(e, tol)[1]
+    return _range_of_e(e)[1]
 
 
-def _range_of_e(e, tol):
+def _range_of_e(e):
     eigs, vecs = np.linalg.eigh(e)
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     if scale == 0.0:
         return vecs[:, :0], vecs
-    mask = eigs > tol * scale
+    mask = eigs > RANK_TOL * scale
     return vecs[:, mask], vecs[:, ~mask]
 
 
-def _regularity_shifts(e, jr, tol):
+def _regularity_shifts(e, jr):
     """det(lambda0 E - (J-R)) != 0 at three deterministic pseudo-random shifts."""
     rng = np.random.default_rng(0x5EED)
     norm_e = np.linalg.norm(e, 2) if e.size else 0.0
@@ -369,11 +347,11 @@ def _regularity_shifts(e, jr, tol):
         svals = np.linalg.svd(pencil, compute_uv=False)
         smax = float(svals[0]) if svals.size else 0.0
         smin = float(svals[-1]) if svals.size else 0.0
-        results.append(smax > 0 and smin > tol * smax)
+        results.append(smax > 0 and smin > RANK_TOL * smax)
     return results
 
 
-def index_classify(sys: DhDaeSystem, tol=RANK_TOL) -> IndexReport:
+def index_classify(sys: DhDaeSystem) -> IndexReport:
     """Classify the differentiation index (0, 1 or 2) of a dHDAE pencil.
 
     Procedure: if E is positive definite the index is zero.  Otherwise split
@@ -382,15 +360,15 @@ def index_classify(sys: DhDaeSystem, tol=RANK_TOL) -> IndexReport:
     range(E): full row rank gives index two (with n1 = n4 = the kernel
     dimension), a rank deficiency leaves genuinely free variables (n5 > 0)
     and the pencil is singular.  Rank decisions use singular values with
-    relative threshold ``tol``; regularity is cross-checked at three
+    relative threshold ``RANK_TOL``; regularity is cross-checked at three
     deterministic pseudo-random real shifts.
     """
     n = sys.n
     jr = sys.operator()
     diag = {}
-    v_range, v_null = _range_of_e(sys.e, tol)
+    v_range, v_null = _range_of_e(sys.e)
     rank_e = v_range.shape[1]
-    shift_checks = _regularity_shifts(sys.e, jr, tol)
+    shift_checks = _regularity_shifts(sys.e, jr)
     diag["rank_e"] = rank_e
     diag["shift_regularity_checks"] = shift_checks
     cross_regular = any(shift_checks)
@@ -414,8 +392,8 @@ def index_classify(sys: DhDaeSystem, tol=RANK_TOL) -> IndexReport:
     diag["j22_r22_singular_values"] = s22
     diag["j22_r22_sigma_min"] = smin22
 
-    nonneg22 = smax22 > tol * global_scale
-    if nonneg22 and smin22 > tol * smax22:
+    nonneg22 = smax22 > RANK_TOL * global_scale
+    if nonneg22 and smin22 > RANK_TOL * smax22:
         # Case 2: J22 - R22 nonsingular
         regular = cross_regular
         return IndexReport(
@@ -431,7 +409,7 @@ def index_classify(sys: DhDaeSystem, tol=RANK_TOL) -> IndexReport:
         kernel_dim = n_null
         w = np.eye(n_null, dtype=a22.dtype if a22.size else float)
     else:
-        kernel_mask = s22 <= tol * smax22
+        kernel_mask = s22 <= RANK_TOL * smax22
         kernel_dim = int(np.sum(kernel_mask))
         w = vh22.conj().T[:, kernel_mask]
     n3 = n_null - kernel_dim
@@ -439,10 +417,10 @@ def index_classify(sys: DhDaeSystem, tol=RANK_TOL) -> IndexReport:
     sc = np.linalg.svd(coupling, compute_uv=False) if coupling.size else np.zeros(0)
     smax_c = float(sc[0]) if sc.size else 0.0
     diag["coupling_singular_values"] = sc
-    if smax_c <= tol * global_scale:
+    if smax_c <= RANK_TOL * global_scale:
         rank_c = 0
     else:
-        rank_c = int(np.sum(sc > tol * smax_c))
+        rank_c = int(np.sum(sc > RANK_TOL * smax_c))
     full_row_rank = rank_c == kernel_dim and kernel_dim <= rank_e
     n1 = n4 = rank_c
     n5 = kernel_dim - rank_c
@@ -580,9 +558,19 @@ MODEL_REGISTRY = {
 
 
 def from_descriptor(descriptor: dict) -> DhDaeSystem:
-    """Build a model from a JSON descriptor {"name": ..., "params": {...}}."""
+    """Build a model from a JSON descriptor {"name": ..., "params": {...}}.
+
+    A malformed descriptor or parameter value raises ``ModelError``.
+    """
+    if not isinstance(descriptor, dict):
+        raise ModelError(f"model descriptor is a {type(descriptor).__name__}, not a JSON object")
     name = descriptor.get("name")
-    if name not in MODEL_REGISTRY:
+    if not isinstance(name, str) or name not in MODEL_REGISTRY:
         raise ModelError(f"unknown model {name!r}; known: {sorted(MODEL_REGISTRY)}")
     params = descriptor.get("params", {})
-    return MODEL_REGISTRY[name]["build"](params)
+    if not isinstance(params, dict):
+        raise ModelError(f"model params is a {type(params).__name__}, not a JSON object")
+    try:
+        return MODEL_REGISTRY[name]["build"](params)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"bad parameter for model {name!r}: {exc}")

@@ -29,14 +29,6 @@ class ConsistencyError(DhKrylovError):
     """Initial value inconsistent with the algebraic constraints of a DAE."""
 
 
-class RankError(DhKrylovError):
-    """A matrix does not have the rank required by the operation."""
-
-    def __init__(self, message, numerical_rank=None):
-        super().__init__(message)
-        self.numerical_rank = numerical_rank
-
-
 class SingularHermitianPartError(DhKrylovError):
     """The Hermitian part is singular; route the solve through the Schur path."""
 

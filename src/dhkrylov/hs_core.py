@@ -2,9 +2,9 @@
 
 Every square matrix splits uniquely as ``a = h + s`` with ``h = (a + a*)/2``
 Hermitian and ``s = (a - a*)/2`` skew-Hermitian.  This module provides that
-split, definiteness classification of Hermitian matrices, the H-inner
-product, and Cholesky-backed solves with Hermitian positive definite
-matrices.  All other modules build on these kernels.
+split, definiteness classification of Hermitian matrices, Cholesky-backed
+solves with Hermitian positive definite matrices, and Matrix Market I/O.
+All other modules build on these kernels.
 
 Definiteness is certified, not read off a spectrum, wherever it can be:
 :func:`certify_definiteness` factors ``h = L L*`` and accepts ``h`` as
@@ -193,27 +193,6 @@ def is_semidefinite(a, tol=DEFAULT_TOL):
     return _classify(np.linalg.eigvalsh(a), tol) is not Definiteness.INDEFINITE
 
 
-def h_inner(x, y, h):
-    """H-inner product ``<x, y>_h = y* h x``.
-
-    ``h`` must be Hermitian positive definite; the self inner product of a
-    nonzero vector is real and positive.  When called with ``x`` and ``y``
-    numerically equal the positivity is checked and a ``DefinitenessError``
-    is raised on violation, which witnesses an indefinite ``h``.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    h = np.asarray(h)
-    if h.shape[1] != x.shape[0] or h.shape[0] != y.shape[0]:
-        raise DimensionError("h_inner: incompatible shapes")
-    value = np.vdot(y, h @ x)
-    if x.shape == y.shape and np.array_equal(x, y):
-        if x.size and float(np.linalg.norm(x)) > 0.0 and value.real <= 0.0:
-            raise DefinitenessError("h_inner(x, x, h) <= 0: h is not positive definite")
-        return value.real if np.isrealobj(h) and np.isrealobj(x) else value
-    return value
-
-
 @dataclass(frozen=True)
 class HermitianFactor:
     """Cholesky factorization of a Hermitian positive definite matrix.
@@ -307,15 +286,6 @@ class HsSplitSystem:
             vars(system)["h_eigenvalues"] = _freeze(eigs)
         return system
 
-    @classmethod
-    def from_parts(cls, h, s, tol=DEFAULT_TOL):
-        """Assemble from a known Hermitian part and skew part."""
-        h = require_hermitian(h, tol, name="h")
-        s = require_skew(s, tol, name="s")
-        if h.shape != s.shape:
-            raise DimensionError("h and s must have equal shapes")
-        return cls.from_matrix(h + s, tol)
-
     def solve_h(self, b):
         if self.h_factor is None:
             raise DefinitenessError("Hermitian part is not positive definite")
@@ -326,20 +296,12 @@ class HsSplitSystem:
 # Matrix Market I/O
 # ---------------------------------------------------------------------------
 
-def write_matrix(path, a, fmt="array", comment=""):
-    """Write a dense matrix in Matrix Market format.
+def write_matrix(path, a):
+    """Write a dense matrix in Matrix Market array format.
 
-    ``fmt='array'`` round-trips float64/complex128 entries bit-exactly
-    (17 significant digits).  ``fmt='coordinate'`` writes the sparse
-    coordinate format.
+    17 significant digits round-trip float64/complex128 entries bit-exactly.
     """
-    a = np.asarray(a)
-    if fmt == "array":
-        mmwrite(str(path), a, comment=comment, precision=17)
-    elif fmt == "coordinate":
-        mmwrite(str(path), scipy.sparse.coo_matrix(a), comment=comment, precision=17)
-    else:
-        raise ValueError(f"unknown Matrix Market format {fmt!r}")
+    mmwrite(str(path), np.asarray(a), precision=17)
 
 
 def read_matrix(path):

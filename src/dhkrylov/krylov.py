@@ -33,6 +33,10 @@ this engine:
   Widlund and Rapoport the inner solves are one lockstep block run of the
   recurrence over all columns of [B | f].
 
+``lanczos_init`` and ``lanczos_advance`` (on ``LanczosState``) spell out the
+recurrence step by step with an explicit H-inner product.  No solver runs on
+them; they are the reference that the solver bases are tested against.
+
 All solvers start from x_0 = 0 and stop when the relative 2-norm residual
 of the *original* system drops below ``tol``.  A Widlund or Rapoport step
 costs one H-solve and one multiplication with S for the recurrence, and one
@@ -493,15 +497,14 @@ def solve_rapoport(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
 # GMRES (classical Gram-Schmidt twice, no restarts), plain or left-preconditioned
 # ---------------------------------------------------------------------------
 
-def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
-                collect_basis=False, h_for_metrics=None) -> SolveReport:
+def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False) -> SolveReport:
     """GMRES by classical Gram-Schmidt done twice; optional left preconditioning by an HPD solve.
 
     Without ``precond`` the iterates minimize ||b - A z||_2 over K_k(A, b).
     With ``precond`` (a callable applying H^{-1}) they minimize the
     preconditioned residual ||b_hat - H^{-1} A z||_2 over K_k(H^{-1}A,
     b_hat), the same search spaces as the Widlund/Rapoport methods.
-    Stopping still tests the original-system relative residual.
+    Stopping still tests the original-system residual; no error history is kept.
 
     The Arnoldi basis is the rows of one (m + 1, n) array with
     m = min(maxit, n), since a Krylov space in C^n has dimension at most n.
@@ -516,7 +519,6 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
     n = a.shape[0]
     check_tol_maxit(tol, maxit)
     b = _as_rhs(b, n)
-    x_exact = _as_x_exact(x_exact, n)
     bnorm = float(np.linalg.norm(b))
     method = "lgmres" if precond is not None else "gmres"
     if bnorm == 0.0:
@@ -543,9 +545,6 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
 
     res_hist = [bnorm]
     pre_hist = [beta]
-    err_hist = None
-    if x_exact is not None and h_for_metrics is not None:
-        err_hist = [float(np.sqrt(max(np.vdot(x_exact, h_for_metrics @ x_exact).real, 0.0)))]
     x = np.zeros(n, dtype=dtype)
     converged = happy = False
     k = 0
@@ -580,9 +579,6 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
         rn = float(np.linalg.norm(b - a @ x))
         res_hist.append(rn)
         pre_hist.append(abs(g[k]))
-        if err_hist is not None:
-            d = x_exact - x
-            err_hist.append(float(np.sqrt(max(np.vdot(d, h_for_metrics @ d).real, 0.0))))
         converged = rn <= tol * bnorm
         if converged or happy:
             break
@@ -592,7 +588,6 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, x_exact=None,
         converged=converged,
         residual_2norm=np.asarray(res_hist),
         residual_precond_norm=np.asarray(pre_hist),
-        error_h_norm=np.asarray(err_hist) if err_hist is not None else None,
         breakdown=k if happy and not converged else None,
         wall_time=time.perf_counter() - start,
         method=method,
@@ -783,8 +778,7 @@ def solve(method: str, sys: HsSplitSystem, b, tol=1e-12, maxit=250, **kwargs) ->
     if method == "lgmres":
         if sys.h_factor is None:
             raise DefinitenessError("lgmres requires a positive definite Hermitian part")
-        return solve_gmres(sys.a, b, tol=tol, maxit=maxit, precond=sys.solve_h,
-                           h_for_metrics=sys.h, **kwargs)
+        return solve_gmres(sys.a, b, tol=tol, maxit=maxit, precond=sys.solve_h, **kwargs)
     if method == "hss":
         return solve_hss(sys, b, tol=tol, maxit=maxit, **kwargs)
     raise ParameterError(f"unknown solver {method!r}; known: {SOLVER_NAMES}")

@@ -11,11 +11,13 @@ Block Gaussian elimination on that form produces a block diagonal matrix
 whose blocks, except for the final decoupled one, all have positive
 definite Hermitian part: each Schur complement inherits definiteness
 through the Cauchy interlacing argument.  The elimination factors are unit
-block triangular with a single off-diagonal block, so their inverses are
-obtained by negating that block.
+block triangular with a single off-diagonal block, so the inverse of a
+factor F is 2I - F.
 
 Rank decisions (the one genuinely fragile knob) use singular values with a
-relative threshold and are recorded in full in every form for audit.
+relative threshold and are recorded in full in every form for the
+``dhkrylov staircase`` audit; saddle systems are solved by
+:func:`dhkrylov.krylov.solve_via_schur`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DefinitenessError, DimensionError, RankError, SchurReductionError
+from .errors import DefinitenessError, DimensionError, SchurReductionError
 from .hs_core import _freeze, max_norm, require_hermitian, require_skew
 
 #: Default relative threshold below which singular values count as zero.
@@ -179,43 +181,8 @@ def hs_staircase(h, s, tol=RANK_TOL) -> StaircaseForm:
 
 
 # ---------------------------------------------------------------------------
-# Schur complement machinery
+# Schur-complement block diagonalization
 # ---------------------------------------------------------------------------
-
-def schur_complement(a11, a12, a21, a22, solve_a11=None):
-    """Schur complement a22 - a21 a11^{-1} a12.
-
-    ``solve_a11``, when given, is a callable applying a11^{-1} (for example
-    a prebuilt factorization); otherwise a dense solve is used.  A matrix
-    with positive semidefinite Hermitian part always yields a Schur
-    complement with positive semidefinite Hermitian part.
-    """
-    a11 = np.asarray(a11)
-    a12 = np.asarray(a12)
-    a21 = np.asarray(a21)
-    a22 = np.asarray(a22)
-    if a11.shape[0] != a11.shape[1]:
-        raise DimensionError("a11 must be square")
-    if a11.shape[0] == 0:
-        return a22.copy()
-    if solve_a11 is None:
-        try:
-            x = np.linalg.solve(a11, a12)
-        except np.linalg.LinAlgError as exc:
-            raise RankError(f"a11 is singular: {exc}")
-    else:
-        x = solve_a11(a12)
-    resid = np.linalg.norm(a11 @ x - a12)
-    scale = np.linalg.norm(a11, 2) * np.linalg.norm(x) + np.linalg.norm(a12)
-    if scale > 0 and resid > 1e-8 * scale:
-        raise RankError(f"a11 is numerically singular (solve residual {resid:.3e})")
-    return a22 - a21 @ x
-
-
-def negate_offdiagonal_blocks(factor):
-    """Inverse of a unit block-triangular factor with one off-diagonal block."""
-    return 2.0 * np.eye(factor.shape[0], dtype=factor.dtype) - factor
-
 
 @dataclass(frozen=True)
 class BlockDiagonalReduction:
@@ -252,12 +219,13 @@ class BlockDiagonalReduction:
         return out
 
 
-def schur_block_diagonalize(sf: StaircaseForm, tol=RANK_TOL) -> BlockDiagonalReduction:
+def schur_block_diagonalize(sf: StaircaseForm) -> BlockDiagonalReduction:
     """Eliminate the staircase couplings by successive Schur complements.
 
-    Every Schur complement must have positive definite Hermitian part;
-    a numerically nonpositive one contradicts the theory and raises
-    ``SchurReductionError`` with the offending block index.
+    Every Schur complement must have positive definite Hermitian part; one
+    whose smallest Hermitian eigenvalue is at or below -1e-12 times its
+    2-norm contradicts the theory and raises ``SchurReductionError`` with
+    the offending block index.
     """
     off = sf.offsets()
     positive = [b for b in sf.block_sizes[:-1] if b > 0]
@@ -323,86 +291,6 @@ def schur_block_diagonalize(sf: StaircaseForm, tol=RANK_TOL) -> BlockDiagonalRed
         block_sizes=sf.block_sizes,
         has_decoupled_block=n_r > 0,
         herm_min_eigenvalues=tuple(herm_mins),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Saddle staircase (Stokes-type systems)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SaddleStaircase:
-    """Staircase of a saddle system via the SVD of the divergence block.
-
-    With B* = U_B [Sigma 0] V_B*, the congruence U = blkdiag(V_B, U_B)
-    brings E = blkdiag(M, 0) and the operator [[A, B], [-B*, 0]] to the
-    3-block form with partition (n_p, n_v - n_p, n_p): the transformed E is
-    nonzero only in the leading 2x2 velocity blocks, and the coupling of
-    the pressure block is [Sigma; 0] / [-Sigma 0].
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    block_sizes: tuple
-    e_t: np.ndarray
-    jr_t: np.ndarray
-
-    def j_coupling_pattern(self):
-        n_p, n_mid, _ = self.block_sizes
-        n = n_p + n_mid + n_p
-        j = np.zeros((n, n), dtype=self.jr_t.dtype)
-        j[:n_p, n_p + n_mid:] = np.diag(self.sigma)
-        j[n_p + n_mid:, :n_p] = -np.diag(self.sigma)
-        return j
-
-
-def saddle_staircase(m, a_block, b, tol=RANK_TOL) -> SaddleStaircase:
-    """Transform a Stokes-type saddle system to its 3-block staircase.
-
-    ``m`` is the (HPD) mass matrix, ``a_block`` the full velocity-velocity
-    operator block of J - R, and ``b`` the (full column rank) coupling, so
-    the model operator is [[a_block, b], [-b*, 0]].  Raises ``RankError``
-    with the numerical rank when b is rank deficient.
-    """
-    m = np.asarray(m)
-    a_block = np.asarray(a_block)
-    b = np.atleast_2d(np.asarray(b))
-    n_v = m.shape[0]
-    if b.shape[0] != n_v:
-        raise DimensionError("b must have as many rows as m")
-    n_p = b.shape[1]
-    if n_p > n_v:
-        raise RankError("b has more columns than rows; b* cannot have full row rank")
-    b_star = b.conj().T
-    u_b, sv, v_bh = np.linalg.svd(b_star)
-    if sv.size == 0 or sv[0] == 0.0:
-        raise RankError("b is zero", numerical_rank=0)
-    rank = int(np.sum(sv > tol * sv[0]))
-    if rank < n_p:
-        raise RankError(
-            f"b* is rank deficient: numerical rank {rank} < {n_p}",
-            numerical_rank=rank,
-        )
-    v_b = v_bh.conj().T
-    dtype = np.result_type(m.dtype, a_block.dtype, b.dtype)
-    n = n_v + n_p
-    u = np.zeros((n, n), dtype=dtype)
-    u[:n_v, :n_v] = v_b
-    u[n_v:, n_v:] = u_b
-    e_full = np.zeros((n, n), dtype=dtype)
-    e_full[:n_v, :n_v] = m
-    jr_full = np.zeros((n, n), dtype=dtype)
-    jr_full[:n_v, :n_v] = a_block
-    jr_full[:n_v, n_v:] = b
-    jr_full[n_v:, :n_v] = -b_star
-    e_t = u.conj().T @ e_full @ u
-    jr_t = u.conj().T @ jr_full @ u
-    return SaddleStaircase(
-        u=_freeze(u),
-        sigma=_freeze(sv[:n_p]),
-        block_sizes=(n_p, n_v - n_p, n_p),
-        e_t=_freeze(e_t),
-        jr_t=_freeze(jr_t),
     )
 
 

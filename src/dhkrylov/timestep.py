@@ -109,14 +109,14 @@ class Trajectory:
                 writer.writerow(row)
 
 
-def check_consistency(sys: DhDaeSystem, x0, t0=0.0, tol=CONSISTENCY_TOL, rank_tol=1e-10):
+def check_consistency(sys: DhDaeSystem, x0, t0=0.0):
     """Residual of the algebraic constraints at the initial value.
 
-    After splitting off ker(E), the algebraic block demands
-    V2* ((J - R) x0 + f(t0)) = 0.  Raises ``ConsistencyError`` when the
-    relative residual exceeds ``tol``.
+    After splitting off ker(E) at ``dhdae.RANK_TOL``, the algebraic block
+    demands V2* ((J - R) x0 + f(t0)) = 0.  Raises ``ConsistencyError`` when
+    the relative residual exceeds ``CONSISTENCY_TOL``.
     """
-    v_null = nullspace_of_e(sys, rank_tol)
+    v_null = nullspace_of_e(sys)
     if v_null.shape[1] == 0:
         return 0.0
     x0 = np.asarray(x0)
@@ -125,7 +125,7 @@ def check_consistency(sys: DhDaeSystem, x0, t0=0.0, tol=CONSISTENCY_TOL, rank_to
     scale = float(np.linalg.norm(jr, 2) * np.linalg.norm(x0) + np.linalg.norm(sys.f(t0)))
     resid = float(np.linalg.norm(g))
     rel = resid / scale if scale > 0 else resid
-    if rel > tol:
+    if rel > CONSISTENCY_TOL:
         raise ConsistencyError(
             f"initial value violates the algebraic constraints: relative residual {rel:.3e}"
         )

@@ -164,6 +164,19 @@ def mgs_gmres_reference(a, b, tol, maxit, precond=None):
     return x, k_done, converged, np.asarray(res_hist)
 
 
+def rlc_dc_operating_point(L, C1, C2, RG, RL, RR, eg):
+    """Closed-form DC steady state of the RLC model (loop-current analysis).
+
+    At DC the capacitors block the loop current except through the single
+    resistive path R_G -> R_L -> R_R, so I = E_G / (R_G + R_L + R_R);
+    the remaining quantities follow from the branch relations.
+    """
+    i = eg / (RG + RL + RR)
+    v1 = RG * i - eg
+    v2 = -RR * i
+    return np.array([i, v1, v2, i, -i])
+
+
 def pencil_index_exact(e, a0):
     """Differentiation index of a regular pencil lambda*E - A0, exactly.
 

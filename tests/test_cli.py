@@ -204,12 +204,37 @@ def test_bench_incompatible_solver_reported_per_row(tmp_path):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scn))
     out = tmp_path / "run"
-    assert main(["bench", "--scenario", str(path), "--out", str(out)]) == 0
+    # the failed row sets the exit status, as a failed solve does
+    assert main(["bench", "--scenario", str(path), "--out", str(out)]) == 1
     table = json.loads((out / "table.json").read_text())
     errors = [r for r in table if "error" in r]
     assert len(errors) == 1 and errors[0]["solver"] == "gmres"
     assert errors[0]["error"] == "outer gmres solve with S1 failed"
     assert len(table) == 2 and table[0]["converged"]  # the run continued
+    text = (out / "table.txt").read_text().splitlines()
+    assert text[-1] == "  error: outer gmres solve with S1 failed"
+    assert "error" not in "".join(text[:-1])
+
+
+def test_bench_failed_row_shows_in_table_text_and_exit_code(tmp_path, capsys):
+    # quasi-stationary poroelastic has three named blocks, which the Schur
+    # path does not split: the row fails, and says why in table.txt too
+    scn = {
+        "name": "poro-qs",
+        "model": {"name": "poroelastic",
+                  "params": {"n": 20, "p": 10, "quasi_stationary": True}},
+        "tau_list": [1e-2],
+        "solvers": ["rapoport"],
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scn))
+    out = tmp_path / "run"
+    assert main(["bench", "--scenario", str(path), "--out", str(out)]) == 1
+    (row,) = json.loads((out / "table.json").read_text())
+    assert not row["converged"] and row["error"] == "model must carry two named blocks"
+    text = (out / "table.txt").read_text()
+    assert "error: model must carry two named blocks" in text
+    assert "error: model must carry two named blocks" in capsys.readouterr().out
 
 
 def test_solve_subcommand_with_matrix_file(tmp_path, capsys):
@@ -435,6 +460,25 @@ def test_negative_model_size_is_usage_error(tmp_path, capsys, model, param):
     assert code == 2
     _single_error_line(capsys.readouterr().err)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case", ["scenario-model-string", "param-not-json",
+                                  "param-wrong-type", "model-file-list"])
+def test_malformed_model_descriptor_is_usage_error(tmp_path, capsys, case):
+    if case == "scenario-model-string":
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"model": "stokes", "tau_list": [1e-3],
+                                    "solvers": ["rapoport"]}))
+        argv = ["bench", "--scenario", str(path)]
+    elif case == "model-file-list":
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps([{"name": "stokes"}]))
+        argv = ["solve", "--model", str(path)]
+    else:
+        value = {"param-not-json": "abc", "param-wrong-type": '"x"'}[case]
+        argv = ["solve", "--model", "stokes", "--param", f"grid_n={value}"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    _single_error_line(capsys.readouterr().err)
 
 
 def test_file_rhs_without_path_is_usage_error(tmp_path, capsys):

@@ -11,7 +11,7 @@ from dhkrylov.errors import (
     SolverError,
 )
 
-from support import random_spd
+from support import random_spd, rlc_dc_operating_point
 
 
 def scalar_system(e=1.0, j=0.0, r=0.0, f=None):
@@ -152,7 +152,6 @@ def test_rlc_trajectory_converges_to_dc_point():
     sys = dk.assemble_rlc(1, 1, 1, 1, 1, 1, eg=1.0)
     x0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0])  # consistent with the constraints
     traj = dk.integrate(sys, x0, 0.3, 300)
-    from dhkrylov.dhdae import rlc_dc_operating_point
     dc = rlc_dc_operating_point(1, 1, 1, 1, 1, 1, 1.0)
     assert np.linalg.norm(traj.states[-1] - dc) < 1e-12
     # the fixed point of the midpoint map is exactly the steady state
