@@ -34,7 +34,7 @@ import scipy.linalg
 from . import bounds as bounds_mod
 from . import dhdae, krylov, staircase, timestep
 from .errors import DhKrylovError, ModelError
-from .hs_core import Definiteness, HsSplitSystem, read_matrix, split_hs, write_matrix
+from .hs_core import RANK_TOL, Definiteness, HsSplitSystem, read_matrix, split_hs, write_matrix
 
 
 @dataclass
@@ -127,9 +127,9 @@ def _make_rhs(spec, msys, n, rng_meta):
 def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
     """Run solver x tau cells of a scenario; write CSVs, table and manifest."""
     scenario.validate()
+    model = dhdae.from_descriptor(scenario.model)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = dhdae.from_descriptor(scenario.model)
     model_name = scenario.model.get("name", "model")
     rows = []
     artifacts = []
@@ -232,7 +232,7 @@ def _write_schur_csv(path, b, rep):
         writer.writerow(["1", repr(rep.relative_residual * bn), "", "", "", ""])
 
 
-def audit_staircase(a, tol=staircase.RANK_TOL) -> dict:
+def audit_staircase(a, tol=RANK_TOL) -> dict:
     """Staircase + Schur audit of one matrix, as a JSON-ready dict."""
     a = np.asarray(a)
     h, s = split_hs(a)
@@ -477,7 +477,7 @@ def build_parser():
     p.add_argument("--matrix")
     _add_model_args(p, required=False)
     p.add_argument("--tau", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=staircase.RANK_TOL,
+    p.add_argument("--tol", type=float, default=RANK_TOL,
                    help="relative rank threshold of the staircase form (hs_staircase)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_staircase)

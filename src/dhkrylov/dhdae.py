@@ -6,7 +6,8 @@ provides constructors for four model families (damped mechanical systems,
 an RLC circuit, Stokes-type flow with or without pressure stabilization,
 and poroelasticity in the dynamic or quasi-stationary regime), plus a
 rank-based classifier of the differentiation index of the pencil
-lambda*E - (J - R).
+lambda*E - (J - R).  The singular part of a midpoint matrix is read from H,
+not declared by the model (:func:`timestep.midpoint_saddle_blocks`).
 
 The classifier works directly from the two nullspace splits that determine
 the index for this matrix class: an orthonormal split of ker(E), and, if the
@@ -26,7 +27,7 @@ import scipy.linalg
 
 from .errors import DimensionError, ModelError
 from .hs_core import (
-    DEFAULT_TOL,
+    RANK_TOL,
     Definiteness,
     _freeze,
     certify_definiteness,
@@ -35,10 +36,6 @@ from .hs_core import (
     require_hermitian,
     require_skew,
 )
-
-#: Rank-decision tolerance of the index classifier and of ker(E) (relative to
-#: the largest singular value entering each decision).
-RANK_TOL = 1e-10
 
 
 class ZeroSource:
@@ -66,9 +63,6 @@ class DaeIndex(enum.Enum):
 class DhDaeSystem:
     """The triple (E, J, R) plus the source f(t).
 
-    ``blocks`` optionally names contiguous variable blocks, e.g.
-    ``(("v", n_v), ("p", n_p))`` for saddle-structured models; solvers use
-    it to locate the singular part without re-deriving it.
     ``f`` must be a pure function of t so systems can be shared across
     threads.
     """
@@ -77,30 +71,25 @@ class DhDaeSystem:
     j: np.ndarray
     r: np.ndarray
     f: object
-    blocks: tuple | None = None
 
     @property
     def n(self):
         return self.e.shape[0]
 
     @classmethod
-    def from_parts(cls, e, j, r, f=None, blocks=None, tol=DEFAULT_TOL):
-        e = require_hermitian(e, tol, name="e")
-        j = require_skew(j, tol, name="j")
-        r = require_hermitian(r, tol, name="r")
+    def from_parts(cls, e, j, r, f=None):
+        e = require_hermitian(e, name="e")
+        j = require_skew(j, name="j")
+        r = require_hermitian(r, name="r")
         if not (e.shape == j.shape == r.shape):
             raise DimensionError("e, j, r must have equal shapes")
-        if not is_semidefinite(e, tol):
+        if not is_semidefinite(e):
             raise ModelError("flow matrix e must be positive semidefinite")
-        if not is_semidefinite(r, tol):
+        if not is_semidefinite(r):
             raise ModelError("dissipation matrix r must be positive semidefinite")
         if f is None:
             f = ZeroSource(e.shape[0])
-        if blocks is not None:
-            blocks = tuple((str(name), int(size)) for name, size in blocks)
-            if sum(size for _, size in blocks) != e.shape[0]:
-                raise DimensionError("block sizes must sum to the system order")
-        return cls(e=_freeze(e), j=_freeze(j), r=_freeze(r), f=f, blocks=blocks)
+        return cls(e=_freeze(e), j=_freeze(j), r=_freeze(r), f=f)
 
     def operator(self):
         """The right-hand-side matrix J - R."""
@@ -116,16 +105,16 @@ class DhDaeSystem:
 # Model generators
 # ---------------------------------------------------------------------------
 
-def _check_hpd(a, name, tol=DEFAULT_TOL):
-    a = require_hermitian(a, tol, name=name)
-    if definiteness_class(a, tol) is not Definiteness.POSITIVE_DEFINITE:
+def _check_hpd(a, name):
+    a = np.asarray(a)
+    if definiteness_class(a) is not Definiteness.POSITIVE_DEFINITE:
         raise ModelError(f"{name} must be Hermitian positive definite")
     return a
 
 
-def _check_psd(a, name, tol=DEFAULT_TOL):
-    a = require_hermitian(a, tol, name=name)
-    if not is_semidefinite(a, tol):
+def _check_psd(a, name):
+    a = require_hermitian(a, name=name)
+    if not is_semidefinite(a):
         raise ModelError(f"{name} must be Hermitian positive semidefinite")
     return a
 
@@ -150,7 +139,7 @@ def assemble_mechanical(m, d, k, force=None):
     f = None
     if force is not None:
         f = lambda t: np.concatenate([np.asarray(force(t)), np.zeros(n)])
-    return DhDaeSystem.from_parts(e, j, r, f=f, blocks=(("velocity", n), ("position", n)))
+    return DhDaeSystem.from_parts(e, j, r, f=f)
 
 
 def assemble_rlc(L, C1, C2, RG, RL, RR, eg=0.0):
@@ -182,8 +171,7 @@ def assemble_rlc(L, C1, C2, RG, RL, RR, eg=0.0):
         f = None
     else:
         f = lambda t: np.array([0.0, 0.0, 0.0, float(eg), 0.0])
-    blocks = (("dynamic", 3), ("algebraic", 2))
-    return DhDaeSystem.from_parts(e, j, r, f=f, blocks=blocks)
+    return DhDaeSystem.from_parts(e, j, r, f=f)
 
 
 def _grid_shift(nx, ny):
@@ -243,7 +231,7 @@ def assemble_stokes_like(grid_n, viscosity=1.0, convection=0.0, stabilization=0.
     f = None
     if forcing is not None:
         f = lambda t: np.concatenate([np.asarray(forcing(t)), np.zeros(n_p)])
-    return DhDaeSystem.from_parts(e, j, r, f=f, blocks=(("v", n_vel), ("p", n_p)))
+    return DhDaeSystem.from_parts(e, j, r, f=f)
 
 
 def assemble_poroelastic(a, m, y=None, k=None, d=None, quasi_stationary=False,
@@ -277,8 +265,7 @@ def assemble_poroelastic(a, m, y=None, k=None, d=None, quasi_stationary=False,
         e = np.block([[m, zpn, zpn], [znp, a, znn], [znp, znn, znn]])
         j = np.block([[zpp, zpn, -d], [znp, znn, a], [d.conj().T, -a, znn]])
         r = np.block([[k, zpn, zpn], [znp, znn, znn], [znp, znn, znn]])
-        blocks = (("p", p), ("u", n), ("w", n))
-        return DhDaeSystem.from_parts(e, j, r, f=forcing, blocks=blocks)
+        return DhDaeSystem.from_parts(e, j, r, f=forcing)
     if y is None:
         raise ModelError("dynamic regime requires the (small-norm) matrix y")
     y = _check_hpd(y, "y")
@@ -287,8 +274,7 @@ def assemble_poroelastic(a, m, y=None, k=None, d=None, quasi_stationary=False,
     e = np.block([[y, znn, znp], [znn, a, znp], [zpn, zpn, m]])
     j = np.block([[znn, -a, d.conj().T], [a, znn, znp], [-d, zpn, zpp]])
     r = np.block([[znn, znn, znp], [znn, znn, znp], [zpn, zpn, k]])
-    blocks = (("w", n), ("u", n), ("p", p))
-    return DhDaeSystem.from_parts(e, j, r, f=forcing, blocks=blocks)
+    return DhDaeSystem.from_parts(e, j, r, f=forcing)
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +439,19 @@ def _random_spd(rng, n, cond=10.0):
     return (q * eigs) @ q.T
 
 
-def _size(params, key, default):
+def _size(p, key):
     """A block size from a descriptor; zero is allowed, negative is a ``ModelError``."""
-    size = int(params.get(key, default))
+    size = int(p[key])
     if size < 0:
         raise ModelError(f"{key} must be nonnegative, got {size}")
     return size
 
 
-def _build_mechanical(params):
-    n = _size(params, "n", 20)
-    seed = int(params.get("seed", 0))
-    damping = float(params.get("damping", 1.0))
-    cond = float(params.get("cond", 10.0))
-    rng = np.random.default_rng(seed)
+def _build_mechanical(p):
+    n = _size(p, "n")
+    damping = float(p["damping"])
+    cond = float(p["cond"])
+    rng = np.random.default_rng(int(p["seed"]))
     m = _random_spd(rng, n, cond)
     k = _random_spd(rng, n, cond)
     if damping == 0.0:
@@ -477,8 +462,8 @@ def _build_mechanical(params):
     return assemble_mechanical(m, d, k)
 
 
-def _build_rlc(params):
-    eg_spec = params.get("eg", 0.0)
+def _build_rlc(p):
+    eg_spec = p["eg"]
     if isinstance(eg_spec, dict):
         kind = eg_spec.get("kind", "constant")
         amp = float(eg_spec.get("amplitude", 1.0))
@@ -493,40 +478,30 @@ def _build_rlc(params):
             raise ModelError(f"unknown eg kind {kind!r}")
     else:
         eg = float(eg_spec)
-    return assemble_rlc(
-        L=float(params.get("L", 1.0)),
-        C1=float(params.get("C1", 1.0)),
-        C2=float(params.get("C2", 1.0)),
-        RG=float(params.get("RG", 1.0)),
-        RL=float(params.get("RL", 1.0)),
-        RR=float(params.get("RR", 1.0)),
-        eg=eg,
-    )
+    return assemble_rlc(*(float(p[key]) for key in ("L", "C1", "C2", "RG", "RL", "RR")),
+                        eg=eg)
 
 
-def _build_stokes(params):
+def _build_stokes(p):
     return assemble_stokes_like(
-        grid_n=int(params.get("grid_n", 6)),
-        viscosity=float(params.get("viscosity", 1.0)),
-        convection=float(params.get("convection", 0.0)),
-        stabilization=float(params.get("stabilization", 0.0)),
+        grid_n=int(p["grid_n"]),
+        viscosity=float(p["viscosity"]),
+        convection=float(p["convection"]),
+        stabilization=float(p["stabilization"]),
     )
 
 
-def _build_poroelastic(params):
-    n = _size(params, "n", 8)
-    p = _size(params, "p", 4)
-    seed = int(params.get("seed", 0))
-    y_scale = float(params.get("y_scale", 1e-3))
-    k_scale = float(params.get("k_scale", 1.0))
-    quasi = bool(params.get("quasi_stationary", False))
-    rng = np.random.default_rng(seed)
+def _build_poroelastic(p):
+    n = _size(p, "n")
+    n_p = _size(p, "p")
+    k_scale = float(p["k_scale"])
+    rng = np.random.default_rng(int(p["seed"]))
     a = _random_spd(rng, n)
-    m = _random_spd(rng, p)
-    d = rng.standard_normal((p, n))
-    k = k_scale * _random_spd(rng, p) if k_scale > 0 else np.zeros((p, p))
-    y = y_scale * _random_spd(rng, n)
-    if quasi:
+    m = _random_spd(rng, n_p)
+    d = rng.standard_normal((n_p, n))
+    k = k_scale * _random_spd(rng, n_p) if k_scale > 0 else np.zeros((n_p, n_p))
+    y = float(p["y_scale"]) * _random_spd(rng, n)
+    if p["quasi_stationary"]:
         return assemble_poroelastic(a, m, k=k, d=d, quasi_stationary=True)
     return assemble_poroelastic(a, m, y=y, k=k, d=d, quasi_stationary=False)
 
@@ -540,7 +515,7 @@ MODEL_REGISTRY = {
     "rlc": {
         "build": _build_rlc,
         "params": {"L": 1.0, "C1": 1.0, "C2": 1.0, "RG": 1.0, "RL": 1.0, "RR": 1.0,
-                   "eg": {"kind": "constant", "amplitude": 1.0}},
+                   "eg": 0.0},
         "doc": "five-state RLC circuit with controlled voltage source (index 1)",
     },
     "stokes": {
@@ -560,7 +535,8 @@ MODEL_REGISTRY = {
 def from_descriptor(descriptor: dict) -> DhDaeSystem:
     """Build a model from a JSON descriptor {"name": ..., "params": {...}}.
 
-    A malformed descriptor or parameter value raises ``ModelError``.
+    ``params`` override the registry defaults of the model.  A malformed
+    descriptor, an unknown parameter key or a bad value raises ``ModelError``.
     """
     if not isinstance(descriptor, dict):
         raise ModelError(f"model descriptor is a {type(descriptor).__name__}, not a JSON object")
@@ -570,7 +546,12 @@ def from_descriptor(descriptor: dict) -> DhDaeSystem:
     params = descriptor.get("params", {})
     if not isinstance(params, dict):
         raise ModelError(f"model params is a {type(params).__name__}, not a JSON object")
+    defaults = MODEL_REGISTRY[name]["params"]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ModelError(f"unknown parameter(s) {unknown} for model {name!r}; "
+                         f"known: {sorted(defaults)}")
     try:
-        return MODEL_REGISTRY[name]["build"](params)
+        return MODEL_REGISTRY[name]["build"]({**defaults, **params})
     except (TypeError, ValueError) as exc:
         raise ModelError(f"bad parameter for model {name!r}: {exc}")

@@ -36,6 +36,10 @@ from .errors import DefinitenessError, DimensionError, StructureError
 #: Default structural tolerance, relative to the max-norm of the operand.
 DEFAULT_TOL = 1e-12
 
+#: Relative threshold of the rank decisions: ker(E), the index classifier and
+#: the staircase form.
+RANK_TOL = 1e-10
+
 
 class Definiteness(enum.Enum):
     POSITIVE_DEFINITE = "positive_definite"
@@ -68,17 +72,17 @@ def skew_deviation(a):
     return max_norm(a + a.conj().T)
 
 
-def require_hermitian(a, tol=DEFAULT_TOL, name="matrix"):
+def require_hermitian(a, name="matrix"):
     a = as_square_matrix(a, name)
-    if hermitian_deviation(a) > tol * max(max_norm(a), 1e-300):
-        raise StructureError(f"{name} is not Hermitian within tolerance {tol}")
+    if hermitian_deviation(a) > DEFAULT_TOL * max(max_norm(a), 1e-300):
+        raise StructureError(f"{name} is not Hermitian within tolerance {DEFAULT_TOL}")
     return a
 
 
-def require_skew(a, tol=DEFAULT_TOL, name="matrix"):
+def require_skew(a, name="matrix"):
     a = as_square_matrix(a, name)
-    if skew_deviation(a) > tol * max(max_norm(a), 1e-300):
-        raise StructureError(f"{name} is not skew-Hermitian within tolerance {tol}")
+    if skew_deviation(a) > DEFAULT_TOL * max(max_norm(a), 1e-300):
+        raise StructureError(f"{name} is not skew-Hermitian within tolerance {DEFAULT_TOL}")
     return a
 
 
@@ -116,9 +120,9 @@ def definiteness_class(h, tol=DEFAULT_TOL):
     indefinite otherwise.  The class comes from :func:`certify_definiteness`,
     so a positive definite ``h`` is recognized from its Cholesky factor and
     only the other classes need the spectrum.  Raises ``StructureError`` for
-    inputs that are not Hermitian within ``tol``.
+    inputs that are not Hermitian within ``DEFAULT_TOL``.
     """
-    h = require_hermitian(h, tol, name="h")
+    h = require_hermitian(h, name="h")
     return certify_definiteness((h + h.conj().T) / 2, tol)[0]
 
 
@@ -171,7 +175,7 @@ def certify_definiteness(h, tol=DEFAULT_TOL):
     return dclass, factor, eigs
 
 
-def is_semidefinite(a, tol=DEFAULT_TOL):
+def is_semidefinite(a):
     """True unless the Hermitian matrix ``a`` is indefinite.
 
     Three tests in order of cost: a nonnegative diagonal that weakly
@@ -190,7 +194,7 @@ def is_semidefinite(a, tol=DEFAULT_TOL):
         a = a[np.ix_(nonzero, nonzero)]
     if _cholesky(a) is not None:
         return True
-    return _classify(np.linalg.eigvalsh(a), tol) is not Definiteness.INDEFINITE
+    return _classify(np.linalg.eigvalsh(a), DEFAULT_TOL) is not Definiteness.INDEFINITE
 
 
 @dataclass(frozen=True)
@@ -268,10 +272,10 @@ class HsSplitSystem:
         return _freeze(np.linalg.eigvalsh(self.h))
 
     @classmethod
-    def from_matrix(cls, a, tol=DEFAULT_TOL):
+    def from_matrix(cls, a):
         # h = (a + a*)/2 is exactly Hermitian: no symmetrization or re-check
         h, s = split_hs(a)
-        dclass, factor, eigs = certify_definiteness(h, tol)
+        dclass, factor, eigs = certify_definiteness(h)
         if dclass is Definiteness.POSITIVE_DEFINITE and factor is None:
             raise DefinitenessError("Cholesky failed: h is not positive definite")
         system = cls(

@@ -27,10 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DefinitenessError, DimensionError, SchurReductionError
-from .hs_core import _freeze, max_norm, require_hermitian, require_skew
-
-#: Default relative threshold below which singular values count as zero.
-RANK_TOL = 1e-10
+from .hs_core import RANK_TOL, _freeze, max_norm, require_hermitian, require_skew
 
 
 @dataclass(frozen=True)

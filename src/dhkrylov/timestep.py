@@ -32,7 +32,7 @@ from .errors import (
     SingularHermitianPartError,
     SolverError,
 )
-from .hs_core import DEFAULT_TOL, Definiteness, HsSplitSystem
+from .hs_core import Definiteness, HsSplitSystem
 
 #: Relative tolerance for the algebraic-constraint residual of initial values.
 CONSISTENCY_TOL = 1e-8
@@ -57,11 +57,15 @@ def check_tau(tau):
         raise ParameterError(f"tau must be positive and finite, got {tau}")
 
 
-def midpoint_system(sys: DhDaeSystem, tau: float, tol=DEFAULT_TOL) -> MidpointSystem:
-    """Assemble A = E + tau/2 (R - J) with its Hermitian/skew split."""
+def _midpoint_matrix(sys: DhDaeSystem, tau: float):
     check_tau(tau)
-    a = sys.e + (tau / 2.0) * (sys.r - sys.j)
-    return MidpointSystem(sys=HsSplitSystem.from_matrix(a, tol), tau=tau, source=sys)
+    return sys.e + (tau / 2.0) * (sys.r - sys.j)
+
+
+def midpoint_system(sys: DhDaeSystem, tau: float) -> MidpointSystem:
+    """Assemble A = E + tau/2 (R - J) with its Hermitian/skew split."""
+    a = _midpoint_matrix(sys, tau)
+    return MidpointSystem(sys=HsSplitSystem.from_matrix(a), tau=tau, source=sys)
 
 
 def midpoint_rhs(msys: MidpointSystem, x_k, t_k: float):
@@ -112,7 +116,7 @@ class Trajectory:
 def check_consistency(sys: DhDaeSystem, x0, t0=0.0):
     """Residual of the algebraic constraints at the initial value.
 
-    After splitting off ker(E) at ``dhdae.RANK_TOL``, the algebraic block
+    After splitting off ker(E) at ``hs_core.RANK_TOL``, the algebraic block
     demands V2* ((J - R) x0 + f(t0)) = 0.  Raises ``ConsistencyError`` when
     the relative residual exceeds ``CONSISTENCY_TOL``.
     """
@@ -200,25 +204,29 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
 
 
 def midpoint_saddle_blocks(sys: DhDaeSystem, tau: float):
-    """Extract saddle blocks (a11, b) of the midpoint matrix of a 2-block model.
+    """Saddle blocks (a11, b) of a midpoint matrix A = [[A11, B], [-B*, 0]].
 
-    For models with blocks (v, p) whose midpoint matrix has the form
-    [[A11, B], [-B*, 0]] (unstabilized Stokes type), returns ``(a11, b)``
-    together with the block sizes.  Raises when the trailing diagonal block
-    is not negligible.
+    The split is read from H = E + tau/2 R: a zero diagonal entry of the
+    semidefinite H zeroes its whole row and column, so the singular
+    coordinates are those with Re A_ii <= 1e-12 max|A|.  They must be some
+    but not all coordinates, and come last.  Returns ``(a11, b)`` with the
+    block sizes; raises ``DimensionError`` when A does not have this form.
     """
-    check_tau(tau)
-    if sys.blocks is None or len(sys.blocks) != 2:
-        raise DimensionError("model must carry two named blocks")
-    n1 = sys.blocks[0][1]
-    a = sys.e + (tau / 2.0) * (sys.r - sys.j)
+    a = _midpoint_matrix(sys, tau)
+    scale = float(np.max(np.abs(a)))
+    singular = np.flatnonzero(np.diagonal(a).real <= 1e-12 * scale)
+    n1 = sys.n - singular.size
+    if not 0 < n1 < sys.n:
+        raise DimensionError(f"H = E + tau/2 R has {singular.size} singular coordinates "
+                             f"of {sys.n}; the Schur path needs some but not all")
+    if singular[0] != n1:
+        raise DimensionError("the singular coordinates of H = E + tau/2 R must come last")
     a11 = a[:n1, :n1]
     b = a[:n1, n1:]
     lower = a[n1:, :n1]
     corner = a[n1:, n1:]
-    scale = float(np.max(np.abs(a)))
     if float(np.max(np.abs(lower + b.conj().T))) > 1e-12 * scale:
         raise DimensionError("midpoint matrix is not in [[A, B], [-B*, 0]] form")
-    if corner.size and float(np.max(np.abs(corner))) > 1e-12 * scale:
+    if float(np.max(np.abs(corner))) > 1e-12 * scale:
         raise DimensionError("trailing diagonal block is not zero; Schur path not applicable")
-    return a11, b, (n1, sys.n - n1)
+    return a11, b, (n1, singular.size)

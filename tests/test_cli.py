@@ -217,24 +217,53 @@ def test_bench_incompatible_solver_reported_per_row(tmp_path):
 
 
 def test_bench_failed_row_shows_in_table_text_and_exit_code(tmp_path, capsys):
-    # quasi-stationary poroelastic has three named blocks, which the Schur
-    # path does not split: the row fails, and says why in table.txt too
+    # the unforced rlc circuit has a zero from-model rhs: the row fails, and
+    # says why in table.txt too
     scn = {
-        "name": "poro-qs",
-        "model": {"name": "poroelastic",
-                  "params": {"n": 20, "p": 10, "quasi_stationary": True}},
+        "name": "rlc-zero-rhs",
+        "model": {"name": "rlc"},
         "tau_list": [1e-2],
         "solvers": ["rapoport"],
+        "rhs": {"kind": "from-model"},
     }
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scn))
     out = tmp_path / "run"
     assert main(["bench", "--scenario", str(path), "--out", str(out)]) == 1
     (row,) = json.loads((out / "table.json").read_text())
-    assert not row["converged"] and row["error"] == "model must carry two named blocks"
-    text = (out / "table.txt").read_text()
-    assert "error: model must carry two named blocks" in text
-    assert "error: model must carry two named blocks" in capsys.readouterr().out
+    message = "from-model rhs is zero (model has no forcing); use a random rhs"
+    assert not row["converged"] and row["error"] == message
+    assert f"error: {message}" in (out / "table.txt").read_text()
+    assert f"error: {message}" in capsys.readouterr().out
+
+
+def test_bench_quasi_stationary_poroelastic_takes_schur_path(tmp_path):
+    # H = blkdiag(M + tau/2 K, A, 0) is singular exactly on the trailing w block
+    scn = {
+        "name": "poro-qs",
+        "model": {"name": "poroelastic",
+                  "params": {"n": 20, "p": 10, "quasi_stationary": True}},
+        "tau_list": [1e-2],
+        "solvers": ["widlund", "rapoport", "lgmres"],
+        "tol": 1e-10,
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scn))
+    out = tmp_path / "run"
+    assert main(["bench", "--scenario", str(path), "--out", str(out)]) == 0
+    table = json.loads((out / "table.json").read_text())
+    assert [row["solver"] for row in table] == scn["solvers"]
+    assert all(row["converged"] and row["final_rel_res"] <= 1e-10 for row in table)
+
+
+def test_bench_unknown_model_leaves_no_run_directory(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"model": {"name": "stokez"}, "tau_list": [1e-3],
+                                "solvers": ["rapoport"]}))
+    out = tmp_path / "run"
+    assert main(["bench", "--scenario", str(path), "--out", str(out)]) == 2
+    _single_error_line(capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_solve_subcommand_with_matrix_file(tmp_path, capsys):
@@ -324,8 +353,7 @@ def test_audit_staircase_stokes_midpoint_structure():
     a = dk.midpoint_system(sys, 1e-3).sys.a
     report = audit_staircase(a)
     assert report["r"] == 3
-    nv = sys.blocks[0][1]
-    n_p = sys.blocks[1][1]
+    _, _, (nv, n_p) = dk.midpoint_saddle_blocks(sys, 1e-3)
     assert report["block_sizes"] == [nv, n_p, 0]
     assert report["reconstruction_residual_relative"] <= 1e-10
     assert report["schur"]["block_orders"] == [nv, n_p]

@@ -110,8 +110,7 @@ def test_stokes_index_by_stabilization():
 
 def test_stokes_divergence_full_row_rank_minimal_grid():
     sys = dk.assemble_stokes_like(2)
-    assert [name for name, _ in sys.blocks] == ["v", "p"]
-    nv = sys.blocks[0][1]
+    nv = dk.midpoint_saddle_blocks(sys, 1e-2)[2][0]
     b_star = -sys.j[nv:, :nv]
     svals = np.linalg.svd(b_star, compute_uv=False)
     assert svals[-1] > 1e-10 * svals[0]
@@ -120,7 +119,7 @@ def test_stokes_divergence_full_row_rank_minimal_grid():
 
 def test_stokes_structure():
     sys = dk.assemble_stokes_like(3, viscosity=2.0, convection=1.5, stabilization=0.25)
-    nv = sys.blocks[0][1]
+    nv = 2 * 3 * 2  # 2 g (g - 1) velocities on grid g = 3
     a_s = sys.j[:nv, :nv]
     assert np.max(np.abs(a_s + a_s.T)) < 1e-14
     assert np.max(np.abs(a_s)) > 0
@@ -234,6 +233,18 @@ def test_generator_outputs_pass_system_invariants():
 def test_from_descriptor_unknown_model():
     with pytest.raises(ModelError):
         dk.from_descriptor({"name": "nonsense"})
+
+
+@pytest.mark.parametrize("name", sorted(dk.MODEL_REGISTRY))
+def test_from_descriptor_defaults_are_the_registry_params(name):
+    # `models list` prints the registry params, so they must be what is built
+    entry = dk.MODEL_REGISTRY[name]
+    built, listed = dk.from_descriptor({"name": name}), entry["build"](dict(entry["params"]))
+    for part in ("e", "j", "r"):
+        assert np.array_equal(getattr(built, part), getattr(listed, part))
+    assert np.array_equal(built.f(0.5), listed.f(0.5))
+    with pytest.raises(ModelError, match="unknown parameter"):
+        dk.from_descriptor({"name": name, "params": {"gridn": 16}})
 
 
 def test_hamiltonian_nonnegative():

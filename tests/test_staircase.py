@@ -163,8 +163,7 @@ def test_stokes_schur_complement_formula():
     # path forms is (tau^2/4) B_m* A11^{-1} B_m
     sys = dk.assemble_stokes_like(3, viscosity=1.0, convection=0.0, stabilization=0.0)
     tau = 0.05
-    nv = sys.blocks[0][1]
-    a11, b, (_, n_p) = dk.midpoint_saddle_blocks(sys, tau)
+    a11, b, (nv, n_p) = dk.midpoint_saddle_blocks(sys, tau)
     rep = dk.solve_via_schur(a11, b, np.ones(nv), np.ones(n_p), tol=1e-10)
     b_m = sys.j[:nv, nv:]
     expected = (tau**2 / 4) * b_m.T @ np.linalg.solve(a11, b_m)

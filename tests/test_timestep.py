@@ -6,6 +6,7 @@ import pytest
 import dhkrylov as dk
 from dhkrylov.errors import (
     ConsistencyError,
+    DimensionError,
     ParameterError,
     SingularHermitianPartError,
     SolverError,
@@ -263,3 +264,26 @@ def test_midpoint_saddle_blocks_extraction():
     assert np.array_equal(a11, a_full[:nv, :nv])
     assert np.array_equal(b, a_full[:nv, nv:])
     assert np.max(np.abs(a_full[nv:, :nv] + b.conj().T)) < 1e-14
+
+
+def test_midpoint_saddle_blocks_read_from_h_on_poroelastic():
+    # quasi-stationary poroelastic in (p, u, w): H = blkdiag(M + tau/2 K, A, 0)
+    n, p, tau = 20, 10, 1e-2
+    sys = dk.from_descriptor({"name": "poroelastic",
+                              "params": {"n": n, "p": p, "quasi_stationary": True}})
+    a11, b, sizes = dk.midpoint_saddle_blocks(sys, tau)
+    assert sizes == (p + n, n)
+    a_full = dk.midpoint_system(sys, tau).sys.a
+    assert np.array_equal(a11, a_full[:p + n, :p + n])
+    assert np.array_equal(b, a_full[:p + n, p + n:])
+
+
+def test_midpoint_saddle_blocks_need_trailing_singular_coordinates():
+    with pytest.raises(DimensionError, match="0 singular coordinates"):
+        dk.midpoint_saddle_blocks(dk.assemble_stokes_like(3, stabilization=0.1), 1e-3)
+    stokes = dk.assemble_stokes_like(3)
+    order = np.roll(np.arange(stokes.n), 1)  # the last pressure coordinate first
+    moved = dk.DhDaeSystem.from_parts(*(m[np.ix_(order, order)]
+                                        for m in (stokes.e, stokes.j, stokes.r)))
+    with pytest.raises(DimensionError, match="must come last"):
+        dk.midpoint_saddle_blocks(moved, 1e-3)
