@@ -144,8 +144,8 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
                 rows.append({
                     "model": model_name, "tau": float(tau), "solver": solver,
                     "iterations": 0, "final_rel_res": None, "converged": False,
-                    "lambda": None, "ritz_lambda": None, "wall_time_s": 0.0,
-                    "error": str(exc),
+                    "lambda": None, "ritz_lambda": None, "residual_gap": None,
+                    "wall_time_s": 0.0, "error": str(exc),
                 })
             continue
         lam = bounds_mod.spectral_interval(msys.sys).lam if h_pd else None
@@ -165,6 +165,7 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
                 "converged": False,
                 "lambda": lam,
                 "ritz_lambda": None,
+                "residual_gap": None,
                 "wall_time_s": 0.0,
             }
             try:
@@ -192,6 +193,7 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
                         final_rel_res=rep.final_relative_residual,
                         converged=bool(rep.converged),
                         ritz_lambda=rep.ritz_half_width,
+                        residual_gap=rep.residual_gap,
                         wall_time_s=rep.wall_time,
                     )
                     krylov.residual_history_csv(out / csv_name, rep, lam=lam)

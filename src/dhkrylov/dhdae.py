@@ -20,6 +20,7 @@ kernels are two-sided, which makes the rank decisions well posed.)
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -465,6 +466,10 @@ def _build_mechanical(p):
 def _build_rlc(p):
     eg_spec = p["eg"]
     if isinstance(eg_spec, dict):
+        known = {"kind", "amplitude", "omega"}
+        unknown = sorted(set(eg_spec) - known)
+        if unknown:
+            raise ModelError(f"unknown eg key(s) {unknown}; known: {sorted(known)}")
         kind = eg_spec.get("kind", "constant")
         amp = float(eg_spec.get("amplitude", 1.0))
         if kind == "constant":
@@ -476,8 +481,10 @@ def _build_rlc(p):
             eg = 0.0
         else:
             raise ModelError(f"unknown eg kind {kind!r}")
-    else:
+    elif isinstance(eg_spec, numbers.Real) and not isinstance(eg_spec, bool):
         eg = float(eg_spec)
+    else:
+        raise ModelError(f"eg is a {type(eg_spec).__name__}, not a number or a JSON object")
     return assemble_rlc(*(float(p[key]) for key in ("L", "C1", "C2", "RG", "RL", "RR")),
                         eg=eg)
 

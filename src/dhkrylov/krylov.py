@@ -38,16 +38,21 @@ recurrence step by step with an explicit H-inner product.  No solver runs on
 them; they are the reference that the solver bases are tested against.
 
 All solvers start from x_0 = 0 and stop when the relative 2-norm residual
-of the *original* system drops below ``tol``.  A Widlund or Rapoport step
-costs one H-solve and one multiplication with S for the recurrence, and one
-multiplication with A for that true residual, plus O(n) vector work; in a
+of the *original* system drops below ``tol``.  Widlund, Rapoport and GMRES
+carry that residual by recurrence and test it each step; when it meets
+``tol`` (or at breakdown or ``maxit``) one true residual b - A x confirms
+the stop.  If the true residual misses ``tol``, it replaces the updated one
+and the run goes on (residual replacement: van der Vorst & Ye, SISC 22
+(2000) 835-852).  A Widlund or Rapoport step costs one H-solve and one
+multiplication with S, plus O(n) vector work, and no product with A; in a
 block run each of these takes all running columns at once.  The H-solve of
 one vector is two BLAS-2 triangular solves with the Cholesky factor of H,
 and that of a block one LAPACK ``potrs`` call over all its columns
-(:meth:`HermitianFactor.solve`).  An L-GMRES step makes one H-solve and two
-multiplications with A, plus five products of the k-vector basis with a
-vector and one k x k triangular solve.
-Residual histories are kept per iteration for comparison plots.
+(:meth:`HermitianFactor.solve`).  An L-GMRES step makes one H-solve and one
+multiplication with A, plus five products of a k-row basis with a vector
+and one k x k triangular solve.  Residual histories are kept per iteration
+for comparison plots; every entry but the last may be an updated residual,
+and the last is always a true one.
 """
 
 from __future__ import annotations
@@ -177,6 +182,13 @@ class SolveReport:
     solve keeps the recurrence coefficients t_kk and t_{k+1,k} of each step
     in ``t_diag`` and ``t_sub``, from which :attr:`ritz_half_width` is
     computed on first read.
+
+    Entries of ``residual_2norm`` before the last may come from the
+    residual recurrence; the last is a true residual ||b - A x||.  For a
+    1-D Widlund, Rapoport or GMRES solve, ``residual_gap`` is the largest
+    | ||b - A x|| - ||r_rec|| | / ||b|| over the steps where a true residual
+    confirmed the recurrence one r_rec; it is None for blocks, HSS and a
+    zero right side.
     """
 
     solution: np.ndarray
@@ -193,6 +205,7 @@ class SolveReport:
     rhs_norm: float = 0.0
     t_diag: list | None = None
     t_sub: list | None = None
+    residual_gap: float | None = None
 
     @property
     def final_relative_residual(self):
@@ -341,14 +354,27 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
 
     As ||b - A x||_{H^{-1}} = || ||b_hat||_H e_1 - T~ y ||_2 for x = V_k y,
     the Rapoport residual in the H^{-1} norm is |g_{k+1}|.  Only the last
-    two rotations, directions and basis vectors are kept.  Each step
-    computes the true residual b - A x_k, which decides stopping.
+    two rotations, directions and basis vectors are kept.
+
+    The 2-norm residual is updated, not recomputed.  Since A v_k = H v_k +
+    S v_k is at hand, A p_k = A v_k - r_{k-2,k} A d_{k-2} - r_{k-1,k} A d_{k-1}
+    follows with O(n) work from the kept products A d, and
+
+        Rapoport:  r^R_k = r^R_{k-1} - (c_k g_k / r_kk) A p_k
+        Widlund:   r^W_k = r^R_{k-1} - (g_k / mu_k) A p_k.
+
+    Widlund forms x^W_k only to confirm a stop (or for ``x_exact``).  A stop
+    is confirmed by one true residual b - A x_k; when that misses ``tol``
+    before breakdown or ``maxit``, b - A x^R_k replaces r^R_k.  The report's
+    ``residual_gap`` is the largest relative difference of the two norms at
+    a confirmation.
 
     ``b`` is one checked right side of shape (n,) or a block of m of shape
     (n, m).  A block runs the m recurrences in lockstep: every vector above
     becomes an (n, m) block and every scalar a length-m array, so a step
-    makes one H-solve, one S-product and one A-product with m right sides.
-    A column leaves the working block at its own stopping step; a zero
+    makes one H-solve and one S-product with m right sides.  Only the
+    columns whose updated residual meets ``tol`` get a true residual, and a
+    column leaves the working block at its own stopping step; a zero
     column is solved by x = 0 in 0 steps.  The report of a block holds
     per-column arrays: ``iterations``, ``converged``, ``breakdown`` (0 for
     none), ``rhs_norm`` and, in ``residual_2norm``, the final true residual.
@@ -366,7 +392,8 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
         rhs_norm, m = bnorm, b.shape[1]
         solution = np.zeros(b.shape, dtype=dtype)
         iterations, breakdowns = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
-        converged_cols, final_res = bnorm == 0.0, np.zeros(m)
+        # a column that takes no step keeps x = 0 and the residual b
+        converged_cols, final_res = bnorm == 0.0, bnorm.copy()
         cols = np.flatnonzero(bnorm)
         b, bnorm = b[:, cols], bnorm[cols]
     elif bnorm == 0.0:
@@ -381,15 +408,18 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
     rhi_hist = [beta0] if rapoport else None
     err_hist = None if x_exact is None else [_h_norm_of(sys, x_exact)]
     x = x_r = np.zeros(b.shape, dtype=dtype)
+    res_r = b  # b - A x_r, carried by the recurrence
     v, hv = bhat / beta0, b / beta0
     v_prev = hv_prev = 0.0
     beta = 0.0
     basis, t_diag, t_sub = [], [], []
     g = beta0
-    # rotations and directions of steps k-1 and k-2: identity and zero at first
+    # rotations of steps k-1 and k-2, directions d and their products A d:
+    # identity and zero at first
     rot1 = rot2 = (1.0, 0.0)
-    d1 = d2 = 0.0
+    d1 = d2 = ad1 = ad2 = 0.0
     converged = broke = False
+    gap = 0.0
     k = 0
     for k in range(1, maxit + 1):
         if collect_basis:
@@ -409,36 +439,61 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
         r2, r1 = s2 * top, c1 * (c2 * top) + s1 * mu
         mu = -np.conj(s1) * (c2 * top) + c1 * mu
         p = v - r2 * d2 - r1 * d1
+        # A v_k = H v_k + S v_k, so A p_k costs no product with A
+        ap = hv + sv - r2 * ad2 - r1 * ad1
         c, s, r_kk = _rotation(mu, beta)
-        x_w = x_r + (g / mu) * p
-        rot2, rot1, d2, d1 = rot1, (c, s), d1, p / r_kk
+        x_prev, g_w = x_r, g / mu
+        res_w = None if rapoport else res_r - g_w * ap
+        rot2, rot1, d2, d1, ad2, ad1 = rot1, (c, s), d1, p / r_kk, ad1, ap / r_kk
         x_r = x_r + (c * g) * d1
+        res_r = res_r - (c * g) * ad1
         g = -np.conj(s) * g
-        x = x_r if rapoport else x_w
-        r = b - sys.a @ x
-        rn = _cnorm(r)
-        res_hist.append(rn)
-        if rapoport:
-            rhi_hist.append(abs(g))
-        if err_hist is not None:
-            err_hist.append(_h_norm_of(sys, x_exact - x))
-        converged = rn <= tol * bnorm
-        stop = converged | broke | (k == maxit)
+        rn = _cnorm(res_r if rapoport else res_w)
+        # a stop is confirmed by the true residual b - A x of the iterate
+        confirm = (rn <= tol * bnorm) | broke | (k == maxit)
         if not block:
-            if stop:
+            converged = False
+            if confirm or err_hist is not None:
+                x = x_r if rapoport else x_prev + g_w * p
+            if confirm:
+                r = b - sys.a @ x
+                rn, rec = _cnorm(r), rn
+                gap = max(gap, abs(rn - rec) / bnorm)
+                converged = rn <= tol * bnorm
+                if not (converged or broke or k == maxit):
+                    # residual replacement: the true residual restarts the update
+                    res_r = r if rapoport else b - sys.a @ x_r
+            res_hist.append(rn)
+            if rapoport:
+                rhi_hist.append(abs(g))
+            if err_hist is not None:
+                err_hist.append(_h_norm_of(sys, x_exact - x))
+            if converged or broke or k == maxit:
                 break
-        elif stop.any() or not stop.size:
-            done = cols[stop]
-            solution[:, done] = x[:, stop]
-            iterations[done], converged_cols[done] = k, converged[stop]
-            breakdowns[done], final_res[done] = np.where(broke[stop], k, 0), rn[stop]
-            keep = ~stop
+        elif confirm.any() or not confirm.size:
+            at = np.flatnonzero(confirm)
+            xc = x_r[:, at] if rapoport else x_prev[:, at] + g_w[at] * p[:, at]
+            r = b[:, at] - sys.a @ xc
+            rn = _cnorm(r)
+            converged = rn <= tol * bnorm[at]
+            stop = converged | broke[at] | (k == maxit)
+            done, again = at[stop], at[~stop]
+            solution[:, cols[done]] = xc[:, stop]
+            iterations[cols[done]], converged_cols[cols[done]] = k, converged[stop]
+            breakdowns[cols[done]] = np.where(broke[done], k, 0)
+            final_res[cols[done]] = rn[stop]
+            if again.size:
+                res_r[:, again] = r[:, ~stop] if rapoport else b[:, again] - sys.a @ x_r[:, again]
+            keep = np.ones(cols.size, dtype=bool)
+            keep[done] = False
             cols = cols[keep]
             if not cols.size:
                 break
-            (b, bnorm, beta0, beta, g, x_r, v, hv, w, hw, d1, d2) = (
-                _keep(a, keep) for a in (b, bnorm, beta0, beta, g, x_r, v, hv, w, hw, d1, d2))
-            rot1, rot2 = (tuple(_keep(a, keep) for a in rot) for rot in (rot1, rot2))
+            if done.size:
+                (b, bnorm, beta0, beta, g, x_r, res_r, v, hv, w, hw, d1, d2, ad1, ad2) = (
+                    _keep(a, keep) for a in (b, bnorm, beta0, beta, g, x_r, res_r, v, hv, w,
+                                             hw, d1, d2, ad1, ad2))
+                rot1, rot2 = (tuple(_keep(a, keep) for a in rot) for rot in (rot1, rot2))
         v_prev, hv_prev, v, hv = v, hv, w / beta, hw / beta
     if block:
         return SolveReport(
@@ -460,6 +515,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
         rhs_norm=bnorm,
         t_diag=t_diag,
         t_sub=t_sub,
+        residual_gap=gap,
     )
 
 
@@ -511,11 +567,16 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False) -
     Each new vector is orthogonalized against all rows by two block passes
     of classical Gram-Schmidt ("twice is enough": Giraud, Langou &
     Rozloznik, Comput. Math. Appl. 50 (2005) 1069-1075), and only the new
-    Hessenberg column is rotated, so a step costs four GEMVs, one triangular
-    solve and one GEMV for x_k = V_k y beyond its operator products.
+    Hessenberg column is rotated.  The products A v_j that build the basis
+    are kept as the rows of a second (m, n) array, so the residual
+    b - (A V_k) y of x_k = V_k y is one GEMV.  A step thus costs one
+    product with A (and one ``precond`` call), five GEMVs and one
+    triangular solve.  x_k and its true residual b - A x_k are formed only
+    to confirm a stop (see the module docstring).  ``a`` is an array or
+    any operator with ``shape``, ``dtype`` and ``@``.
     """
     start = time.perf_counter()
-    a = np.asarray(a)
+    a = a if hasattr(a, "__matmul__") else np.asarray(a)
     n = a.shape[0]
     check_tol_maxit(tol, maxit)
     b = _as_rhs(b, n)
@@ -523,20 +584,17 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False) -
     method = "lgmres" if precond is not None else "gmres"
     if bnorm == 0.0:
         return _zero_rhs_report(n, a.dtype, method)
-    if precond is None:
-        apply_op = lambda z: a @ z
-        r0 = b
-    else:
-        apply_op = lambda z: precond(a @ z)
-        r0 = precond(b)
+    r0 = b if precond is None else precond(b)
     beta = float(np.linalg.norm(r0))
     m = min(maxit, n)
     v0 = np.asarray(r0) / beta
     # The first operator product fixes the arithmetic: real data stay real.
-    w = apply_op(v0)
+    av = a @ v0
+    w = av if precond is None else precond(av)
     dtype = np.result_type(a.dtype, b.dtype, v0.dtype, w.dtype)
     basis = np.zeros((m + 1, n), dtype=dtype)
     basis[0] = v0
+    a_basis = np.zeros((m, n), dtype=dtype)  # rows A v_j, so that A x_k = y @ a_basis
     # Fortran order: the k x k block that trsv copies each step is k contiguous runs
     r_mat = np.zeros((m, m), dtype=dtype, order="F")
     trsv, = scipy.linalg.get_blas_funcs(("trsv",), (r_mat,))
@@ -547,10 +605,13 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False) -
     pre_hist = [beta]
     x = np.zeros(n, dtype=dtype)
     converged = happy = False
+    gap = 0.0
     k = 0
     for k in range(1, m + 1):
         if k > 1:
-            w = apply_op(basis[k - 1])
+            av = a @ basis[k - 1]
+            w = av if precond is None else precond(av)
+        a_basis[k - 1] = av
         v_k = basis[:k]
         h = (v_k @ w.conj()).conj()
         w = w - h @ v_k
@@ -575,11 +636,16 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False) -
             raise np.linalg.LinAlgError(
                 f"singular matrix: resolution failed at diagonal {k - 1}")
         y = trsv(r_mat[:k, :k], g[:k])
-        x = y @ v_k
-        rn = float(np.linalg.norm(b - a @ x))
+        rn = float(np.linalg.norm(b - y @ a_basis[:k]))
+        converged = False
+        if rn <= tol * bnorm or happy or k == m:
+            # confirm the stop by the true residual of x_k = V_k y
+            x = y @ v_k
+            rn, rec = float(np.linalg.norm(b - a @ x)), rn
+            gap = max(gap, abs(rn - rec) / bnorm)
+            converged = rn <= tol * bnorm
         res_hist.append(rn)
         pre_hist.append(abs(g[k]))
-        converged = rn <= tol * bnorm
         if converged or happy:
             break
     return SolveReport(
@@ -593,6 +659,7 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False) -
         method=method,
         basis=basis[:k].T.copy() if collect_basis and k else None,
         rhs_norm=bnorm,
+        residual_gap=gap,
     )
 
 

@@ -210,8 +210,11 @@ def midpoint_saddle_blocks(sys: DhDaeSystem, tau: float):
     semidefinite H zeroes its whole row and column, so the singular
     coordinates are those with Re A_ii <= 1e-12 max|A|.  They must be some
     but not all coordinates, and come last.  Returns ``(a11, b)`` with the
-    block sizes; raises ``DimensionError`` when A does not have this form.
+    block sizes; raises ``DimensionError`` when A does not have this form
+    or is empty.
     """
+    if sys.n == 0:
+        raise DimensionError("the Schur path needs a nonempty system")
     a = _midpoint_matrix(sys, tau)
     scale = float(np.max(np.abs(a)))
     singular = np.flatnonzero(np.diagonal(a).real <= 1e-12 * scale)

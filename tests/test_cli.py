@@ -543,3 +543,25 @@ def test_bench_rows_report_ritz_lambda_next_to_lambda(tmp_path):
             assert row["ritz_lambda"] is None
         else:
             assert 0.98 * row["lambda"] <= row["ritz_lambda"] <= row["lambda"] * (1 + 1e-12)
+
+
+def test_bench_rows_report_residual_gap(tmp_path):
+    # a float for the four Krylov methods that update the residual by
+    # recurrence; null for HSS and for the Schur path of an index-2 model
+    scn = Scenario(
+        model={"name": "mechanical", "params": {"n": 10, "seed": 3, "damping": 1.0}},
+        tau_list=[1e-3], solvers=["widlund", "rapoport", "gmres", "lgmres", "hss"],
+        rhs={"kind": "random", "seed": 7},
+    )
+    run_scenario(scn, tmp_path / "mech")
+    rows = json.loads((tmp_path / "mech" / "table.json").read_text())
+    for row in rows:
+        if row["solver"] == "hss":
+            assert row["residual_gap"] is None
+        else:
+            assert 0.0 <= row["residual_gap"] <= 1e-14, row["solver"]
+    scn.model = {"name": "stokes", "params": {"grid_n": 3, "stabilization": 0.0}}
+    scn.solvers = ["rapoport"]
+    run_scenario(scn, tmp_path / "stokes")
+    (row,) = json.loads((tmp_path / "stokes" / "table.json").read_text())
+    assert row["converged"] and row["residual_gap"] is None

@@ -235,6 +235,20 @@ def test_from_descriptor_unknown_model():
         dk.from_descriptor({"name": "nonsense"})
 
 
+def test_rlc_source_spec_rejects_unknown_keys_and_types():
+    # a misspelt "omega" built a source with omega 1 before
+    sin = {"kind": "sin", "amplitude": 2.0, "omgea": 5.0, "phase": 0.0}
+    with pytest.raises(ModelError, match=r"\['omgea', 'phase'\]"):
+        dk.from_descriptor({"name": "rlc", "params": {"eg": sin}})
+    for eg in ("1.5", [1.0], True, None):
+        with pytest.raises(ModelError, match="not a number or a JSON object"):
+            dk.from_descriptor({"name": "rlc", "params": {"eg": eg}})
+    del sin["omgea"], sin["phase"]
+    sin["omega"] = 5.0
+    f = dk.from_descriptor({"name": "rlc", "params": {"eg": sin}}).f(1.0)
+    assert f[3] == pytest.approx(2.0 * np.sin(5.0), rel=1e-15)
+
+
 @pytest.mark.parametrize("name", sorted(dk.MODEL_REGISTRY))
 def test_from_descriptor_defaults_are_the_registry_params(name):
     # `models list` prints the registry params, so they must be what is built

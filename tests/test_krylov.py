@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import dhkrylov as dk
 from dhkrylov.errors import DefinitenessError, DimensionError, ParameterError, StructureError
@@ -10,6 +12,28 @@ from dhkrylov.krylov import SOLVER_NAMES, lanczos_advance, lanczos_init
 
 from support import (krylov_basis, mgs_gmres_reference, random_hs_system, random_spd,
                      uniform_spectrum_system)
+
+
+EPS = np.finfo(float).eps
+
+
+class _CountingOperator:
+    """A matrix behind ``@`` that counts its products and the columns they take."""
+
+    def __init__(self, a):
+        self.a, self.shape, self.dtype = a, a.shape, a.dtype
+        self.products = self.columns = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        self.columns += x.shape[1] if x.ndim == 2 else 1
+        return self.a @ x
+
+
+def _counted(sysm):
+    """``sysm`` with its ``a`` behind a :class:`_CountingOperator`, and that operator."""
+    op = _CountingOperator(sysm.a)
+    return dataclasses.replace(sysm, a=op), op
 
 
 def _operators(sysm):
@@ -111,7 +135,7 @@ def _block_cases():
     early = np.zeros(42)
     early[:2] = rng.standard_normal(2)
     spd = dk.HsSplitSystem.from_matrix(random_spd(rng, 25, cond=20.0))  # S = 0
-    return {
+    cases = {
         "real": (real, rng.standard_normal((40, 4))),
         "complex": (cplx, rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))),
         "early-and-zero-columns": (
@@ -119,14 +143,23 @@ def _block_cases():
                                     rng.standard_normal(42)])),
         "s-zero": (spd, rng.standard_normal((25, 3))),
     }
+    # lam = 2 keeps the runs near 40 steps, where rounding leaves the stopping
+    # step fixed (ROADMAP item 7)
+    lam_two = random_hs_system(rng, 200, cond_h=100.0, lam=2.0)
+    cases["lam-two"] = (lam_two, rng.standard_normal((200, 6)))
+    return cases
 
 
-@pytest.mark.parametrize("case", ["real", "complex", "early-and-zero-columns", "s-zero"])
+@pytest.mark.parametrize("case", ["real", "lam-two", "complex", "early-and-zero-columns",
+                                  "s-zero"])
 @pytest.mark.parametrize("method", ["widlund", "rapoport"])
 def test_block_hlanczos_matches_column_solves(method, case):
     sysm, rhs = _block_cases()[case]
-    block = dk.krylov._solve_hlanczos(method, sysm, rhs, 1e-10, 250)
+    counted, op = _counted(sysm)
+    block = dk.krylov._solve_hlanczos(method, counted, rhs, 1e-10, 250)
     assert block.solution.shape == rhs.shape
+    # one true residual per nonzero column, taken at its stopping step
+    assert op.columns == np.count_nonzero(np.linalg.norm(rhs, axis=0))
     for j in range(rhs.shape[1]):
         single = dk.solve(method, sysm, rhs[:, j], tol=1e-10)
         assert block.iterations[j] == single.iterations, j
@@ -134,6 +167,11 @@ def test_block_hlanczos_matches_column_solves(method, case):
         assert block.breakdown[j] == (single.breakdown or 0), j
         err = np.linalg.norm(block.solution[:, j] - single.solution)
         assert err <= 1e-12 * np.linalg.norm(single.solution), (j, err)
+        # the block forms it by a GEMM, so it agrees to rounding in A x
+        x = block.solution[:, j]
+        true = np.linalg.norm(rhs[:, j] - sysm.a @ x)
+        slack = 100 * sysm.n * EPS * np.linalg.norm(sysm.a, 2) * np.linalg.norm(x)
+        assert abs(block.residual_2norm[j] - true) <= slack, j
     its = block.iterations
     if case == "early-and-zero-columns":
         assert its[1] <= 2 < min(its[0], its[3]) and its[2] == 0
@@ -150,11 +188,79 @@ def test_block_hlanczos_maxit_leaves_columns_unconverged():
         assert np.allclose(block.solution[:, j], single.solution, rtol=1e-12, atol=0)
 
 
+def test_block_hlanczos_maxit_zero_reports_the_residual_of_the_zero_iterate():
+    sysm, rhs = _block_cases()["early-and-zero-columns"]
+    block = dk.krylov._solve_hlanczos("rapoport", sysm, rhs, 1e-10, 0)
+    assert np.all(block.iterations == 0) and not np.any(block.solution)
+    assert np.array_equal(block.converged, [False, False, True, False])
+    assert np.array_equal(block.residual_2norm, np.linalg.norm(rhs, axis=0))
+
+
 def test_block_hlanczos_zero_block_takes_no_step():
     sysm, rhs = _block_cases()["real"]
     block = dk.krylov._solve_hlanczos("widlund", sysm, np.zeros_like(rhs), 1e-10, 250)
     assert np.all(block.iterations == 0) and np.all(block.converged)
     assert not np.any(block.solution)
+
+
+@pytest.mark.parametrize("method", ["widlund", "rapoport"])
+def test_hlanczos_converged_solve_makes_one_product_with_a(method):
+    # the residual is updated by recurrence; one true residual confirms the stop
+    rng = np.random.default_rng(21)
+    sysm, op = _counted(random_hs_system(rng, 40, cond_h=100.0, lam=1.5))
+    b = rng.standard_normal(40)
+    rep = dk.solve(method, sysm, b, tol=1e-10)
+    assert rep.converged and rep.iterations > 5
+    assert op.products == 1
+    assert rep.residual_2norm[-1] == np.linalg.norm(b - op.a @ rep.solution)
+    assert rep.residual_gap <= 1e-14
+
+
+@pytest.mark.parametrize("method", ["widlund", "rapoport"])
+def test_hlanczos_replaces_residual_when_true_residual_stagnates(method):
+    # On this system the updated residual stagnates near 2e-16 ||b|| and the
+    # true one near 4e-15 ||b||.  At tol 1e-15 the first confirmation fails,
+    # so the true residual replaces the updated one, which then stays above
+    # tol: without the replacement every later step would confirm again.
+    rng = np.random.default_rng(41)
+    sysm, op = _counted(random_hs_system(rng, 200, cond_h=100.0, lam=2.0))
+    b = rng.standard_normal(200)
+    bnorm = np.linalg.norm(b)
+    tol, maxit = 1e-15, 150
+    rep = dk.solve(method, sysm, b, tol=tol, maxit=maxit)
+    assert not rep.converged and rep.iterations == maxit
+    # a failed confirmation, its replacement (a second product for Widlund,
+    # whose replacement is b - A x^R) and the confirmation at maxit
+    assert op.products == (2 if method == "rapoport" else 3)
+    assert rep.residual_gap > tol
+    assert np.all(rep.residual_2norm > tol * bnorm)
+    assert rep.residual_2norm[-1] == np.linalg.norm(b - op.a @ rep.solution)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from(["widlund", "rapoport", "gmres", "lgmres"]), st.floats(0.0, 4.0))
+def test_residual_gap_at_confirmation_is_rounding_level(n, seed, complex_, method, lam):
+    rng = np.random.default_rng(seed)
+    sysm = random_hs_system(rng, n, cond_h=100.0, lam=lam, complex_=complex_)
+    b = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_ else 0)
+    rep = dk.solve(method, sysm, b, tol=1e-10)
+    bnorm = np.linalg.norm(b)
+    growth = 1 + np.linalg.norm(sysm.a, 2) * np.linalg.norm(rep.solution) / bnorm
+    assert rep.residual_gap <= 100 * n * EPS * growth
+    assert rep.residual_2norm[-1] == np.linalg.norm(b - sysm.a @ rep.solution)
+
+
+def test_residual_gap_only_for_one_dimensional_krylov_solves():
+    rng = np.random.default_rng(5)
+    sysm = random_hs_system(rng, 20, cond_h=10.0, lam=1.0)
+    b = rng.standard_normal(20)
+    for method in ("widlund", "rapoport", "gmres", "lgmres"):
+        assert 0.0 <= dk.solve(method, sysm, b).residual_gap <= 1e-14, method
+        assert dk.solve(method, sysm, np.zeros(20)).residual_gap is None, method
+    assert dk.solve("hss", sysm, b).residual_gap is None
+    block = dk.krylov._solve_hlanczos("rapoport", sysm, np.column_stack([b, b]), 1e-12, 250)
+    assert block.residual_gap is None
 
 
 def _criterion_five_basis(seed, k):
@@ -456,6 +562,18 @@ def test_lgmres_makes_one_h_solve_per_step(monkeypatch):
     rep = dk.solve("lgmres", sysm, rng.standard_normal(40), tol=1e-10)
     assert rep.converged and rep.iterations > 5
     assert len(calls) == rep.iterations + 1
+
+
+def test_lgmres_makes_one_product_with_a_per_step_and_confirmation():
+    # the basis products A v_j are kept, so the residual b - (A V_k) y of each
+    # step needs no product; x_k = V_k y and b - A x_k only confirm the stop
+    rng = np.random.default_rng(21)
+    sysm, op = _counted(random_hs_system(rng, 40, cond_h=100.0, lam=1.5))
+    b = rng.standard_normal(40)
+    rep = dk.solve("lgmres", sysm, b, tol=1e-10)
+    assert rep.converged and rep.iterations > 5
+    assert op.products == rep.iterations + 1
+    assert rep.residual_2norm[-1] == np.linalg.norm(b - op.a @ rep.solution)
 
 
 @pytest.mark.parametrize("complex_", [False, True])

@@ -287,3 +287,9 @@ def test_midpoint_saddle_blocks_need_trailing_singular_coordinates():
                                         for m in (stokes.e, stokes.j, stokes.r)))
     with pytest.raises(DimensionError, match="must come last"):
         dk.midpoint_saddle_blocks(moved, 1e-3)
+
+
+def test_midpoint_saddle_blocks_reject_empty_system():
+    empty = dk.from_descriptor({"name": "mechanical", "params": {"n": 0}})
+    with pytest.raises(DimensionError, match="nonempty"):
+        dk.midpoint_saddle_blocks(empty, 1e-3)
