@@ -363,6 +363,7 @@ def cmd_integrate(args):
         "hamiltonian_initial": float(traj.hamiltonians[0]),
         "hamiltonian_final": float(traj.hamiltonians[-1]),
         "dissipated_total": float(np.sum(traj.dissipation)),
+        "krylov_iterations_total": int(np.sum(traj.iterations)),
     }
     (out / "report.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))

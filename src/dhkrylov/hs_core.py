@@ -255,6 +255,7 @@ class HsSplitSystem:
 
     ``h_eigenvalues``, the ascending spectrum of ``h``, is computed on first
     read and kept; a spectrum computed for the classification is reused.
+    ``hss_factors`` is computed on first read and kept in the same way.
     """
 
     a: np.ndarray
@@ -270,6 +271,21 @@ class HsSplitSystem:
     @functools.cached_property
     def h_eigenvalues(self):
         return _freeze(np.linalg.eigvalsh(self.h))
+
+    @functools.cached_property
+    def hss_factors(self):
+        """``(alpha, factor, lu)`` of the HSS iteration on this system.
+
+        alpha = sqrt(lambda_min lambda_max) of ``h``; ``factor`` is the
+        :class:`HermitianFactor` of alpha I + h and ``lu`` the
+        ``scipy.linalg.lu_factor`` payload of alpha I + s.
+        """
+        eigs = self.h_eigenvalues
+        alpha = float(np.sqrt(eigs[0] * eigs[-1]))
+        eye = np.eye(self.n, dtype=self.a.dtype)
+        factor = HermitianFactor(scipy.linalg.cho_factor(alpha * eye + self.h, lower=True),
+                                 self.n)
+        return alpha, factor, scipy.linalg.lu_factor(alpha * eye + self.s)
 
     @classmethod
     def from_matrix(cls, a):

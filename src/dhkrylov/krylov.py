@@ -70,7 +70,7 @@ import scipy.linalg
 from .bounds import rapoport_bound, widlund_bound
 from .errors import (DefinitenessError, DimensionError, ParameterError, SolverError,
                      StructureError)
-from .hs_core import Definiteness, HermitianFactor, HsSplitSystem
+from .hs_core import Definiteness, HsSplitSystem
 
 #: Lucky-breakdown threshold for the Lanczos subdiagonal, relative to ||b_hat||_H.
 BREAKDOWN_REL = 1e-14
@@ -673,11 +673,12 @@ def solve_hss(sys: HsSplitSystem, b, tol=1e-12, maxit=250) -> SolveReport:
     (alpha I + H) x^{k+1/2} = (alpha I - S) x^k + b
     (alpha I + S) x^{k+1}   = (alpha I - H) x^{k+1/2} + b
 
-    With exact inner solves (upfront factorizations, reused every sweep)
-    the iteration converges for every alpha > 0 when H is positive
-    definite.  It runs at alpha = sqrt(lambda_min lambda_max) of H, which
-    minimizes its contraction bound (Bai, Golub & Ng, SIMAX 24 (2003)
-    603-626).
+    With exact inner solves the iteration converges for every alpha > 0
+    when H is positive definite.  It runs at alpha = sqrt(lambda_min
+    lambda_max) of H, which minimizes its contraction bound (Bai, Golub &
+    Ng, SIMAX 24 (2003) 603-626).  The two shifted factorizations are
+    :attr:`HsSplitSystem.hss_factors`, made by the first HSS solve on a
+    system and reused by every later one.
     """
     if sys.definiteness is not Definiteness.POSITIVE_DEFINITE:
         raise DefinitenessError("hss requires a positive definite Hermitian part")
@@ -687,14 +688,8 @@ def solve_hss(sys: HsSplitSystem, b, tol=1e-12, maxit=250) -> SolveReport:
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return _zero_rhs_report(sys.n, sys.a.dtype, "hss")
-    eigs = sys.h_eigenvalues
-    alpha = float(np.sqrt(eigs[0] * eigs[-1]))
-    n = sys.n
-    eye = np.eye(n, dtype=sys.a.dtype)
-    ch = HermitianFactor(scipy.linalg.cho_factor(alpha * eye + sys.h, lower=True), n)
-    lus = scipy.linalg.lu_factor(alpha * eye + sys.s)
-
-    x = np.zeros(n, dtype=np.result_type(sys.a.dtype, b.dtype))
+    alpha, ch, lus = sys.hss_factors
+    x = np.zeros(sys.n, dtype=np.result_type(sys.a.dtype, b.dtype))
     res_hist = [bnorm]
     converged = False
     k_done = 0
@@ -737,6 +732,19 @@ class SchurSolveReport:
     schur_matrix: np.ndarray | None = None
 
 
+def _shortfall(what, rep, tol, maxit):
+    """``SolverError`` for a solve that missed ``tol``: its steps and residual.
+
+    A block report is summarized by its most steps and its largest relative
+    residual over the columns.
+    """
+    rhs_norm = np.atleast_1d(rep.rhs_norm)
+    final = np.atleast_1d(rep.residual_2norm)[-rhs_norm.size:]
+    rel = float(np.max(final / np.where(rhs_norm > 0, rhs_norm, 1.0)))
+    return SolverError(f"{what} stopped after {int(np.max(rep.iterations))} of "
+                       f"maxit={maxit} steps at relative residual {rel:.3e}, above {tol:.1e}")
+
+
 #: Inner methods that build A^{-1} [B | f] as one lockstep block run.  Their
 #: short recurrence holds a fixed handful of (n_v, n_p + 1) blocks; a lockstep
 #: GMRES would hold k (n_p + 1) basis vectors (13 MB more peak memory on Stokes
@@ -759,7 +767,10 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
     Hermitian part and B full column rank, which makes S1 positive definite
     as well.  Up to two
     residual-based refinement passes are applied if needed.
-    ``inner_iterations`` sums the steps of every inner column.
+    ``inner_iterations`` sums the steps of every inner column.  An inner or
+    outer solve that misses its tolerance raises ``SolverError`` with the
+    method, the steps taken against ``maxit`` and the relative residual
+    reached.
     """
     check_tol_maxit(tol, maxit)
     start = time.perf_counter()
@@ -781,9 +792,7 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
             rep = solve(inner_solver, inner_sys, rhs, tol=inner_tol, maxit=maxit)
         inner_count += int(np.sum(rep.iterations))
         if not np.all(rep.converged):
-            raise SolverError(
-                f"inner {inner_solver} solve with A failed to reach {inner_tol}"
-            )
+            raise _shortfall(f"inner {inner_solver} solve with A", rep, inner_tol, maxit)
         return rep.solution
 
     rhs = _as_rhs(np.column_stack([b_block, f]), inner_sys.n, n_p + 1)
@@ -796,10 +805,11 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
 
     def outer_solve(rhs):
         nonlocal outer_count
-        rep = solve(inner_solver, outer_sys, rhs, tol=max(tol * 1e-2, 1e-15), maxit=maxit)
+        outer_tol = max(tol * 1e-2, 1e-15)
+        rep = solve(inner_solver, outer_sys, rhs, tol=outer_tol, maxit=maxit)
         outer_count += rep.iterations
         if not rep.converged:
-            raise SolverError(f"outer {inner_solver} solve with S1 failed")
+            raise _shortfall(f"outer {inner_solver} solve with S1", rep, outer_tol, maxit)
         return rep.solution
 
     fnorm = float(np.sqrt(np.linalg.norm(f) ** 2 + np.linalg.norm(g) ** 2))

@@ -209,10 +209,11 @@ def test_bench_incompatible_solver_reported_per_row(tmp_path):
     table = json.loads((out / "table.json").read_text())
     errors = [r for r in table if "error" in r]
     assert len(errors) == 1 and errors[0]["solver"] == "gmres"
-    assert errors[0]["error"] == "outer gmres solve with S1 failed"
+    message = "outer gmres solve with S1 stopped after 20 of maxit=20 steps at relative residual "
+    assert errors[0]["error"].startswith(message)
     assert len(table) == 2 and table[0]["converged"]  # the run continued
     text = (out / "table.txt").read_text().splitlines()
-    assert text[-1] == "  error: outer gmres solve with S1 failed"
+    assert text[-1] == "  error: " + errors[0]["error"]
     assert "error" not in "".join(text[:-1])
 
 
@@ -335,6 +336,21 @@ def test_integrate_subcommand(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0][0] == "t" and rows[0][-2:] == ["hamiltonian", "dissipation"]
     assert len(rows) == 12
+    assert json.loads((out / "report.json").read_text())["krylov_iterations_total"] == 0
+
+
+def test_integrate_reports_krylov_iterations_total(tmp_path):
+    model = {"name": "mechanical", "params": {"n": 4, "damping": 0.5}}
+    x0 = np.random.default_rng(4).standard_normal(8)
+    dk.write_matrix(tmp_path / "x0.mtx", x0.reshape(-1, 1))
+    out = tmp_path / "out"
+    assert main(["integrate", "--model", "mechanical", "--param", "n=4",
+                 "--param", "damping=0.5", "--tau", "0.05", "--steps", "10",
+                 "--x0", str(tmp_path / "x0.mtx"), "--solver", "rapoport",
+                 "--out", str(out)]) == 0
+    traj = dk.integrate(dk.from_descriptor(model), x0, 0.05, 10, solver="rapoport")
+    total = json.loads((out / "report.json").read_text())["krylov_iterations_total"]
+    assert total == int(np.sum(traj.iterations)) > 0
 
 
 def test_staircase_subcommand_identity(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import dhkrylov as dk
-from dhkrylov.errors import DefinitenessError, DimensionError, ParameterError, StructureError
+from dhkrylov.errors import (DefinitenessError, DimensionError, ParameterError, SolverError,
+                             StructureError)
 from dhkrylov.krylov import SOLVER_NAMES, lanczos_advance, lanczos_init
 
 from support import (krylov_basis, mgs_gmres_reference, random_hs_system, random_spd,
@@ -666,6 +668,30 @@ def test_hss_shift_is_geometric_mean_of_extreme_eigenvalues(monkeypatch):
     assert np.allclose(shifts[0], np.sqrt(d.min() * d.max()), rtol=1e-12, atol=0)
 
 
+def test_hss_factors_once_per_system(monkeypatch):
+    # alpha I + H and alpha I + S are factored by the first solve and kept
+    rng = np.random.default_rng(2)
+    sysm = random_hs_system(rng, 30, cond_h=100.0, lam=1.0)
+    fresh = dk.HsSplitSystem.from_matrix(sysm.a)
+    calls = []
+
+    def counting(name):
+        factor = getattr(scipy.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return factor(*args, **kwargs)
+        return counted
+
+    for name in ("cho_factor", "lu_factor"):
+        monkeypatch.setattr(scipy.linalg, name, counting(name))
+    b1, b2 = rng.standard_normal((2, 30))
+    assert dk.solve_hss(sysm, b1, tol=1e-10, maxit=5000).converged
+    rep = dk.solve_hss(sysm, b2, tol=1e-10, maxit=5000)
+    assert rep.converged and calls == ["cho_factor", "lu_factor"]
+    assert np.array_equal(rep.solution, dk.solve_hss(fresh, b2, tol=1e-10, maxit=5000).solution)
+
+
 # ---------------------------------------------------------------------------
 # Schur-complement path
 # ---------------------------------------------------------------------------
@@ -774,6 +800,25 @@ def test_schur_path_hss_converges(grid_n, tol):
     full = sys.e + (tau / 2) * (sys.r - sys.j)
     x = np.concatenate([rep.v, rep.p])
     assert np.linalg.norm(full @ x - rhs) <= tol * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("inner, maxit, failing", [
+    ("rapoport", 1, "inner rapoport solve with A"),  # the lockstep block
+    ("gmres", 5, "inner gmres solve with A"),  # column by column
+    ("hss", 10, "outer hss solve with S1"),
+])
+def test_schur_path_failure_names_steps_and_residual(inner, maxit, failing):
+    sys = dk.assemble_stokes_like(3, convection=50.0, stabilization=0.0)
+    a11, b_block, (nv, _) = dk.midpoint_saddle_blocks(sys, 1e-3)
+    rhs = np.random.default_rng([7, 3]).standard_normal(sys.n)
+    with pytest.raises(SolverError) as info:
+        dk.solve_via_schur(a11, b_block, rhs[:nv], rhs[nv:], inner_solver=inner, tol=1e-10,
+                           maxit=maxit)
+    match = re.fullmatch(rf"{failing} stopped after {maxit} of maxit={maxit} steps at "
+                         r"relative residual (\S+), above (\S+)", str(info.value))
+    assert match is not None, str(info.value)
+    reached, tol = (float(v) for v in match.groups())
+    assert tol == (1e-13 if "inner" in failing else 1e-12) and reached > tol
 
 
 def test_schur_path_rejects_bad_tol_and_maxit():

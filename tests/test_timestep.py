@@ -293,3 +293,83 @@ def test_midpoint_saddle_blocks_reject_empty_system():
     empty = dk.from_descriptor({"name": "mechanical", "params": {"n": 0}})
     with pytest.raises(DimensionError, match="nonempty"):
         dk.midpoint_saddle_blocks(empty, 1e-3)
+
+
+def _forced_mechanical():
+    rng = np.random.default_rng(11)
+    n = 10
+    g = rng.standard_normal((n, n))
+    load = rng.standard_normal(n)
+    return dk.assemble_mechanical(random_spd(rng, n), g @ g.T / n, random_spd(rng, n),
+                                  force=lambda t: np.sin(3.0 * t) * load)
+
+
+# (system, x0, tau, steps) of the three guess cases: unforced, forced, and a
+# circuit with an algebraic constraint that settles to its DC point
+GUESS_CASES = {
+    "mechanical": lambda: (dk.from_descriptor({"name": "mechanical",
+                                               "params": {"n": 10, "seed": 4}}),
+                           np.random.default_rng(2).standard_normal(20), 0.02, 60),
+    "forced-mechanical": lambda: (_forced_mechanical(),
+                                  np.random.default_rng(3).standard_normal(20), 0.02, 60),
+    "rlc": lambda: (dk.assemble_rlc(1, 1, 1, 1, 1, 1, eg=1.0),
+                    np.array([0.0, 0.0, 0.0, 1.0, 0.0]), 0.3, 60),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUESS_CASES))
+@pytest.mark.parametrize("solver", dk.krylov.SOLVER_NAMES)
+def test_guessed_krylov_steps_match_direct_and_meet_tol(case, solver):
+    sys, x0, tau, steps = GUESS_CASES[case]()
+    ref = dk.integrate(sys, x0, tau, steps, solver="direct")
+    traj = dk.integrate(sys, x0, tau, steps, solver=solver)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-9 * np.max(np.abs(ref.states))
+    msys = dk.midpoint_system(sys, tau)
+    a = msys.sys.a
+    for k in range(steps):
+        b = dk.midpoint_rhs(msys, traj.states[k], traj.times[k])
+        x = traj.states[k + 1]
+        # GMRES and HSS stop within 0.5 % of tol, so allow for the rounding of
+        # this evaluation of b - A x, which is not the solver's
+        rounding = sys.n * np.finfo(float).eps * np.linalg.norm(a, 2) * np.linalg.norm(x)
+        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b) + rounding
+    assert traj.iterations.shape == (steps + 1,) and traj.iterations[0] == 0
+    assert not np.any(ref.iterations)
+
+
+@pytest.mark.parametrize("solver", ["widlund", "rapoport", "lgmres"])
+def test_guess_cuts_krylov_steps_against_cold_solves(solver):
+    sys = dk.from_descriptor({"name": "mechanical",
+                              "params": {"n": 200, "damping": 1.0, "seed": 7}})
+    x0 = np.random.default_rng([7, 2]).standard_normal(400)
+    traj = dk.integrate(sys, x0, 0.02, 150, solver=solver)
+    msys = dk.midpoint_system(sys, 0.02)
+    cold = sum(dk.krylov.solve(solver, msys.sys, dk.midpoint_rhs(msys, x, t)).iterations
+               for x, t in zip(traj.states[:-1], traj.times[:-1]))
+    assert np.sum(traj.iterations) <= 0.3 * cold
+
+
+def test_guess_skips_most_solves_on_a_circuit_at_rest(monkeypatch):
+    sys = dk.assemble_rlc(1, 1, 1, 1, 1, 1, eg=1.0)
+    x0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+    calls = []
+    solve = dk.krylov.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dk.krylov, "solve", counted)
+    traj = dk.integrate(sys, x0, 0.3, 100, solver="rapoport")
+    assert len(calls) < 100
+    assert np.count_nonzero(traj.iterations) == len(calls)
+
+
+@pytest.mark.parametrize("solver", dk.krylov.SOLVER_NAMES)
+def test_energy_dissipation_identity_with_guessed_steps(solver):
+    sys = dk.from_descriptor({"name": "mechanical",
+                              "params": {"n": 20, "seed": 3, "damping": 1.0}})
+    x0 = np.random.default_rng(5).standard_normal(40)
+    traj = dk.integrate(sys, x0, 0.02, 100, solver=solver, tol=1e-12)
+    defect = np.diff(traj.hamiltonians) + traj.dissipation[1:]
+    assert np.max(np.abs(defect)) <= 1e-10 * traj.hamiltonians[0]
