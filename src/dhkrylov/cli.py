@@ -364,6 +364,7 @@ def cmd_integrate(args):
         "hamiltonian_final": float(traj.hamiltonians[-1]),
         "dissipated_total": float(np.sum(traj.dissipation)),
         "krylov_iterations_total": int(np.sum(traj.iterations)),
+        "ledger_gap_max": float(np.max(np.abs(traj.ledger_gaps), initial=0.0)),
     }
     (out / "report.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))

@@ -20,6 +20,7 @@ kernels are two-sided, which makes the rank decisions well posed.)
 from __future__ import annotations
 
 import enum
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -65,7 +66,8 @@ class DhDaeSystem:
     """The triple (E, J, R) plus the source f(t).
 
     ``f`` must be a pure function of t so systems can be shared across
-    threads.
+    threads.  The kernel basis of :func:`nullspace_of_e` is computed on
+    first use and kept, read-only, on the system.
     """
 
     e: np.ndarray
@@ -91,6 +93,10 @@ class DhDaeSystem:
         if f is None:
             f = ZeroSource(e.shape[0])
         return cls(e=_freeze(e), j=_freeze(j), r=_freeze(r), f=f)
+
+    @functools.cached_property
+    def _e_nullspace(self):
+        return _freeze(_nullspace(self.e))
 
     def operator(self):
         """The right-hand-side matrix J - R."""
@@ -304,9 +310,15 @@ def nullspace_of_e(sys_or_e):
 
     A Cholesky certificate at ``RANK_TOL`` (:func:`certify_definiteness`)
     shows a positive definite E to have an empty kernel; eigenvectors are
-    computed only for a singular E.
+    computed only for a singular E.  For a :class:`DhDaeSystem` the basis is
+    computed once per system and returned read-only.
     """
-    e = sys_or_e.e if isinstance(sys_or_e, DhDaeSystem) else np.asarray(sys_or_e)
+    if isinstance(sys_or_e, DhDaeSystem):
+        return sys_or_e._e_nullspace
+    return _nullspace(np.asarray(sys_or_e))
+
+
+def _nullspace(e):
     if certify_definiteness(e, RANK_TOL)[0] is Definiteness.POSITIVE_DEFINITE:
         return np.zeros((e.shape[0], 0), dtype=np.result_type(e.dtype, float))
     return _range_of_e(e)[1]

@@ -37,14 +37,19 @@ this engine:
 recurrence step by step with an explicit H-inner product.  No solver runs on
 them; they are the reference that the solver bases are tested against.
 
-All solvers start from x_0 = 0 and stop when the relative 2-norm residual
-of the *original* system drops below ``tol``.  Widlund, Rapoport and GMRES
-carry that residual by recurrence and test it each step; when it meets
-``tol`` (or at breakdown or ``maxit``) one true residual b - A x confirms
-the stop.  If the true residual misses ``tol``, it replaces the updated one
-and the run goes on (residual replacement: van der Vorst & Ye, SISC 22
-(2000) 835-852).  A Widlund or Rapoport step costs one H-solve and one
-multiplication with S, plus O(n) vector work, and no product with A; in a
+All solvers start from x_0 = 0, or from a caller's x0 together with its
+residual r0 = b - A x0, and stop when the relative 2-norm residual
+||b - A x|| / ||b|| of the *original* system drops below ``tol``.  The
+caller may form r0 cheaply and need not form it exactly: Widlund, Rapoport
+and GMRES carry the residual from r0 by recurrence and test it each step;
+when it meets ``tol`` (or at breakdown or ``maxit``) one true residual
+b - A x confirms the stop.  If the true residual misses ``tol``, it
+replaces the updated one and the run goes on (residual replacement: van
+der Vorst & Ye, SISC 22 (2000) 835-852); from a warm start the recurrence
+restarts from it, so a stale r0 costs steps, never accuracy.  Every report
+carries that last true residual vector (``SolveReport.residual``).  A
+Widlund or Rapoport step costs one H-solve and one multiplication with S,
+plus O(n) vector work, and no product with A; in a
 block run each of these takes all running columns at once.  The H-solve of
 one vector is two BLAS-2 triangular solves with the Cholesky factor of H,
 and that of a block one LAPACK ``potrs`` call over all its columns
@@ -184,11 +189,12 @@ class SolveReport:
     computed on first read.
 
     Entries of ``residual_2norm`` before the last may come from the
-    residual recurrence; the last is a true residual ||b - A x||.  For a
-    1-D Widlund, Rapoport or GMRES solve, ``residual_gap`` is the largest
-    | ||b - A x|| - ||r_rec|| | / ||b|| over the steps where a true residual
-    confirmed the recurrence one r_rec; it is None for blocks, HSS and a
-    zero right side.
+    residual recurrence; the last is a true residual ||b - A x||, and
+    ``residual`` is that vector b - A x (a block of them for a block solve).
+    For a 1-D Widlund, Rapoport or GMRES solve, ``residual_gap`` is the
+    largest | ||b - A x|| - ||r_rec|| | / ||b|| over the steps where a true
+    residual confirmed the recurrence one r_rec; it is None for blocks, HSS
+    and a solve that takes no step.
     """
 
     solution: np.ndarray
@@ -206,6 +212,7 @@ class SolveReport:
     t_diag: list | None = None
     t_sub: list | None = None
     residual_gap: float | None = None
+    residual: np.ndarray | None = None
 
     @property
     def final_relative_residual(self):
@@ -252,15 +259,74 @@ def check_tol_maxit(tol, maxit):
         raise ParameterError(f"maxit must be a nonnegative integer, got {maxit!r}")
 
 
-def _zero_rhs_report(n, dtype, method):
+def _report_at_start(x, r, bnorm, converged, method):
+    """Report of a solve that takes no step: iterate ``x`` with true residual ``r``."""
     return SolveReport(
-        solution=np.zeros(n, dtype=dtype),
+        solution=x,
         iterations=0,
-        converged=True,
-        residual_2norm=np.zeros(1),
+        converged=converged,
+        residual_2norm=np.array([_cnorm(r)]),
         wall_time=0.0,
         method=method,
-        rhs_norm=0.0,
+        rhs_norm=bnorm,
+        residual=r,
+    )
+
+
+def _start(a, b, bnorm, x0, r0, tol, maxit, method):
+    """The checked start ``(x0, r0, report)`` of a 1-D solve of A x = b.
+
+    From zero, x0 is None and r0 is b.  A warm start takes ``x0`` with its
+    residual ``r0`` = b - A x0, formed here when None.  A given r0 is
+    trusted until the first confirmation, except when it already meets
+    ``tol`` or ``maxit`` is 0: then one product with A replaces it by the
+    true residual.  ``report`` is the outcome of a solve that takes no step,
+    else None: b = 0 is solved by x = 0 from any start, and a warm start
+    that meets ``tol`` (or has no step to take) is its own solution.
+    """
+    n = b.shape[0]
+    if x0 is None:
+        if r0 is not None:
+            raise ParameterError("r0 is the residual of a start x0, and x0 is missing")
+    else:
+        x0 = _as_rhs(x0, n, name="x0")
+        r0 = None if r0 is None else _as_rhs(r0, n, name="r0")
+    if bnorm == 0.0:
+        zero = np.zeros(n, dtype=a.dtype)
+        return None, b, _report_at_start(zero, zero, 0.0, True, method)
+    if x0 is None:
+        return None, b, None
+    rn = None if r0 is None else _cnorm(r0)
+    if rn is None or maxit == 0 or rn <= tol * bnorm:
+        r0 = b - a @ x0
+        rn = _cnorm(r0)
+    dtype = np.result_type(x0, r0)
+    x0, r0 = x0.astype(dtype, copy=False), r0.astype(dtype, copy=False)
+    if maxit == 0 or rn <= tol * bnorm:
+        return x0, r0, _report_at_start(x0.copy(), r0, bnorm, rn <= tol * bnorm, method)
+    return x0, r0, None
+
+
+def _restarted(head, tail):
+    """One report for a solve that took ``head``'s steps and went on as ``tail``.
+
+    ``tail`` started from head's iterate and its true residual, so the first
+    entry of each of its histories stands for head's last and is dropped.
+    The basis and Ritz coefficients are tail's.
+    """
+    def cat(h, t):
+        return None if h is None or t is None else np.concatenate([h, t[1:]])
+
+    return replace(
+        tail,
+        iterations=head.iterations + tail.iterations,
+        residual_2norm=cat(head.residual_2norm, tail.residual_2norm),
+        residual_hinv_norm=cat(head.residual_hinv_norm, tail.residual_hinv_norm),
+        residual_precond_norm=cat(head.residual_precond_norm, tail.residual_precond_norm),
+        error_h_norm=cat(head.error_h_norm, tail.error_h_norm),
+        breakdown=None if tail.breakdown is None else head.iterations + tail.breakdown,
+        wall_time=head.wall_time + tail.wall_time,
+        residual_gap=max(head.residual_gap, tail.residual_gap),
     )
 
 
@@ -325,7 +391,7 @@ def _keep(a, keep):
 # ---------------------------------------------------------------------------
 
 def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
-                    collect_basis=False) -> SolveReport:
+                    collect_basis=False, x0=None, r0=None) -> SolveReport:
     """Widlund or Rapoport iterate from one rotated QR of T~_{k+1,k}.
 
     The recurrence carries H v next to v, as preconditioned MINRES does, so
@@ -369,6 +435,15 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
     ``residual_gap`` is the largest relative difference of the two norms at
     a confirmation.
 
+    A warm start (:func:`_start`) runs the same recurrence from r0 in place
+    of b, with x_0 = x0 and r^R_0 = r0; the stop test stays
+    ||r_k|| <= tol ||b||.  Its confirmations form b - A x_k of the whole
+    iterate, so a stale r0 cannot end a solve that misses ``tol``.  A
+    Krylov space built from a stale r0 holds no correction for the
+    staleness, so a confirmation that misses ``tol`` before ``maxit``
+    restarts the recurrence from x_k and its true residual instead of
+    replacing r^R_k.
+
     ``b`` is one checked right side of shape (n,) or a block of m of shape
     (n, m).  A block runs the m recurrences in lockstep: every vector above
     becomes an (n, m) block and every scalar a length-m array, so a step
@@ -378,7 +453,8 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
     column is solved by x = 0 in 0 steps.  The report of a block holds
     per-column arrays: ``iterations``, ``converged``, ``breakdown`` (0 for
     none), ``rhs_norm`` and, in ``residual_2norm``, the final true residual.
-    ``x_exact`` and ``collect_basis`` apply to a single right side.
+    ``x_exact``, ``collect_basis`` and a warm start apply to a single right
+    side.
     """
     start = time.perf_counter()
     if sys.definiteness is not Definiteness.POSITIVE_DEFINITE:
@@ -394,22 +470,28 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
         iterations, breakdowns = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
         # a column that takes no step keeps x = 0 and the residual b
         converged_cols, final_res = bnorm == 0.0, bnorm.copy()
+        residual = b.copy()
         cols = np.flatnonzero(bnorm)
         b, bnorm = b[:, cols], bnorm[cols]
-    elif bnorm == 0.0:
-        return _zero_rhs_report(sys.n, sys.a.dtype, method)
-    bhat = sys.solve_h(b)
-    beta0 = _hnorm(bhat, b)
+        r0 = b
+    else:
+        x0, r0, done = _start(sys.a, b, bnorm, x0, r0, tol, maxit, method)
+        if done:
+            return done
+        dtype = np.result_type(dtype, r0.dtype)
+    warm = x0 is not None
+    bhat = sys.solve_h(r0)
+    beta0 = _hnorm(bhat, r0)
     if np.count_nonzero(beta0 == 0.0):
         raise SolverError("cannot start Lanczos from a zero right-hand side")
     rapoport = method == "rapoport"
 
-    res_hist = [bnorm]
+    res_hist = [_cnorm(r0) if warm else bnorm]
     rhi_hist = [beta0] if rapoport else None
-    err_hist = None if x_exact is None else [_h_norm_of(sys, x_exact)]
-    x = x_r = np.zeros(b.shape, dtype=dtype)
-    res_r = b  # b - A x_r, carried by the recurrence
-    v, hv = bhat / beta0, b / beta0
+    err_hist = None if x_exact is None else [_h_norm_of(sys, x_exact - x0 if warm else x_exact)]
+    x = x_r = x0 if warm else np.zeros(b.shape, dtype=dtype)
+    r = res_r = r0  # b - A x_r, carried by the recurrence
+    v, hv = bhat / beta0, r0 / beta0
     v_prev = hv_prev = 0.0
     beta = 0.0
     basis, t_diag, t_sub = [], [], []
@@ -418,7 +500,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
     # identity and zero at first
     rot1 = rot2 = (1.0, 0.0)
     d1 = d2 = ad1 = ad2 = 0.0
-    converged = broke = False
+    converged = broke = restart = False
     gap = 0.0
     k = 0
     for k in range(1, maxit + 1):
@@ -460,7 +542,8 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
                 rn, rec = _cnorm(r), rn
                 gap = max(gap, abs(rn - rec) / bnorm)
                 converged = rn <= tol * bnorm
-                if not (converged or broke or k == maxit):
+                restart = warm and not converged and k < maxit
+                if not (converged or broke or k == maxit or restart):
                     # residual replacement: the true residual restarts the update
                     res_r = r if rapoport else b - sys.a @ x_r
             res_hist.append(rn)
@@ -468,7 +551,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
                 rhi_hist.append(abs(g))
             if err_hist is not None:
                 err_hist.append(_h_norm_of(sys, x_exact - x))
-            if converged or broke or k == maxit:
+            if converged or broke or k == maxit or restart:
                 break
         elif confirm.any() or not confirm.size:
             at = np.flatnonzero(confirm)
@@ -479,6 +562,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
             stop = converged | broke[at] | (k == maxit)
             done, again = at[stop], at[~stop]
             solution[:, cols[done]] = xc[:, stop]
+            residual[:, cols[done]] = r[:, stop]
             iterations[cols[done]], converged_cols[cols[done]] = k, converged[stop]
             breakdowns[cols[done]] = np.where(broke[done], k, 0)
             final_res[cols[done]] = rn[stop]
@@ -500,8 +584,9 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
             solution=solution, iterations=iterations, converged=converged_cols,
             residual_2norm=final_res, breakdown=breakdowns,
             wall_time=time.perf_counter() - start, method=method, rhs_norm=rhs_norm,
+            residual=residual,
         )
-    return SolveReport(
+    report = SolveReport(
         solution=x,
         iterations=k,
         converged=converged,
@@ -516,7 +601,12 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
         t_diag=t_diag,
         t_sub=t_sub,
         residual_gap=gap,
+        residual=r,
     )
+    if restart:
+        return _restarted(report, _solve_hlanczos(method, sys, b, tol, maxit - k, x_exact,
+                                                  collect_basis, x, r))
+    return report
 
 
 def _h_norm_of(sys, v):
@@ -524,7 +614,7 @@ def _h_norm_of(sys, v):
 
 
 def solve_widlund(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
-                  collect_basis=False) -> SolveReport:
+                  collect_basis=False, x0=None, r0=None) -> SolveReport:
     """Oblique-projection method on (I + K) x = b_hat built on H-Lanczos.
 
     The k-th iterate is x_k = V_k y_k with (I_k + T_{k,k}) y_k =
@@ -532,11 +622,11 @@ def solve_widlund(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
     therefore always nonsingular.
     """
     return _solve_hlanczos("widlund", sys, _as_rhs(b, sys.n), tol, maxit,
-                           _as_x_exact(x_exact, sys.n), collect_basis)
+                           _as_x_exact(x_exact, sys.n), collect_basis, x0, r0)
 
 
 def solve_rapoport(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
-                   collect_basis=False) -> SolveReport:
+                   collect_basis=False, x0=None, r0=None) -> SolveReport:
     """Minimal residual method in the H^{-1} norm on the same Krylov spaces.
 
     Solves min_y || ||b_hat||_H e_1 - T~_{k+1,k} y ||_2 with the tridiagonal
@@ -546,14 +636,15 @@ def solve_rapoport(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
     of the true residual b - A x_k, the quantity the Rapoport bound bounds.
     """
     return _solve_hlanczos("rapoport", sys, _as_rhs(b, sys.n), tol, maxit,
-                           _as_x_exact(x_exact, sys.n), collect_basis)
+                           _as_x_exact(x_exact, sys.n), collect_basis, x0, r0)
 
 
 # ---------------------------------------------------------------------------
 # GMRES (classical Gram-Schmidt twice, no restarts), plain or left-preconditioned
 # ---------------------------------------------------------------------------
 
-def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False) -> SolveReport:
+def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False,
+                x0=None, r0=None) -> SolveReport:
     """GMRES by classical Gram-Schmidt done twice; optional left preconditioning by an HPD solve.
 
     Without ``precond`` the iterates minimize ||b - A z||_2 over K_k(A, b).
@@ -574,6 +665,10 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False) -
     triangular solve.  x_k and its true residual b - A x_k are formed only
     to confirm a stop (see the module docstring).  ``a`` is an array or
     any operator with ``shape``, ``dtype`` and ``@``.
+
+    A warm start (:func:`_start`) searches x0 + K_k from r0; a confirmation
+    that misses ``tol`` before ``maxit`` restarts it from x_k and its true
+    residual, since a stale r0 would keep the updated residual wrong.
     """
     start = time.perf_counter()
     a = a if hasattr(a, "__matmul__") else np.asarray(a)
@@ -582,12 +677,13 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False) -
     b = _as_rhs(b, n)
     bnorm = float(np.linalg.norm(b))
     method = "lgmres" if precond is not None else "gmres"
-    if bnorm == 0.0:
-        return _zero_rhs_report(n, a.dtype, method)
-    r0 = b if precond is None else precond(b)
-    beta = float(np.linalg.norm(r0))
+    x0, r0, done = _start(a, b, bnorm, x0, r0, tol, maxit, method)
+    if done:
+        return done
+    z0 = r0 if precond is None else precond(r0)
+    beta = float(np.linalg.norm(z0))
     m = min(maxit, n)
-    v0 = np.asarray(r0) / beta
+    v0 = np.asarray(z0) / beta
     # The first operator product fixes the arithmetic: real data stay real.
     av = a @ v0
     w = av if precond is None else precond(av)
@@ -601,10 +697,11 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False) -
     g = [beta]
     rotations = []
 
-    res_hist = [bnorm]
+    res_hist = [bnorm if x0 is None else float(np.linalg.norm(r0))]
     pre_hist = [beta]
-    x = np.zeros(n, dtype=dtype)
-    converged = happy = False
+    x = np.zeros(n, dtype=dtype) if x0 is None else x0
+    r = r0
+    converged = happy = restart = False
     gap = 0.0
     k = 0
     for k in range(1, m + 1):
@@ -636,19 +733,21 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False) -
             raise np.linalg.LinAlgError(
                 f"singular matrix: resolution failed at diagonal {k - 1}")
         y = trsv(r_mat[:k, :k], g[:k])
-        rn = float(np.linalg.norm(b - y @ a_basis[:k]))
+        rn = float(np.linalg.norm(r0 - y @ a_basis[:k]))
         converged = False
         if rn <= tol * bnorm or happy or k == m:
-            # confirm the stop by the true residual of x_k = V_k y
-            x = y @ v_k
-            rn, rec = float(np.linalg.norm(b - a @ x)), rn
+            # confirm the stop by the true residual of x_k = x0 + V_k y
+            x = y @ v_k if x0 is None else x0 + y @ v_k
+            r = b - a @ x
+            rn, rec = float(np.linalg.norm(r)), rn
             gap = max(gap, abs(rn - rec) / bnorm)
             converged = rn <= tol * bnorm
+            restart = x0 is not None and not converged and k < maxit
         res_hist.append(rn)
         pre_hist.append(abs(g[k]))
-        if converged or happy:
+        if converged or happy or restart:
             break
-    return SolveReport(
+    report = SolveReport(
         solution=x,
         iterations=k,
         converged=converged,
@@ -660,14 +759,19 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False) -
         basis=basis[:k].T.copy() if collect_basis and k else None,
         rhs_norm=bnorm,
         residual_gap=gap,
+        residual=r,
     )
+    if restart:
+        return _restarted(report, solve_gmres(a, b, tol, maxit - k, precond, collect_basis,
+                                              x, r))
+    return report
 
 
 # ---------------------------------------------------------------------------
 # HSS iteration
 # ---------------------------------------------------------------------------
 
-def solve_hss(sys: HsSplitSystem, b, tol=1e-12, maxit=250) -> SolveReport:
+def solve_hss(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x0=None, r0=None) -> SolveReport:
     """Alternating shifted Hermitian/skew-Hermitian solves.
 
     (alpha I + H) x^{k+1/2} = (alpha I - S) x^k + b
@@ -678,7 +782,9 @@ def solve_hss(sys: HsSplitSystem, b, tol=1e-12, maxit=250) -> SolveReport:
     lambda_max) of H, which minimizes its contraction bound (Bai, Golub &
     Ng, SIMAX 24 (2003) 603-626).  The two shifted factorizations are
     :attr:`HsSplitSystem.hss_factors`, made by the first HSS solve on a
-    system and reused by every later one.
+    system and reused by every later one.  A warm start (:func:`_start`)
+    sweeps from x0; every sweep forms its true residual, so r0 serves only
+    to skip a start that already meets ``tol``.
     """
     if sys.definiteness is not Definiteness.POSITIVE_DEFINITE:
         raise DefinitenessError("hss requires a positive definite Hermitian part")
@@ -686,17 +792,19 @@ def solve_hss(sys: HsSplitSystem, b, tol=1e-12, maxit=250) -> SolveReport:
     start = time.perf_counter()
     b = _as_rhs(b, sys.n)
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return _zero_rhs_report(sys.n, sys.a.dtype, "hss")
+    x0, r, done = _start(sys.a, b, bnorm, x0, r0, tol, maxit, "hss")
+    if done:
+        return done
     alpha, ch, lus = sys.hss_factors
-    x = np.zeros(sys.n, dtype=np.result_type(sys.a.dtype, b.dtype))
-    res_hist = [bnorm]
+    x = np.zeros(sys.n, dtype=np.result_type(sys.a.dtype, b.dtype)) if x0 is None else x0
+    res_hist = [bnorm if x0 is None else float(np.linalg.norm(r))]
     converged = False
     k_done = 0
     for k in range(1, maxit + 1):
         x_half = ch.solve(alpha * x - sys.s @ x + b)
         x = scipy.linalg.lu_solve(lus, alpha * x_half - sys.h @ x_half + b)
-        rn = float(np.linalg.norm(b - sys.a @ x))
+        r = b - sys.a @ x
+        rn = float(np.linalg.norm(r))
         res_hist.append(rn)
         k_done = k
         if rn <= tol * bnorm:
@@ -710,6 +818,7 @@ def solve_hss(sys: HsSplitSystem, b, tol=1e-12, maxit=250) -> SolveReport:
         wall_time=time.perf_counter() - start,
         method="hss",
         rhs_norm=bnorm,
+        residual=r,
     )
 
 
@@ -845,7 +954,10 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
 # ---------------------------------------------------------------------------
 
 def solve(method: str, sys: HsSplitSystem, b, tol=1e-12, maxit=250, **kwargs) -> SolveReport:
-    """Dispatch to one of the named solvers on an HsSplitSystem."""
+    """Dispatch to one of the named solvers on an HsSplitSystem.
+
+    Every method takes the warm start ``x0=``, ``r0=`` of :func:`_start`.
+    """
     if method == "widlund":
         return solve_widlund(sys, b, tol=tol, maxit=maxit, **kwargs)
     if method == "rapoport":

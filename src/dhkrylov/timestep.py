@@ -11,19 +11,23 @@ tau) pair is reused across all steps.
 
 Every step solves with the same A and a new right side.  The Krylov
 solvers of :func:`integrate` therefore start each step from the best
-combination of the last ``HISTORY`` states in the 2-norm of the residual
-and solve only for the correction; on a damped mechanical model with
-N = 400 this cuts the Krylov steps of 150 time steps from 1050 to 167.
+combination of the last ``HISTORY`` states in the 2-norm of the residual;
+on a damped mechanical model with N = 400 this cuts the Krylov steps of
+150 time steps from 1050 to 167.  Most steps then take one Krylov step,
+and such a Widlund or Rapoport step makes six passes over an N x N
+matrix: two H-solves and one product each with S, A, R and E.
 
 The scheme is second order and reproduces the energy balance of the model
-exactly: with midpoint state m_k = (x_k + x_{k+1})/2 and f = 0,
+exactly: with midpoint state m_k = (x_k + x_{k+1})/2 and step residual
+rho_k = b_k - A x_{k+1},
 
-    Ha(x_{k+1}) - Ha(x_k) = -tau * m_k^* R m_k.
+    Ha(x_{k+1}) - Ha(x_k) = -tau m_k* R m_k + tau Re m_k* f(t_k + tau/2) - Re m_k* rho_k,
+
+which :class:`Trajectory` books term by term.
 """
 
 from __future__ import annotations
 
-import collections
 import csv
 import math
 from dataclasses import dataclass
@@ -100,12 +104,20 @@ def midpoint_rhs(msys: MidpointSystem, x_k, t_k: float):
 class Trajectory:
     """Midpoint trajectory with per-step energy accounting.
 
-    ``hamiltonians[k] = 1/2 x_k* E x_k``; ``dissipation[k]`` is the energy
-    removed in the step arriving at ``times[k]`` (zero at k = 0), i.e.
-    ``tau * m^* R m`` with m the midpoint state of that step.
-    ``iterations[k]`` is the number of Krylov steps of that step's solve:
-    zero at k = 0, for the "direct" solver, and when the starting guess
-    already met the tolerance.  ``to_csv`` does not write it.
+    ``hamiltonians[k] = 1/2 x_k* E x_k``.  The other arrays describe the
+    step arriving at ``times[k]`` and are zero at k = 0.  With m the
+    midpoint state of that step:
+
+    * ``dissipation[k]`` is the energy removed, ``tau m* R m``;
+    * ``supply[k]`` is the energy supplied by the source,
+      ``tau Re m* f(t + tau/2)``;
+    * ``solver_defect[k]`` is ``Re m* rho`` for the step's residual
+      rho = b - A x_{k+1}, the energy the inexact solve leaves out;
+    * ``iterations[k]`` is the number of Krylov steps of the step's solve:
+      zero for the "direct" solver and when the starting guess already met
+      the tolerance.
+
+    ``to_csv`` writes only the times, states, Hamiltonians and dissipation.
     """
 
     times: np.ndarray
@@ -113,6 +125,14 @@ class Trajectory:
     hamiltonians: np.ndarray
     dissipation: np.ndarray
     iterations: np.ndarray
+    supply: np.ndarray
+    solver_defect: np.ndarray
+
+    @property
+    def ledger_gaps(self):
+        """Per step, ``dH + dissipation - supply + solver_defect``: zero up to rounding."""
+        return (np.diff(self.hamiltonians) + self.dissipation[1:] - self.supply[1:]
+                + self.solver_defect[1:])
 
     def to_csv(self, path):
         n = self.states.shape[1]
@@ -151,6 +171,66 @@ def check_consistency(sys: DhDaeSystem, x0, t0=0.0):
     return rel
 
 
+class _History:
+    """The last ``HISTORY`` states X, with a thin QR A X = Q R of their products.
+
+    Fischer's projection (CMAME 163 (1998) 193-204) on kept products only:
+    :meth:`guess` gives g = X c with c = R^{-1} Q* b, which minimizes
+    ||b - A X c||_2, and its residual r0 = b - Q Q* b, which equals
+    b - (A X) c, with no product with A.  :meth:`add` appends a state by
+    Gram-Schmidt done twice and drops the oldest by ``scipy.linalg.qr_delete``.
+    The arrays hold one column more than ``HISTORY`` so that the new column
+    goes in before the oldest goes out.
+    """
+
+    def __init__(self, n, dtype):
+        cap = HISTORY + 1
+        self.x = np.zeros((n, cap), dtype=dtype, order="F")
+        self.q = np.zeros((n, cap), dtype=dtype, order="F")
+        self.r = np.zeros((cap, cap), dtype=dtype, order="F")
+        self.size = 0
+
+    def guess(self, b):
+        """``(g, r0)``: the best combination of the kept states, and b - A g."""
+        p = self.size
+        if not p:
+            return np.zeros_like(b), b
+        q = self.q[:, :p]
+        qb = q.conj().T @ b
+        trsv, = scipy.linalg.get_blas_funcs(("trsv",), (self.r, qb))
+        c = trsv(self.r[:p, :p], qb)
+        return self.x[:, :p] @ c, b - q @ qb
+
+    def add(self, x, ax):
+        """Keep state ``x`` with ``ax`` = A x, unless ``ax`` depends on the kept products.
+
+        ``ax`` counts as dependent when its part orthogonal to them is below
+        1e-13 of its norm, as for a circuit at rest or a zero state.
+        """
+        dtype = np.result_type(self.q, x, ax)
+        if dtype != self.q.dtype:
+            # a complex source can turn real states complex
+            self.x, self.q, self.r = (m.astype(dtype, order="F") for m in (self.x, self.q, self.r))
+        p = self.size
+        q = self.q[:, :p]
+        h = q.conj().T @ ax
+        w = ax - q @ h
+        h2 = q.conj().T @ w
+        w -= q @ h2
+        wnorm = np.linalg.norm(w)
+        if not wnorm > 1e-13 * np.linalg.norm(ax):
+            return
+        self.x[:, p], self.q[:, p] = x, w / wnorm
+        self.r[:p, p], self.r[p, :p], self.r[p, p] = h + h2, 0.0, wnorm
+        p += 1
+        if p > HISTORY:
+            q, r = scipy.linalg.qr_delete(self.q, self.r, 0, which="col", overwrite_qr=True,
+                                          check_finite=False)
+            p = HISTORY
+            self.q[:, :p], self.r[:p, :p], self.x[:, :p] = q, r, self.x[:, 1:]
+        self.size = p
+
+
 def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
               tol=1e-12, t0=0.0) -> Trajectory:
     """Integrate with the implicit midpoint rule on a uniform grid.
@@ -163,15 +243,19 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
     (index two) go through the Schur path of :mod:`dhkrylov.krylov` instead.
 
     The right side b = 2 E x_k - A x_k + tau f(t_k + tau/2) reuses the
-    products E x_k and A x_k formed for the previous step's energy and
-    residual.  A Krylov step starts from the combination g = X c of the
-    last ``HISTORY`` states X that minimizes ||b - (A X) c||_2 (Fischer,
-    CMAME 163 (1998) 193-204); c = 0 is allowed, so ||b - A g|| <= ||b||.
-    When ||b - A g|| <= tol ||b|| the step takes g and calls no solver.
-    Otherwise the solver, started from zero, solves A d = b - A g to the
-    absolute threshold tol ||b|| and the step takes g + d.  Either way a
-    step whose residual exceeds max(tol, 1e-10) ||b|| raises
-    ``SolverError``.
+    products E x_k and A x_k of the previous step.  A Krylov step starts
+    from the combination g = X c of the last ``HISTORY`` states X that
+    minimizes ||b - (A X) c||_2; c = 0 is allowed, so ||b - A g|| <= ||b||.
+    Its residual r0 = b - A g comes from the kept products (see
+    :class:`_History`), not from a product with A.  When ||r0|| <= tol ||b||
+    the step forms A g and takes g if the true residual b - A g meets tol
+    too, without calling a solver.  Otherwise the solver runs from
+    (x0, r0) = (g, r0) to ||b - A x|| <= tol ||b|| and returns x_{k+1} with
+    its true residual rho, formed by a product with A inside the solver;
+    A x_{k+1} = b - rho is kept for the next step.  So at most one of r0 and
+    A x_{k+1} comes from kept products: with both, the rounding of the
+    coefficients c compounds from step to step.  A step whose residual
+    exceeds max(tol, 1e-10) ||b|| raises ``SolverError``.
     """
     from . import krylov  # local import to avoid a cycle
 
@@ -196,37 +280,37 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
     x = x0
     t = t0
     ex, ax = sys.e @ x, a @ x
-    # the last HISTORY states and their products with A, for the Krylov guess
-    xs = collections.deque([x], maxlen=HISTORY)
-    axs = collections.deque([ax], maxlen=HISTORY)
+    history = None if solver == "direct" else _History(sys.n, np.result_type(a, x))
+    if history is not None:
+        history.add(x, ax)
     times = [t0]
     states = [x0]
     hams = [0.5 * float(np.vdot(x, ex).real)]
-    diss = [0.0]
-    iters = [0]
+    diss, supply, defect, iters = [0.0], [0.0], [0.0], [0]
     for step in range(1, n_steps + 1):
+        f_mid = np.asarray(sys.f(t + tau / 2.0))
         # the midpoint_rhs formula on the kept products
-        b = 2.0 * ex - ax + tau * np.asarray(sys.f(t + tau / 2.0))
+        b = 2.0 * ex - ax + tau * f_mid
         bnorm = np.linalg.norm(b)
         k_steps = 0
         if solver == "direct":
             x_next = scipy.linalg.lu_solve(lu, b)
             ax = a @ x_next
-            resid = np.linalg.norm(ax - b)
+            rho = b - ax
+            resid = np.linalg.norm(rho)
         else:
-            c = np.linalg.lstsq(np.column_stack(axs), b, rcond=None)[0]
-            x_next = np.column_stack(xs) @ c
-            r0 = b - a @ x_next
-            resid = np.linalg.norm(r0)
+            x_next, rho = history.guess(b)
+            resid = np.linalg.norm(rho)
+            if resid <= tol * bnorm:
+                ax = a @ x_next
+                rho = b - ax
+                resid = np.linalg.norm(rho)
             if resid > tol * bnorm:
-                report = krylov.solve(solver, msys.sys, r0, tol=tol * bnorm / resid)
-                x_next = x_next + report.solution
-                k_steps = report.iterations
-                # the solver has just computed ||r0 - A d|| = ||b - A x_next||
+                report = krylov.solve(solver, msys.sys, b, tol=tol, x0=x_next, r0=rho)
+                x_next, rho, k_steps = report.solution, report.residual, report.iterations
+                ax = b - rho
                 resid = report.residual_2norm[-1]
-            ax = a @ x_next
-            xs.append(x_next)
-            axs.append(ax)
+            history.add(x_next, ax)
         if bnorm > 0 and resid > max(tol, 1e-10) * bnorm:
             raise SolverError(
                 f"{solver} solve of step {step} (t = {t + tau:g}) left relative "
@@ -234,6 +318,8 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
             )
         m = (x + x_next) / 2.0
         diss.append(tau * float(np.vdot(m, sys.r @ m).real))
+        supply.append(tau * float(np.vdot(m, f_mid).real))
+        defect.append(float(np.vdot(m, rho).real))
         x = x_next
         t += tau
         ex = sys.e @ x
@@ -247,6 +333,8 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
         hamiltonians=np.asarray(hams),
         dissipation=np.asarray(diss),
         iterations=np.asarray(iters),
+        supply=np.asarray(supply),
+        solver_defect=np.asarray(defect),
     )
 
 

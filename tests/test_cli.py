@@ -353,6 +353,21 @@ def test_integrate_reports_krylov_iterations_total(tmp_path):
     assert total == int(np.sum(traj.iterations)) > 0
 
 
+def test_integrate_reports_largest_ledger_gap(tmp_path):
+    model = {"name": "mechanical", "params": {"n": 4, "damping": 0.5}}
+    x0 = np.random.default_rng(4).standard_normal(8)
+    dk.write_matrix(tmp_path / "x0.mtx", x0.reshape(-1, 1))
+    out = tmp_path / "out"
+    assert main(["integrate", "--model", "mechanical", "--param", "n=4",
+                 "--param", "damping=0.5", "--tau", "0.05", "--steps", "10",
+                 "--x0", str(tmp_path / "x0.mtx"), "--solver", "gmres", "--tol", "1e-6",
+                 "--out", str(out)]) == 0
+    traj = dk.integrate(dk.from_descriptor(model), x0, 0.05, 10, solver="gmres", tol=1e-6)
+    gap = json.loads((out / "report.json").read_text())["ledger_gap_max"]
+    assert gap == float(np.max(np.abs(traj.ledger_gaps)))
+    assert gap <= 1e-14 * np.max(traj.hamiltonians)
+
+
 def test_staircase_subcommand_identity(tmp_path, capsys):
     amtx = tmp_path / "eye.mtx"
     dk.write_matrix(amtx, np.eye(6))

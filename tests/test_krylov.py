@@ -992,3 +992,89 @@ def test_ritz_half_width_only_for_single_hlanczos_solves():
     assert dk.solve_widlund(sysm, b, maxit=0).ritz_half_width is None
     block = dk.krylov._solve_hlanczos("rapoport", sysm, np.column_stack([b, 2 * b]), 1e-12, 250)
     assert block.ritz_half_width is None
+
+
+# ---------------------------------------------------------------------------
+# Warm starts (x0, r0) and the reported true residual
+# ---------------------------------------------------------------------------
+
+def _rounding(sysm, b, x):
+    """A bound on the rounding of one evaluation of b - A x."""
+    return 10 * sysm.n * EPS * (np.linalg.norm(b) + np.linalg.norm(sysm.a, 2) * np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("start", ["cold", "formed", "exact", "stale"])
+@pytest.mark.parametrize("method", SOLVER_NAMES)
+def test_warm_start_meets_tol_and_reports_the_true_residual(method, start, complex_):
+    rng = np.random.default_rng(61)
+    sysm = random_hs_system(rng, 40, cond_h=50.0, lam=1.0, complex_=complex_)
+    b, x0 = rng.standard_normal(40), rng.standard_normal(40)
+    # r0 formed by the solver, exact, or stale: the residual of x = 0, not of x0
+    kwargs = {"cold": {}, "formed": {"x0": x0}, "exact": {"x0": x0, "r0": b - sysm.a @ x0},
+              "stale": {"x0": x0, "r0": b}}[start]
+    rep = dk.solve(method, sysm, b, tol=1e-10, maxit=400, **kwargs)
+    r = b - sysm.a @ rep.solution
+    assert rep.converged and np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(rep.residual - r) <= _rounding(sysm, b, rep.solution)
+    assert rep.residual_2norm[-1] == np.linalg.norm(rep.residual)
+    assert len(rep.residual_2norm) == rep.iterations + 1
+
+
+@pytest.mark.parametrize("method", SOLVER_NAMES)
+def test_warm_start_meeting_tol_takes_no_step(method):
+    rng = np.random.default_rng(62)
+    sysm = random_hs_system(rng, 30, cond_h=20.0, lam=0.8)
+    b = rng.standard_normal(30)
+    x = np.linalg.solve(sysm.a, b)
+    rep = dk.solve(method, sysm, b, tol=1e-10, x0=x)
+    assert rep.converged and rep.iterations == 0
+    assert np.array_equal(rep.solution, x)
+    assert np.array_equal(rep.residual, b - sysm.a @ x)
+    # an r0 that claims tol is checked: the true residual of x0 replaces it
+    x0 = rng.standard_normal(30)
+    rep = dk.solve(method, sysm, b, tol=1e-10, maxit=400, x0=x0, r0=np.zeros(30))
+    assert rep.converged and rep.iterations > 0
+    assert np.linalg.norm(b - sysm.a @ rep.solution) <= 1e-10 * np.linalg.norm(b)
+    # maxit 0 returns x0 with its true residual
+    rep = dk.solve(method, sysm, b, maxit=0, x0=x0, r0=b)
+    assert rep.iterations == 0 and not rep.converged
+    assert np.array_equal(rep.solution, x0)
+    assert np.array_equal(rep.residual, b - sysm.a @ x0)
+
+
+@pytest.mark.parametrize("method", SOLVER_NAMES)
+def test_zero_rhs_is_solved_by_zero_from_any_start(method):
+    sysm = random_hs_system(np.random.default_rng(63), 8, cond_h=10.0, lam=0.5)
+    rep = dk.solve(method, sysm, np.zeros(8), x0=np.ones(8), r0=-sysm.a @ np.ones(8))
+    assert rep.converged and rep.iterations == 0 and rep.rhs_norm == 0.0
+    assert not np.any(rep.solution) and not np.any(rep.residual)
+    assert rep.final_relative_residual == 0.0
+
+
+@pytest.mark.parametrize("method", SOLVER_NAMES)
+def test_bad_warm_start_raises_typed_errors(method):
+    sysm = random_hs_system(np.random.default_rng(4), 5, cond_h=10.0, lam=0.5)
+    b = np.ones(5)
+    with pytest.raises(ParameterError, match="x0 is missing"):
+        dk.solve(method, sysm, b, r0=b)
+    for bad in (np.ones(4), np.ones((5, 1))):
+        with pytest.raises(DimensionError, match="x0"):
+            dk.solve(method, sysm, b, x0=bad)
+        with pytest.raises(DimensionError, match="r0"):
+            dk.solve(method, sysm, b, x0=np.ones(5), r0=bad)
+    x0 = np.ones(5)
+    x0[1] = np.nan
+    with pytest.raises(StructureError, match="x0"):
+        dk.solve(method, sysm, b, x0=x0)
+
+
+def test_block_report_carries_each_columns_true_residual():
+    rng = np.random.default_rng(64)
+    sysm = random_hs_system(rng, 30, cond_h=50.0, lam=1.0)
+    b = np.column_stack([rng.standard_normal(30), np.zeros(30), rng.standard_normal(30)])
+    rep = dk.krylov._solve_hlanczos("rapoport", sysm, b, 1e-10, 250)
+    r = b - sysm.a @ rep.solution
+    assert rep.residual.shape == b.shape
+    assert np.max(np.abs(rep.residual - r)) <= _rounding(sysm, b[:, 0], rep.solution[:, 0])
+    assert np.array_equal(np.linalg.norm(rep.residual, axis=0), rep.residual_2norm)

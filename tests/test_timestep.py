@@ -1,4 +1,6 @@
+import collections
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -373,3 +375,142 @@ def test_energy_dissipation_identity_with_guessed_steps(solver):
     traj = dk.integrate(sys, x0, 0.02, 100, solver=solver, tol=1e-12)
     defect = np.diff(traj.hamiltonians) + traj.dissipation[1:]
     assert np.max(np.abs(defect)) <= 1e-10 * traj.hamiltonians[0]
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("solver", ("direct",) + dk.krylov.SOLVER_NAMES)
+def test_energy_ledger_closes_on_every_step(solver, tol, forced):
+    # dH + tau m*Rm - supply + solver_defect = 0 holds for the computed states
+    # whatever the tolerance, because the solve's residual is booked
+    case = GUESS_CASES["forced-mechanical" if forced else "mechanical"]
+    sys, x0, tau, steps = case()
+    traj = dk.integrate(sys, x0, tau, steps, solver=solver, tol=tol)
+    assert np.max(np.abs(traj.ledger_gaps)) <= 1e-14 * np.max(traj.hamiltonians)
+    assert np.any(traj.supply) == forced
+    assert traj.supply[0] == traj.solver_defect[0] == 0.0
+
+
+def test_energy_ledger_books_the_solver_defect_at_loose_tol():
+    sys, x0, tau, steps = GUESS_CASES["mechanical"]()
+    traj = dk.integrate(sys, x0, tau, steps, solver="rapoport", tol=1e-6)
+    without = np.diff(traj.hamiltonians) + traj.dissipation[1:] - traj.supply[1:]
+    assert np.max(np.abs(without)) > 1e3 * np.max(np.abs(traj.ledger_gaps))
+
+
+def test_kernel_of_e_computed_once_per_model(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sys = dk.assemble_rlc(1, 1, 1, 1, 1, 1, eg=1.0)
+    x0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+    dk.integrate(sys, x0, 0.3, 3, solver="rapoport")
+    dk.integrate(sys, x0, 0.3, 3)
+    assert calls == [1]
+    basis = dk.nullspace_of_e(sys)
+    assert basis is dk.nullspace_of_e(sys) and not basis.flags.writeable
+    assert basis.shape == (5, 2)
+    # a definite E is certified by its Cholesky factor once per model too
+    mech = dk.from_descriptor({"name": "mechanical", "params": {"n": 5, "seed": 7}})
+    certified = []
+    certify = dk.dhdae.certify_definiteness
+
+    def counted_certify(*args):
+        certified.append(1)
+        return certify(*args)
+
+    monkeypatch.setattr(dk.dhdae, "certify_definiteness", counted_certify)
+    for solver in ("direct", "widlund"):
+        dk.integrate(mech, np.ones(10), 0.02, 2, solver=solver)
+    assert certified == [1]
+
+
+class _Logged:
+    """A matrix behind ``@`` that appends its name to a log on each product."""
+
+    def __init__(self, m, name, log):
+        self.m, self.name, self.log = m, name, log
+        self.shape, self.dtype = m.shape, m.dtype
+
+    def __matmul__(self, x):
+        self.log.append(self.name)
+        return self.m @ x
+
+
+@pytest.mark.parametrize("solver", ["widlund", "rapoport"])
+def test_one_krylov_step_makes_six_matrix_passes(solver, monkeypatch):
+    # two H-solves, one product each with S, A (the solver's confirmation),
+    # R (the dissipation) and E (the energy and the next right side)
+    sys, x0, tau, steps = GUESS_CASES["mechanical"]()
+    log = []
+    msys = dk.midpoint_system(sys, tau)
+    split = dataclasses.replace(msys.sys, **{name: _Logged(getattr(msys.sys, name), name, log)
+                                             for name in ("a", "h", "s")})
+    logged = dataclasses.replace(msys, sys=split)
+
+    def source(t):
+        log.append("step")
+        return sys.f(t)
+
+    model = dk.DhDaeSystem(**{name: _Logged(getattr(sys, name), name, log)
+                              for name in ("e", "j", "r")}, f=source)
+    h_solve = dk.hs_core.HermitianFactor.solve
+
+    def logged_h_solve(self, b):
+        log.append("h_solve")
+        return h_solve(self, b)
+
+    monkeypatch.setattr(dk.timestep, "midpoint_system", lambda *args: logged)
+    monkeypatch.setattr(dk.timestep, "check_consistency", lambda *args: 0.0)
+    monkeypatch.setattr(dk.hs_core.HermitianFactor, "solve", logged_h_solve)
+    traj = dk.integrate(model, x0, tau, steps, solver=solver)
+    passes = []
+    for name in log:
+        if name == "step":
+            passes.append(collections.Counter())
+        elif passes:
+            passes[-1][name] += 1
+    one_step = [p for p, k in zip(passes, traj.iterations[1:]) if k == 1]
+    assert len(passes) == steps and len(one_step) >= steps // 2
+    expected = collections.Counter({"h_solve": 2, "s": 1, "a": 1, "r": 1, "e": 1})
+    assert all(p == expected for p in one_step)
+
+
+@pytest.mark.parametrize("solver", ["widlund", "rapoport", "lgmres"])
+def test_guessed_steps_meet_tol_over_long_runs(solver):
+    # the guess's r0 comes from kept products; the step's A x_{k+1} must not,
+    # or the rounding of the history coefficients compounds from step to step
+    sys = dk.from_descriptor({"name": "mechanical",
+                              "params": {"n": 20, "damping": 1.0, "seed": 7}})
+    x0 = np.random.default_rng([7, 2]).standard_normal(40)
+    tau, steps = 0.02, 400
+    traj = dk.integrate(sys, x0, tau, steps, solver=solver)
+    msys = dk.midpoint_system(sys, tau)
+    a = msys.sys.a
+    norm_a = np.linalg.norm(a, 2)
+    for k in range(steps):
+        b = dk.midpoint_rhs(msys, traj.states[k], traj.times[k])
+        x = traj.states[k + 1]
+        rounding = sys.n * np.finfo(float).eps * norm_a * np.linalg.norm(x)
+        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b) + rounding
+
+
+@pytest.mark.filterwarnings("error")  # a complex state stored in a real array warns
+@pytest.mark.parametrize("solver", ["widlund", "lgmres"])
+def test_complex_source_turns_the_kept_history_complex(solver):
+    # real states and history until the source e^{it} load enters at step 1
+    rng = np.random.default_rng(3)
+    load = rng.standard_normal(6)
+    sys = dk.assemble_mechanical(random_spd(rng, 6), 0.3 * random_spd(rng, 6),
+                                 random_spd(rng, 6), force=lambda t: np.exp(1j * t) * load)
+    x0 = rng.standard_normal(12)
+    ref = dk.integrate(sys, x0, 0.05, 80, solver="direct")
+    traj = dk.integrate(sys, x0, 0.05, 80, solver=solver)
+    assert np.iscomplexobj(traj.states) and np.any(traj.iterations)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-9 * np.max(np.abs(ref.states))
+    assert np.max(np.abs(traj.ledger_gaps)) <= 1e-14 * np.max(traj.hamiltonians)
