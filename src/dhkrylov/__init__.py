@@ -8,6 +8,7 @@ from .hs_core import (
     HsSplitSystem,
     definiteness_class,
     read_matrix,
+    saddle_blocks,
     split_hs,
     write_matrix,
 )

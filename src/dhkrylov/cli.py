@@ -3,7 +3,8 @@
 Subcommands
 -----------
 solve       solve one linear system (from a model + tau, or a Matrix Market
-            file) with one iterative method; writes a residual-history CSV
+            file) with one iterative method, through the Schur path when
+            its Hermitian part is singular; writes a residual-history CSV
             and a JSON report
 integrate   midpoint time integration of a model; writes a trajectory CSV
 bench       run a scenario (model x tau_list x solvers) and emit a
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from . import bounds as bounds_mod
-from . import dhdae, krylov, staircase, timestep
+from . import dhdae, hs_core, krylov, staircase, timestep
 from .errors import DhKrylovError, ModelError
 from .hs_core import RANK_TOL, Definiteness, HsSplitSystem, read_matrix, split_hs, write_matrix
 
@@ -124,6 +125,12 @@ def _make_rhs(spec, msys, n, rng_meta):
     raise DhKrylovError(f"unknown rhs kind {kind!r}")
 
 
+def _blank_row(model_name, tau, solver, lam=None):
+    return {"model": model_name, "tau": float(tau), "solver": solver, "iterations": 0,
+            "final_rel_res": None, "converged": False, "lambda": lam, "ritz_lambda": None,
+            "residual_gap": None, "wall_time_s": 0.0}
+
+
 def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
     """Run solver x tau cells of a scenario; write CSVs, table and manifest."""
     scenario.validate()
@@ -140,13 +147,8 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
         try:
             b = _make_rhs(scenario.rhs, msys, model.n, meta)
         except DhKrylovError as exc:
-            for solver in scenario.solvers:
-                rows.append({
-                    "model": model_name, "tau": float(tau), "solver": solver,
-                    "iterations": 0, "final_rel_res": None, "converged": False,
-                    "lambda": None, "ritz_lambda": None, "residual_gap": None,
-                    "wall_time_s": 0.0, "error": str(exc),
-                })
+            rows += [{**_blank_row(model_name, tau, solver), "error": str(exc)}
+                     for solver in scenario.solvers]
             continue
         lam = bounds_mod.spectral_interval(msys.sys).lam if h_pd else None
         # the reference solution feeds only the err_hnorm column of these two
@@ -156,47 +158,12 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
         saddle = None  # the Schur blocks of this tau, shared by every solver
         for solver in scenario.solvers:
             csv_name = f"{model_name}_tau{tau:g}_{solver}.csv"
-            row = {
-                "model": model_name,
-                "tau": float(tau),
-                "solver": solver,
-                "iterations": 0,
-                "final_rel_res": None,
-                "converged": False,
-                "lambda": lam,
-                "ritz_lambda": None,
-                "residual_gap": None,
-                "wall_time_s": 0.0,
-            }
+            row = _blank_row(model_name, tau, solver, lam)
             try:
-                if not h_pd:
-                    if saddle is None:
-                        saddle = timestep.midpoint_saddle_blocks(model, tau)
-                    a11, bb, (nv, _) = saddle
-                    rep = krylov.solve_via_schur(
-                        a11, bb, b[:nv], b[nv:], inner_solver=solver,
-                        tol=max(scenario.tol, 1e-14), maxit=scenario.maxit,
-                    )
-                    row.update(
-                        iterations=rep.inner_iterations + rep.outer_iterations,
-                        final_rel_res=rep.relative_residual,
-                        converged=bool(rep.converged),
-                        wall_time_s=rep.wall_time,
-                    )
-                    _write_schur_csv(out / csv_name, b, rep)
-                else:
-                    kwargs = {"x_exact": x_ref} if solver in ("widlund", "rapoport") else {}
-                    rep = krylov.solve(solver, msys.sys, b, tol=scenario.tol,
-                                       maxit=scenario.maxit, **kwargs)
-                    row.update(
-                        iterations=rep.iterations,
-                        final_rel_res=rep.final_relative_residual,
-                        converged=bool(rep.converged),
-                        ritz_lambda=rep.ritz_half_width,
-                        residual_gap=rep.residual_gap,
-                        wall_time_s=rep.wall_time,
-                    )
-                    krylov.residual_history_csv(out / csv_name, rep, lam=lam)
+                if not h_pd and saddle is None:
+                    saddle = timestep.midpoint_saddle_blocks(model, tau)
+                _solve_cell(row, msys.sys, b, solver, scenario.tol, scenario.maxit,
+                            out / csv_name, lam, saddle, x_ref)
                 artifacts.append(csv_name)
             except DhKrylovError as exc:
                 row["error"] = str(exc)
@@ -222,16 +189,50 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
     return table
 
 
-def _write_schur_csv(path, b, rep):
-    # no per-iteration history of the assembled system exists on this path;
-    # record rhs norm and the final assembled residual in the same schema
-    with open(path, "w", newline="") as fh:
+def _solve_cell(row, sysm, b, solver, tol, maxit, csv_path, lam=None, saddle=None,
+                x_exact=None):
+    """Solve A x = b with one method, write its residual CSV and return x.
+
+    The one solve of a ``bench`` cell and of ``solve``.  A Krylov method
+    runs on A when its Hermitian part is positive definite; otherwise
+    :func:`krylov.solve_via_schur` runs on the blocks ``saddle``
+    (``saddle_blocks(A)`` when None) at tolerance max(tol, 1e-14).  The
+    solve's iterations, final_rel_res, converged, ritz_lambda,
+    residual_gap, breakdown and wall_time_s fill those keys that ``row``
+    has.  ``x_exact`` feeds the err_hnorm column of Widlund and Rapoport.
+    The CSV's directory is made only after the solve has returned.
+    """
+    h_pd = sysm.definiteness is Definiteness.POSITIVE_DEFINITE
+    if h_pd:
+        kwargs = {"x_exact": x_exact} if solver in ("widlund", "rapoport") else {}
+        rep = krylov.solve(solver, sysm, b, tol=tol, maxit=maxit, **kwargs)
+        x = rep.solution
+        got = {"iterations": rep.iterations, "final_rel_res": rep.final_relative_residual,
+               "ritz_lambda": rep.ritz_half_width, "residual_gap": rep.residual_gap,
+               "breakdown": rep.breakdown}
+    else:
+        a11, bb, (n1, _) = saddle if saddle is not None else hs_core.saddle_blocks(sysm.a)
+        rep = krylov.solve_via_schur(a11, bb, b[:n1], b[n1:], inner_solver=solver,
+                                     tol=max(tol, 1e-14), maxit=maxit)
+        x = np.concatenate([rep.v, rep.p])
+        got = {"iterations": rep.inner_iterations + rep.outer_iterations,
+               "final_rel_res": rep.relative_residual}
+    got.update(converged=bool(rep.converged), wall_time_s=rep.wall_time)
+    row.update((key, val) for key, val in got.items() if key in row)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    if h_pd:
+        krylov.residual_history_csv(csv_path, rep, lam=lam)
+        return x
+    # no per-iteration history of the assembled system exists on the Schur
+    # path; record rhs norm and the final assembled residual in the same schema
+    with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "res_2norm", "res_hinv_norm", "err_hnorm",
                          "bound_widlund", "bound_rapoport"])
         bn = float(np.linalg.norm(b))
         writer.writerow(["0", repr(bn), "", "", "", ""])
         writer.writerow(["1", repr(rep.relative_residual * bn), "", "", "", ""])
+    return x
 
 
 def audit_staircase(a, tol=RANK_TOL) -> dict:
@@ -287,9 +288,21 @@ def _load_model_arg(args):
     return desc
 
 
-def _add_model_args(p, required=True):
-    p.add_argument("--model", required=required,
-                   help="model descriptor JSON file, or a registered model name")
+def _load_system(args):
+    """The split system of ``--matrix``, or of the ``--model`` midpoint matrix at ``--tau``."""
+    if args.matrix:
+        return HsSplitSystem.from_matrix(read_matrix(args.matrix))
+    model = dhdae.from_descriptor(_load_model_arg(args))
+    return timestep.midpoint_system(model, args.tau).sys
+
+
+def _add_model_args(p, required=True, matrix=False):
+    """``--model`` and ``--param``; with ``matrix``, exactly one of ``--matrix`` and ``--model``."""
+    group = p.add_mutually_exclusive_group(required=True) if matrix else p
+    if matrix:
+        group.add_argument("--matrix", help="Matrix Market file with A")
+    group.add_argument("--model", required=required and not matrix,
+                       help="model descriptor JSON file, or a registered model name")
     p.add_argument("--param", action="append", metavar="KEY=JSONVALUE",
                    help="override one model parameter (repeatable)")
 
@@ -315,39 +328,26 @@ def cmd_models(args):
 
 
 def cmd_solve(args):
-    lam = None
-    if args.matrix:
-        a = read_matrix(args.matrix)
-        sysm = HsSplitSystem.from_matrix(a)
-    else:
-        model = dhdae.from_descriptor(_load_model_arg(args))
-        msys = timestep.midpoint_system(model, args.tau)
-        sysm = msys.sys
+    krylov.check_tol_maxit(args.tol, args.maxit)
+    sysm = _load_system(args)
     if args.rhs:
         b = read_matrix(args.rhs).reshape(-1)
     else:
         rng = np.random.default_rng(args.seed)
         b = rng.standard_normal(sysm.n)
+    lam = None
     if sysm.definiteness is Definiteness.POSITIVE_DEFINITE:
         lam = bounds_mod.spectral_interval(sysm).lam
-    rep = krylov.solve(args.solver, sysm, b, tol=args.tol, maxit=args.maxit)
-    out = _make_out(args, "solve")
-    krylov.residual_history_csv(out / "residuals.csv", rep, lam=lam)
-    write_matrix(out / "solution.mtx", rep.solution.reshape(-1, 1))
-    report = {
-        "solver": args.solver,
-        "n": sysm.n,
-        "iterations": rep.iterations,
-        "converged": bool(rep.converged),
-        "final_rel_res": rep.final_relative_residual,
-        "lambda": lam,
-        "ritz_lambda": rep.ritz_half_width,
-        "wall_time_s": rep.wall_time,
-        "breakdown": rep.breakdown,
-    }
+    report = {"solver": args.solver, "n": sysm.n, "iterations": 0, "converged": False,
+              "final_rel_res": None, "lambda": lam, "ritz_lambda": None,
+              "wall_time_s": 0.0, "breakdown": None}
+    out = Path(args.out) if args.out else _default_out("solve")
+    x = _solve_cell(report, sysm, b, args.solver, args.tol, args.maxit,
+                    out / "residuals.csv", lam)
+    write_matrix(out / "solution.mtx", x.reshape(-1, 1))
     (out / "report.json").write_text(json.dumps(report, indent=2))
     print(json.dumps(report, indent=2))
-    return 0 if rep.converged else 1
+    return 0 if report["converged"] else 1
 
 
 def cmd_integrate(args):
@@ -392,11 +392,7 @@ def cmd_bench(args):
 
 
 def cmd_staircase(args):
-    if args.matrix:
-        a = read_matrix(args.matrix)
-    else:
-        model = dhdae.from_descriptor(_load_model_arg(args))
-        a = timestep.midpoint_system(model, args.tau).sys.a
+    a = read_matrix(args.matrix) if args.matrix else _load_system(args).a
     report = audit_staircase(a, tol=args.tol)
     out = _make_out(args, "staircase")
     (out / "staircase.json").write_text(json.dumps(report, indent=2))
@@ -405,11 +401,7 @@ def cmd_staircase(args):
 
 
 def cmd_bounds(args):
-    if args.matrix:
-        sysm = HsSplitSystem.from_matrix(read_matrix(args.matrix))
-    else:
-        model = dhdae.from_descriptor(_load_model_arg(args))
-        sysm = timestep.midpoint_system(model, args.tau).sys
+    sysm = _load_system(args)
     interval = bounds_mod.spectral_interval(sysm)
     kappa = bounds_mod.kappa_y_estimate(sysm)
     out = _make_out(args, "bounds")
@@ -446,8 +438,7 @@ def build_parser():
     p.set_defaults(func=cmd_models)
 
     p = sub.add_parser("solve", help="solve one linear system")
-    p.add_argument("--matrix", help="Matrix Market file with A")
-    _add_model_args(p, required=False)
+    _add_model_args(p, matrix=True)
     p.add_argument("--tau", type=float, default=1e-3)
     p.add_argument("--rhs", help="Matrix Market file with b")
     p.add_argument("--seed", type=int, default=0, help="seed for a random rhs")
@@ -478,8 +469,7 @@ def build_parser():
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("staircase", help="staircase/Schur audit")
-    p.add_argument("--matrix")
-    _add_model_args(p, required=False)
+    _add_model_args(p, matrix=True)
     p.add_argument("--tau", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=RANK_TOL,
                    help="relative rank threshold of the staircase form (hs_staircase)")
@@ -487,8 +477,7 @@ def build_parser():
     p.set_defaults(func=cmd_staircase)
 
     p = sub.add_parser("bounds", help="spectral half-width and bound curves")
-    p.add_argument("--matrix")
-    _add_model_args(p, required=False)
+    _add_model_args(p, matrix=True)
     p.add_argument("--tau", type=float, default=1e-3)
     p.add_argument("--kmax", type=int, default=50)
     p.add_argument("--out")
@@ -500,8 +489,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("solve", "staircase", "bounds") and not args.matrix and not args.model:
-        parser.error("either --matrix or --model is required")
     try:
         return args.func(args)
     except DhKrylovError as exc:

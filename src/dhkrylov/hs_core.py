@@ -99,6 +99,36 @@ def split_hs(a):
     return h, s
 
 
+def saddle_blocks(a):
+    """Saddle blocks (a11, b) of a matrix A = [[A11, B], [-B*, 0]].
+
+    The split is read from the Hermitian part H of A, which must be
+    positive semidefinite: a zero diagonal entry of such an H zeroes its
+    whole row and column, so the singular coordinates are those with
+    Re A_ii <= 1e-12 max|A|.  They must be some but not all coordinates,
+    and come last.  Returns ``(a11, b, (n1, n2))`` with the block sizes;
+    raises ``DimensionError`` when A does not have this form or is empty.
+    """
+    a = as_square_matrix(a)
+    n = a.shape[0]
+    if n == 0:
+        raise DimensionError("the Schur path needs a nonempty system")
+    scale = float(np.max(np.abs(a)))
+    singular = np.flatnonzero(np.diagonal(a).real <= 1e-12 * scale)
+    n1 = n - singular.size
+    if not 0 < n1 < n:
+        raise DimensionError(f"the Hermitian part H of A has {singular.size} singular "
+                             f"coordinates of {n}; the Schur path needs some but not all")
+    if singular[0] != n1:
+        raise DimensionError("the singular coordinates of the Hermitian part H must come last")
+    b = a[:n1, n1:]
+    if float(np.max(np.abs(a[n1:, :n1] + b.conj().T))) > 1e-12 * scale:
+        raise DimensionError("matrix is not in [[A, B], [-B*, 0]] form")
+    if float(np.max(np.abs(a[n1:, n1:]))) > 1e-12 * scale:
+        raise DimensionError("trailing diagonal block is not zero; Schur path not applicable")
+    return a[:n1, :n1], b, (n1, singular.size)
+
+
 def _classify(eigs, tol):
     """Definiteness from an ascending spectrum; the empty one counts as definite."""
     if eigs.size == 0:
@@ -234,8 +264,9 @@ class HermitianFactor:
         return low
 
 
-def _freeze(a):
-    a = np.array(a)
+def _freeze(a, copy=True):
+    """``a`` made read-only; a copy unless ``copy`` is False (an array no one else holds)."""
+    a = np.array(a) if copy else a
     a.setflags(write=False)
     return a
 
@@ -289,15 +320,16 @@ class HsSplitSystem:
 
     @classmethod
     def from_matrix(cls, a):
-        # h = (a + a*)/2 is exactly Hermitian: no symmetrization or re-check
+        # h = (a + a*)/2 is exactly Hermitian: no symmetrization or re-check;
+        # h and s are new arrays, frozen without a copy
         h, s = split_hs(a)
         dclass, factor, eigs = certify_definiteness(h)
         if dclass is Definiteness.POSITIVE_DEFINITE and factor is None:
             raise DefinitenessError("Cholesky failed: h is not positive definite")
         system = cls(
             a=_freeze(a),
-            h=_freeze(h),
-            s=_freeze(s),
+            h=_freeze(h, copy=False),
+            s=_freeze(s, copy=False),
             definiteness=dclass,
             h_factor=factor,
         )

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ from .errors import (
     SingularHermitianPartError,
     SolverError,
 )
-from .hs_core import Definiteness, HsSplitSystem
+from .hs_core import Definiteness, HsSplitSystem, saddle_blocks
 
 #: Relative tolerance for the algebraic-constraint residual of initial values.
 CONSISTENCY_TOL = 1e-8
@@ -238,7 +239,8 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
     ``solver`` selects how each step's linear system is solved: "direct"
     (LU of A, factored once) or one of the Krylov methods "widlund",
     "rapoport", "gmres", "lgmres", "hss"; any other name raises
-    ``ParameterError`` before the step matrix is assembled.  The Hermitian
+    ``ParameterError`` before the step matrix is assembled, and so does an
+    ``n_steps`` that is not a nonnegative integer.  The Hermitian
     part of the step matrix must be positive definite; singular-H systems
     (index two) go through the Schur path of :mod:`dhkrylov.krylov` instead.
 
@@ -262,6 +264,8 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
     if solver != "direct" and solver not in krylov.SOLVER_NAMES:
         raise ParameterError(
             f"unknown solver {solver!r}; known: {('direct',) + krylov.SOLVER_NAMES}")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise ParameterError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
     x0 = np.asarray(x0)
     x0 = x0.astype(np.result_type(sys.e.dtype, x0.dtype))
     if x0.shape[0] != sys.n:
@@ -339,32 +343,5 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
 
 
 def midpoint_saddle_blocks(sys: DhDaeSystem, tau: float):
-    """Saddle blocks (a11, b) of a midpoint matrix A = [[A11, B], [-B*, 0]].
-
-    The split is read from H = E + tau/2 R: a zero diagonal entry of the
-    semidefinite H zeroes its whole row and column, so the singular
-    coordinates are those with Re A_ii <= 1e-12 max|A|.  They must be some
-    but not all coordinates, and come last.  Returns ``(a11, b)`` with the
-    block sizes; raises ``DimensionError`` when A does not have this form
-    or is empty.
-    """
-    if sys.n == 0:
-        raise DimensionError("the Schur path needs a nonempty system")
-    a = _midpoint_matrix(sys, tau)
-    scale = float(np.max(np.abs(a)))
-    singular = np.flatnonzero(np.diagonal(a).real <= 1e-12 * scale)
-    n1 = sys.n - singular.size
-    if not 0 < n1 < sys.n:
-        raise DimensionError(f"H = E + tau/2 R has {singular.size} singular coordinates "
-                             f"of {sys.n}; the Schur path needs some but not all")
-    if singular[0] != n1:
-        raise DimensionError("the singular coordinates of H = E + tau/2 R must come last")
-    a11 = a[:n1, :n1]
-    b = a[:n1, n1:]
-    lower = a[n1:, :n1]
-    corner = a[n1:, n1:]
-    if float(np.max(np.abs(lower + b.conj().T))) > 1e-12 * scale:
-        raise DimensionError("midpoint matrix is not in [[A, B], [-B*, 0]] form")
-    if float(np.max(np.abs(corner))) > 1e-12 * scale:
-        raise DimensionError("trailing diagonal block is not zero; Schur path not applicable")
-    return a11, b, (n1, singular.size)
+    """:func:`~dhkrylov.hs_core.saddle_blocks` of the midpoint matrix A = E + tau/2 (R - J)."""
+    return saddle_blocks(_midpoint_matrix(sys, tau))

@@ -267,6 +267,10 @@ def test_bench_unknown_model_leaves_no_run_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+REPORT_KEYS = ["solver", "n", "iterations", "converged", "final_rel_res", "lambda",
+               "ritz_lambda", "wall_time_s", "breakdown"]
+
+
 def test_solve_subcommand_with_matrix_file(tmp_path, capsys):
     rng = np.random.default_rng(2)
     sysm = random_hs_system(rng, 12, cond_h=20.0, lam=0.5)
@@ -278,6 +282,7 @@ def test_solve_subcommand_with_matrix_file(tmp_path, capsys):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["converged"]
+    assert list(report) == REPORT_KEYS
     with open(out / "residuals.csv") as fh:
         header = next(csv.reader(fh))
     assert header == ["k", "res_2norm", "res_hinv_norm", "err_hnorm",
@@ -296,6 +301,79 @@ def test_solve_rhs_of_wrong_length_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert any(line.startswith("error:") for line in err.splitlines()), err
     assert "Traceback" not in err
+
+
+def test_solve_quasi_stationary_poroelastic_takes_schur_path(tmp_path):
+    # H = blkdiag(M + tau/2 K, A, 0) is singular on the trailing w block
+    out = tmp_path / "out"
+    code = main(["solve", "--model", "poroelastic", "--param", "quasi_stationary=true",
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert list(report) == REPORT_KEYS
+    assert report["converged"] and report["final_rel_res"] <= 1e-12
+    assert report["lambda"] is None and report["breakdown"] is None
+
+
+@pytest.mark.parametrize("solver", ["widlund", "rapoport", "lgmres", "gmres"])
+def test_solve_matrix_file_of_unstabilized_stokes(tmp_path, solver):
+    # the pressure coordinates come last, so the saddle rule reads the split from A
+    model = dk.from_descriptor({"name": "stokes",
+                                "params": {"grid_n": 6, "stabilization": 0.0}})
+    a = dk.midpoint_system(model, 1e-3).sys.a
+    amtx = tmp_path / "a.mtx"
+    dk.write_matrix(amtx, a)
+    out = tmp_path / "out"
+    code = main(["solve", "--matrix", str(amtx), "--solver", solver, "--seed", "4",
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert list(report) == REPORT_KEYS and report["converged"]
+    x = dk.read_matrix(out / "solution.mtx").reshape(-1)
+    b = np.random.default_rng(4).standard_normal(a.shape[0])
+    assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("model", [{"name": "mechanical", "params": {"n": 6}},
+                                   {"name": "stokes",
+                                    "params": {"grid_n": 3, "stabilization": 0.0}}])
+def test_solve_and_one_cell_bench_take_the_same_route(tmp_path, model):
+    tau, seed = 1e-2, 5
+    scn = Scenario(model=model, tau_list=[tau], solvers=["lgmres"],
+                   rhs={"kind": "random", "seed": seed})
+    row, = run_scenario(scn, tmp_path / "bench").rows
+    out = tmp_path / "solve"
+    argv = ["solve", "--model", model["name"], "--tau", str(tau), "--solver", "lgmres",
+            "--seed", str(seed), "--out", str(out)]
+    for key, val in model["params"].items():
+        argv += ["--param", f"{key}={json.dumps(val)}"]
+    assert main(argv) == 0
+    report = json.loads((out / "report.json").read_text())
+    for key in ("iterations", "converged", "final_rel_res"):
+        assert report[key] == row[key], key
+
+    def res_2norm(path):
+        with open(path) as fh:
+            return [r["res_2norm"] for r in csv.DictReader(fh)]
+
+    bench_csv = tmp_path / "bench" / f"{model['name']}_tau{tau:g}_lgmres.csv"
+    assert res_2norm(out / "residuals.csv") == res_2norm(bench_csv)
+
+
+@pytest.mark.parametrize("command", ["solve", "staircase", "bounds"])
+def test_matrix_and_model_together_is_usage_error(tmp_path, capsys, command):
+    amtx = tmp_path / "a.mtx"
+    dk.write_matrix(amtx, np.eye(3))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", "rlc", "--matrix", str(amtx),
+              "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert "--matrix" in lines[-1] and "--model" in lines[-1]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("solver, solves_per_tau", [("lgmres", 0), ("widlund", 1)])
@@ -337,6 +415,14 @@ def test_integrate_subcommand(tmp_path):
     assert rows[0][0] == "t" and rows[0][-2:] == ["hamiltonian", "dissipation"]
     assert len(rows) == 12
     assert json.loads((out / "report.json").read_text())["krylov_iterations_total"] == 0
+
+
+def test_integrate_negative_step_count_is_usage_error(tmp_path, capsys):
+    code = main(["integrate", "--model", "rlc", "--tau", "0.01", "--steps=-3",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    _single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
 
 
 def test_integrate_reports_krylov_iterations_total(tmp_path):

@@ -27,6 +27,40 @@ def test_split_identity():
     assert np.array_equal(s, np.zeros((3, 3)))
 
 
+def test_saddle_blocks_of_an_assembled_matrix():
+    stokes = dk.assemble_stokes_like(3)
+    a = dk.midpoint_system(stokes, 1e-3).sys.a
+    a11, b, sizes = dk.saddle_blocks(a)
+    ref = dk.midpoint_saddle_blocks(stokes, 1e-3)
+    assert sizes == ref[2] and sizes[0] + sizes[1] == stokes.n
+    assert np.array_equal(a11, ref[0]) and np.array_equal(b, ref[1])
+    with pytest.raises(DimensionError, match="0 singular coordinates"):
+        dk.saddle_blocks(np.eye(3))
+    with pytest.raises(DimensionError, match="square"):
+        dk.saddle_blocks(np.ones((2, 3)))
+    corner = a.copy()  # a zero diagonal with a nonzero entry beside it in the corner
+    corner[-1, -2] = corner[-2, -1] = 1.0
+    with pytest.raises(DimensionError, match="trailing diagonal block"):
+        dk.saddle_blocks(corner)
+
+
+def test_from_matrix_freezes_its_split_without_a_copy(monkeypatch):
+    parts = []
+    split = dk.hs_core.split_hs
+
+    def kept(a):
+        parts.extend(split(a))
+        return tuple(parts)
+
+    monkeypatch.setattr(dk.hs_core, "split_hs", kept)
+    a = np.array([[2.0, 1.0], [-1.0, 3.0]])
+    sysm = dk.HsSplitSystem.from_matrix(a)
+    assert sysm.h is parts[0] and sysm.s is parts[1]
+    assert not (sysm.a.flags.writeable or sysm.h.flags.writeable or sysm.s.flags.writeable)
+    # the caller's matrix is copied, not frozen
+    assert a.flags.writeable and not np.shares_memory(a, sysm.a)
+
+
 def test_split_forced_by_formula():
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
     h, s = dk.split_hs(a)

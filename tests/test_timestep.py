@@ -291,6 +291,18 @@ def test_midpoint_saddle_blocks_need_trailing_singular_coordinates():
         dk.midpoint_saddle_blocks(moved, 1e-3)
 
 
+@pytest.mark.parametrize("n_steps", [-3, True, 2.5, np.float64(2.0), "3"])
+def test_integrate_rejects_bad_step_counts(n_steps):
+    with pytest.raises(ParameterError, match="n_steps"):
+        dk.integrate(scalar_system(), np.array([1.0]), 0.1, n_steps)
+
+
+def test_integrate_zero_steps_returns_the_initial_state():
+    for n_steps in (0, np.int64(0)):
+        traj = dk.integrate(scalar_system(), np.array([1.0]), 0.1, n_steps)
+        assert traj.states.shape == (1, 1) and traj.times.tolist() == [0.0]
+
+
 def test_midpoint_saddle_blocks_reject_empty_system():
     empty = dk.from_descriptor({"name": "mechanical", "params": {"n": 0}})
     with pytest.raises(DimensionError, match="nonempty"):
