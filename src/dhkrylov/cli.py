@@ -288,12 +288,16 @@ def _load_model_arg(args):
     return desc
 
 
-def _load_system(args):
-    """The split system of ``--matrix``, or of the ``--model`` midpoint matrix at ``--tau``."""
+def _load_matrix(args):
+    """A from ``--matrix``, or the ``--model`` midpoint matrix at ``--tau``."""
     if args.matrix:
-        return HsSplitSystem.from_matrix(read_matrix(args.matrix))
-    model = dhdae.from_descriptor(_load_model_arg(args))
-    return timestep.midpoint_system(model, args.tau).sys
+        return read_matrix(args.matrix)
+    return timestep._midpoint_matrix(dhdae.from_descriptor(_load_model_arg(args)), args.tau)
+
+
+def _load_system(args):
+    """The split system of :func:`_load_matrix`."""
+    return HsSplitSystem.from_matrix(_load_matrix(args))
 
 
 def _add_model_args(p, required=True, matrix=False):
@@ -392,8 +396,7 @@ def cmd_bench(args):
 
 
 def cmd_staircase(args):
-    a = read_matrix(args.matrix) if args.matrix else _load_system(args).a
-    report = audit_staircase(a, tol=args.tol)
+    report = audit_staircase(_load_matrix(args), tol=args.tol)
     out = _make_out(args, "staircase")
     (out / "staircase.json").write_text(json.dumps(report, indent=2))
     print(json.dumps(report, indent=2))

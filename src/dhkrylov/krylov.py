@@ -29,9 +29,10 @@ this engine:
 * A Schur-complement driver for saddle systems [[A, B], [-B*, 0]] whose
   Hermitian part is singular only in the trailing block.  It forms
   A^{-1} [B | f] from inner solves with A, builds S1 = B* A^{-1} B and runs
-  the same method on S1, whose Hermitian part is positive definite.  For
-  Widlund and Rapoport the inner solves are one lockstep block run of the
-  recurrence over all columns of [B | f].
+  the same method on S1, whose Hermitian part is positive definite.  The
+  inner solves are one lockstep block run of the method over all columns
+  of [B | f] (:func:`_solve_block`); GMRES and L-GMRES run the block in
+  groups under a memory budget.
 
 ``lanczos_init`` and ``lanczos_advance`` (on ``LanczosState``) spell out the
 recurrence step by step with an explicit H-inner product.  No solver runs on
@@ -55,7 +56,8 @@ one vector is two BLAS-2 triangular solves with the Cholesky factor of H,
 and that of a block one LAPACK ``potrs`` call over all its columns
 (:meth:`HermitianFactor.solve`).  An L-GMRES step makes one H-solve and one
 multiplication with A, plus five products of a k-row basis with a vector
-and one k x k triangular solve.  Residual histories are kept per iteration
+and one k x k triangular solve; in a block run the H-solve and the product
+take all running columns at once.  Residual histories are kept per iteration
 for comparison plots; every entry but the last may be an updated residual,
 and the last is always a true one.
 """
@@ -386,6 +388,47 @@ def _keep(a, keep):
     return a[..., keep] if np.ndim(a) else a
 
 
+class _Columns:
+    """Per-column outcome of a lockstep solve of the (n, m) block ``b``.
+
+    Filled in as columns leave the working block at their own stopping step.
+    A column that takes no step keeps x = 0 and the residual b, so a zero
+    column is solved by x = 0 in 0 steps.
+    """
+
+    def __init__(self, b, dtype):
+        m = b.shape[1]
+        self.rhs_norm = _cnorm(b)
+        self.solution = np.zeros(b.shape, dtype=dtype)
+        self.residual = b.copy()
+        self.iterations, self.breakdown = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
+        self.converged, self.final_res = self.rhs_norm == 0.0, self.rhs_norm.copy()
+
+    def stop(self, cols, done, k, x, r, rn, converged, broke=False):
+        """Record the running columns ``cols[done]`` as stopped at step k.
+
+        ``x`` and ``r`` hold their iterates and true residuals as columns,
+        ``rn``, ``converged`` and ``broke`` one entry per column.  Returns the
+        mask of the running columns that go on, and their indices.
+        """
+        at = cols[done]
+        self.solution[:, at], self.residual[:, at] = x, r
+        self.iterations[at], self.final_res[at], self.converged[at] = k, rn, converged
+        self.breakdown[at] = np.where(broke, k, 0)
+        keep = np.ones(cols.size, dtype=bool)
+        keep[done] = False
+        return keep, cols[keep]
+
+    def report(self, method, start):
+        """The block :class:`SolveReport`: per-column arrays, ``breakdown`` 0 for none."""
+        return SolveReport(
+            solution=self.solution, iterations=self.iterations, converged=self.converged,
+            residual_2norm=self.final_res, breakdown=self.breakdown,
+            wall_time=time.perf_counter() - start, method=method, rhs_norm=self.rhs_norm,
+            residual=self.residual,
+        )
+
+
 # ---------------------------------------------------------------------------
 # Widlund's and Rapoport's methods: one driver over the H-Lanczos recurrence
 # ---------------------------------------------------------------------------
@@ -464,13 +507,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
     bnorm = _cnorm(b)
     dtype = np.result_type(sys.a.dtype, b.dtype)
     if block:
-        # per-column outcome, filled in as columns leave the working block
-        rhs_norm, m = bnorm, b.shape[1]
-        solution = np.zeros(b.shape, dtype=dtype)
-        iterations, breakdowns = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
-        # a column that takes no step keeps x = 0 and the residual b
-        converged_cols, final_res = bnorm == 0.0, bnorm.copy()
-        residual = b.copy()
+        out = _Columns(b, dtype)
         cols = np.flatnonzero(bnorm)
         b, bnorm = b[:, cols], bnorm[cols]
         r0 = b
@@ -561,16 +598,10 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
             converged = rn <= tol * bnorm[at]
             stop = converged | broke[at] | (k == maxit)
             done, again = at[stop], at[~stop]
-            solution[:, cols[done]] = xc[:, stop]
-            residual[:, cols[done]] = r[:, stop]
-            iterations[cols[done]], converged_cols[cols[done]] = k, converged[stop]
-            breakdowns[cols[done]] = np.where(broke[done], k, 0)
-            final_res[cols[done]] = rn[stop]
+            keep, cols = out.stop(cols, done, k, xc[:, stop], r[:, stop], rn[stop],
+                                  converged[stop], broke[done])
             if again.size:
                 res_r[:, again] = r[:, ~stop] if rapoport else b[:, again] - sys.a @ x_r[:, again]
-            keep = np.ones(cols.size, dtype=bool)
-            keep[done] = False
-            cols = cols[keep]
             if not cols.size:
                 break
             if done.size:
@@ -580,12 +611,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
                 rot1, rot2 = (tuple(_keep(a, keep) for a in rot) for rot in (rot1, rot2))
         v_prev, hv_prev, v, hv = v, hv, w / beta, hw / beta
     if block:
-        return SolveReport(
-            solution=solution, iterations=iterations, converged=converged_cols,
-            residual_2norm=final_res, breakdown=breakdowns,
-            wall_time=time.perf_counter() - start, method=method, rhs_norm=rhs_norm,
-            residual=residual,
-        )
+        return out.report(method, start)
     report = SolveReport(
         solution=x,
         iterations=k,
@@ -688,11 +714,13 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False,
     av = a @ v0
     w = av if precond is None else precond(av)
     dtype = np.result_type(a.dtype, b.dtype, v0.dtype, w.dtype)
-    basis = np.zeros((m + 1, n), dtype=dtype)
+    # every entry is written before it is read, and trsv reads only the upper
+    # triangle of R, so no array is zero-filled
+    basis = np.empty((m + 1, n), dtype=dtype)
     basis[0] = v0
-    a_basis = np.zeros((m, n), dtype=dtype)  # rows A v_j, so that A x_k = y @ a_basis
+    a_basis = np.empty((m, n), dtype=dtype)  # rows A v_j, so that A x_k = y @ a_basis
     # Fortran order: the k x k block that trsv copies each step is k contiguous runs
-    r_mat = np.zeros((m, m), dtype=dtype, order="F")
+    r_mat = np.empty((m, m), dtype=dtype, order="F")
     trsv, = scipy.linalg.get_blas_funcs(("trsv",), (r_mat,))
     g = [beta]
     rotations = []
@@ -767,6 +795,159 @@ def solve_gmres(a, b, tol=1e-12, maxit=250, precond=None, collect_basis=False,
     return report
 
 
+#: Memory budget of the groups of a lockstep GMRES over an (n, m) block, in
+#: (n, m) blocks.  Under ``tracemalloc`` the lockstep H-Lanczos run on the same
+#: block peaks at 24.9-26.5 of them (unstabilized Stokes [B | f], grids 12 and
+#: 16, tau 1e-3 and 1e-2), and a grouped GMRES or L-GMRES call at 23.0-24.5.
+_GMRES_BLOCKS = 22
+
+
+def _gmres_room(steps, n):
+    """Entries a lockstep GMRES column holds with room for ``steps`` steps.
+
+    steps + 1 basis vectors, ``steps`` products with A, eight working
+    vectors (right side, new basis vector, Gram-Schmidt update, and at a
+    confirmation the iterates, their products with A and residuals), and
+    the (steps + 1)-square Q* and R^{-1}.
+    """
+    return (2 * steps + 9) * n + 2 * (steps + 1) ** 2
+
+
+def _solve_gmres_block(a, b, tol, maxit, precond) -> SolveReport:
+    """GMRES of :func:`solve_gmres` on each column of the (n, m) block ``b``, in lockstep groups.
+
+    A group of g columns with room for s steps holds g :func:`_gmres_room`
+    (s, n) entries, and takes as many columns as keep this within
+    ``_GMRES_BLOCKS`` (n, m) blocks, but at least one.  The first group gets
+    room for min(maxit, n) steps, the most a column can take; each later one
+    for 1.5 times the most steps a column has taken so far.  A column still
+    running when its group's room is used up is rerun from its start in the
+    next group, with twice that room.  The report's solution and residual
+    add two more blocks.  On the unstabilized Stokes [B | f] of grid 12
+    (n = 264, m = 144, tau 1e-3), where every L-GMRES column takes 20
+    steps, the groups take 3, 41, 41, 41 and 18 columns.
+    """
+    start = time.perf_counter()
+    check_tol_maxit(tol, maxit)
+    n, m = b.shape
+    out = _Columns(b, np.result_type(a.dtype, b.dtype))
+    method = "lgmres" if precond is not None else "gmres"
+    todo, room = np.flatnonzero(out.rhs_norm), min(maxit, n)
+    while todo.size and room:
+        size = max(1, _GMRES_BLOCKS * n * m // _gmres_room(room, n))
+        outran = _gmres_lockstep(a, b, tol, maxit, precond, out, todo[:size], room)
+        todo = np.concatenate([outran, todo[size:]])
+        most = int(out.iterations.max())
+        room = min(maxit, n, 2 * room if outran.size else most + most // 2)
+    return out.report(method, start)
+
+
+def _compact(arr, keep):
+    """Move the slabs ``arr[keep]`` to the front of ``arr`` in place; a view of them.
+
+    A fancy index would hold a copy of them next to ``arr``.
+    """
+    kept = np.flatnonzero(keep)
+    for dst, src in enumerate(kept):
+        if dst != src:
+            arr[dst] = arr[src]
+    return arr[:kept.size]
+
+
+def _gmres_lockstep(a, b, tol, maxit, precond, out, cols, steps):
+    """Lockstep GMRES over the columns ``cols`` of ``b``, for at most ``steps`` steps.
+
+    Each column keeps its own Arnoldi basis and runs :func:`solve_gmres`
+    from x_0 = 0, with its vectors as the rows of (g, n) and (g, k, n)
+    arrays and its scalars as length-g arrays: a step makes one product
+    with A (and one ``precond`` call) over all running columns and batched
+    Gram-Schmidt passes.  In place of the rotation loop and the triangular
+    solve, each column keeps Q*, the product of its rotations, and R^{-1},
+    both extended by one row and column per step: with h_k the new
+    Hessenberg column, the new column of R is Q*_{k-1} h_k and
+
+        y_k = [y_{k-1}; 0] + g_k R_k^{-1} e_k,   g_k = ||z_0|| (Q*_k)_{k,1},
+
+    where z_0 is the start vector (r_0, or H^{-1} r_0 when preconditioned)
+    and (Q*_k)_{k,1} the k-th entry of its first column.  A column leaves
+    at its own stopping step, confirmed by its own true residual, and is
+    recorded in ``out``; the rest move up in place.  Returns the columns
+    still running after ``steps`` < min(maxit, n) steps.
+    """
+    n = b.shape[0]
+    m = min(maxit, n)
+    rhs = np.ascontiguousarray(b[:, cols].T)
+    bnorm = out.rhs_norm[cols]
+    w = rhs if precond is None else precond(rhs.T).T
+    beta = np.linalg.norm(w, axis=1)
+    dtype = np.result_type(a.dtype, b.dtype, w.dtype)
+    basis = np.empty((cols.size, steps + 1, n), dtype=dtype)
+    a_basis = np.empty((cols.size, steps, n), dtype=dtype)
+    basis[:, 0] = w
+    basis[:, 0] /= beta[:, None]
+    # Q* is lower Hessenberg and R^{-1} upper triangular: each step writes
+    # its new row and column, zeros included, so the arrays start unfilled
+    q = np.empty((cols.size, steps + 1, steps + 1), dtype=dtype)
+    q[:, 0, 0] = 1.0
+    r_inv = np.empty((cols.size, steps, steps), dtype=dtype)
+    y = np.empty((cols.size, steps), dtype=dtype)
+    for k in range(1, steps + 1):
+        w = (a @ basis[:, k - 1].T).T
+        a_basis[:, k - 1] = w
+        if precond is not None:
+            w = precond(w.T).T
+        v_k = basis[:, :k]
+        h = np.matmul(v_k, w.conj()[:, :, None])[:, :, 0].conj()
+        w -= np.matmul(h[:, None, :], v_k)[:, 0]
+        h2 = np.matmul(v_k, w.conj()[:, :, None])[:, :, 0].conj()
+        w -= np.matmul(h2[:, None, :], v_k)[:, 0]
+        hnorm = np.linalg.norm(w, axis=1)
+        happy = hnorm <= 1e-14 * beta
+        basis[:, k] = w / np.where(happy, 1.0, hnorm)[:, None]
+        col = np.matmul(q[:, :k, :k], (h + h2)[:, :, None])[:, :, 0]
+        c, s, rho = _givens_columns(col[:, k - 1], hnorm)
+        if not np.all(rho):
+            raise np.linalg.LinAlgError(
+                f"singular matrix: resolution failed at diagonal {k - 1}")
+        # the new rotation acts on rows k-1 and k (= e_k) of Q*
+        q[:, k, :k] = -s.conj()[:, None] * q[:, k - 1, :k]
+        q[:, k - 1, :k] *= c[:, None]
+        q[:, :k - 1, k] = 0.0
+        q[:, k - 1, k], q[:, k, k] = s, c
+        u = -np.matmul(r_inv[:, :k - 1, :k - 1], col[:, :k - 1, None])[:, :, 0] / rho[:, None]
+        r_inv[:, k - 1, :k - 1] = 0.0
+        r_inv[:, :k - 1, k - 1], r_inv[:, k - 1, k - 1] = u, 1.0 / rho
+        g_k = beta * q[:, k - 1, 0]
+        y[:, :k - 1] += g_k[:, None] * u
+        y[:, k - 1] = g_k / rho
+        rn = np.linalg.norm(rhs - np.matmul(y[:, None, :k], a_basis[:, :k])[:, 0], axis=1)
+        at = np.flatnonzero((rn <= tol * bnorm) | happy | (k == m))
+        if not at.size:
+            continue
+        # confirm the stops by the true residuals of x_k = V_k y; v_k[at] would copy the basis
+        x = np.matmul(y[:, None, :k], v_k)[at, 0]
+        r = rhs[at] - (a @ x.T).T
+        rn = np.linalg.norm(r, axis=1)
+        converged = rn <= tol * bnorm[at]
+        stop = converged | happy[at] | (k == m)
+        if not stop.any():
+            continue
+        keep, cols = out.stop(cols, at[stop], k, x[stop].T, r[stop].T, rn[stop],
+                              converged[stop], happy[at[stop]] & ~converged[stop])
+        if not cols.size:
+            break
+        basis, a_basis, q, r_inv = (_compact(v, keep) for v in (basis, a_basis, q, r_inv))
+        rhs, bnorm, beta, y = rhs[keep], bnorm[keep], beta[keep], y[keep]
+    return cols
+
+
+def _givens_columns(a, b):
+    """:func:`_givens` of each pair (a_j, b_j), b_j real and nonnegative."""
+    zero = a == 0
+    c, s, r = _rotation(np.where(zero, 1.0, a), b)
+    return np.where(zero, 0.0, c), np.where(zero, 1.0, s), np.where(zero, b, r)
+
+
 # ---------------------------------------------------------------------------
 # HSS iteration
 # ---------------------------------------------------------------------------
@@ -786,25 +967,55 @@ def solve_hss(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x0=None, r0=None) -> 
     sweeps from x0; every sweep forms its true residual, so r0 serves only
     to skip a start that already meets ``tol``.
     """
+    return _solve_hss(sys, _as_rhs(b, sys.n), tol, maxit, x0, r0)
+
+
+def _solve_hss(sys, b, tol, maxit, x0=None, r0=None) -> SolveReport:
+    """:func:`solve_hss` of one checked right side (n,) or of a block (n, m).
+
+    A block sweeps all running columns at once: one shifted H-solve
+    (``potrs``), one shifted skew solve and three products per sweep.  A
+    column leaves at the first sweep whose true residual meets ``tol``, or
+    at ``maxit``; the report is that of :func:`_solve_hlanczos` for a block.
+    A warm start applies to a single right side.
+    """
     if sys.definiteness is not Definiteness.POSITIVE_DEFINITE:
         raise DefinitenessError("hss requires a positive definite Hermitian part")
     check_tol_maxit(tol, maxit)
     start = time.perf_counter()
-    b = _as_rhs(b, sys.n)
-    bnorm = float(np.linalg.norm(b))
-    x0, r, done = _start(sys.a, b, bnorm, x0, r0, tol, maxit, "hss")
-    if done:
-        return done
+    block = b.ndim == 2
+    bnorm = _cnorm(b)
+    dtype = np.result_type(sys.a.dtype, b.dtype)
+    if block:
+        out = _Columns(b, dtype)
+        cols = np.flatnonzero(bnorm)
+        if not (cols.size and maxit):
+            return out.report("hss", start)
+        b, bnorm = b[:, cols], bnorm[cols]
+        x = np.zeros(b.shape, dtype=dtype)
+    else:
+        x0, r, done = _start(sys.a, b, bnorm, x0, r0, tol, maxit, "hss")
+        if done:
+            return done
+        x = np.zeros(sys.n, dtype=dtype) if x0 is None else x0
+        res_hist = [bnorm if x0 is None else float(np.linalg.norm(r))]
     alpha, ch, lus = sys.hss_factors
-    x = np.zeros(sys.n, dtype=np.result_type(sys.a.dtype, b.dtype)) if x0 is None else x0
-    res_hist = [bnorm if x0 is None else float(np.linalg.norm(r))]
     converged = False
     k_done = 0
     for k in range(1, maxit + 1):
         x_half = ch.solve(alpha * x - sys.s @ x + b)
         x = scipy.linalg.lu_solve(lus, alpha * x_half - sys.h @ x_half + b)
         r = b - sys.a @ x
-        rn = float(np.linalg.norm(r))
+        rn = _cnorm(r)
+        if block:
+            stop = (rn <= tol * bnorm) | (k == maxit)
+            if stop.any():
+                keep, cols = out.stop(cols, stop, k, x[:, stop], r[:, stop], rn[stop],
+                                      rn[stop] <= tol * bnorm[stop])
+                if not cols.size:
+                    return out.report("hss", start)
+                b, bnorm, x = b[:, keep], bnorm[keep], x[:, keep]
+            continue
         res_hist.append(rn)
         k_done = k
         if rn <= tol * bnorm:
@@ -854,11 +1065,28 @@ def _shortfall(what, rep, tol, maxit):
                        f"maxit={maxit} steps at relative residual {rel:.3e}, above {tol:.1e}")
 
 
-#: Inner methods that build A^{-1} [B | f] as one lockstep block run.  Their
-#: short recurrence holds a fixed handful of (n_v, n_p + 1) blocks; a lockstep
-#: GMRES would hold k (n_p + 1) basis vectors (13 MB more peak memory on Stokes
-#: grid 12, n_p = 143, k = 21), so gmres, lgmres and hss solve column by column.
-_LOCKSTEP_SOLVERS = ("widlund", "rapoport")
+#: Inner methods whose correction is v = w - X dp.  The other methods make one
+#: more inner solve A v = f - B dp: plain GMRES with w - X dp needed a
+#: refinement sweep on 6 of 8 right sides of unstabilized Stokes at grid 12.
+_CORRECT_BY_X = ("widlund", "rapoport")
+
+
+def _solve_block(method, sys, b, tol, maxit) -> SolveReport:
+    """Lockstep solve of each column of the checked (n, m) block ``b`` by ``method``.
+
+    Every column runs its own solve from x_0 = 0 and leaves at its own
+    stopping step, confirmed by its own true residual, while each step takes
+    all running columns at once.  The report holds per-column arrays, as
+    described in :func:`_solve_hlanczos`.
+    """
+    if method in ("widlund", "rapoport"):
+        return _solve_hlanczos(method, sys, b, tol, maxit)
+    if method == "hss":
+        return _solve_hss(sys, b, tol, maxit)
+    if method in ("gmres", "lgmres"):
+        return _solve_gmres_block(sys.a, b, tol, maxit,
+                                  sys.solve_h if method == "lgmres" else None)
+    raise ParameterError(f"unknown solver {method!r}; known: {SOLVER_NAMES}")
 
 
 def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
@@ -866,9 +1094,10 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
     """Solve [[A, B], [-B*, 0]] [v; p] = [f; g] via the Schur complement.
 
     X = A^{-1} B and w = A^{-1} f are formed together from the n_p + 1
-    columns of [B | f] at tolerance max(tol * 1e-3, 1e-15).  Widlund and
-    Rapoport run them as one lockstep block (:func:`_solve_hlanczos`), the
-    other methods one column at a time.  The reduced system
+    columns of [B | f] at tolerance max(tol * 1e-3, 1e-15), by one lockstep
+    block solve of the method (:func:`_solve_block`; GMRES and L-GMRES run
+    it in groups under a memory budget); with n_p = 0 that is one vector
+    solve of A w = f.  The reduced system
     S1 p = g + B* w with S1 = B* X is solved by the same method on
     ``HsSplitSystem.from_matrix(S1)``.  Then v = w - X p for Widlund and
     Rapoport, and for every method when n_p = 0; the other methods solve
@@ -896,7 +1125,7 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
     def inner_solve(rhs):
         nonlocal inner_count
         if rhs.ndim == 2:
-            rep = _solve_hlanczos(inner_solver, inner_sys, rhs, inner_tol, maxit)
+            rep = _solve_block(inner_solver, inner_sys, rhs, inner_tol, maxit)
         else:
             rep = solve(inner_solver, inner_sys, rhs, tol=inner_tol, maxit=maxit)
         inner_count += int(np.sum(rep.iterations))
@@ -904,10 +1133,11 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
             raise _shortfall(f"inner {inner_solver} solve with A", rep, inner_tol, maxit)
         return rep.solution
 
-    rhs = _as_rhs(np.column_stack([b_block, f]), inner_sys.n, n_p + 1)
-    lockstep = inner_solver in _LOCKSTEP_SOLVERS
-    sol = inner_solve(rhs) if lockstep else np.column_stack([inner_solve(c) for c in rhs.T])
-    x_b, w = sol[:, :n_p], sol[:, n_p]
+    if n_p:
+        sol = inner_solve(_as_rhs(np.column_stack([b_block, f]), inner_sys.n, n_p + 1))
+        x_b, w = sol[:, :n_p], sol[:, n_p]
+    else:
+        x_b, w = b_block, inner_solve(f)
 
     s1 = b_block.conj().T @ x_b
     outer_sys = HsSplitSystem.from_matrix(s1)
@@ -931,7 +1161,8 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
         if sweep > 0:
             w = inner_solve(rf)
         dp = outer_solve(rg + b_block.conj().T @ w)
-        v = v + (w - x_b @ dp if lockstep or not n_p else inner_solve(rf - b_block @ dp))
+        v = v + (w - x_b @ dp if inner_solver in _CORRECT_BY_X or not n_p
+                 else inner_solve(rf - b_block @ dp))
         p = p + dp
         rf = f - (a11 @ v + b_block @ p)
         rg = g + b_block.conj().T @ v

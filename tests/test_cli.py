@@ -464,6 +464,22 @@ def test_staircase_subcommand_identity(tmp_path, capsys):
     assert report["block_sizes"] == [6, 0]
 
 
+def test_staircase_of_a_model_builds_no_split_system(tmp_path, monkeypatch):
+    # the audit reads only the midpoint matrix A: no split, Cholesky attempt or
+    # eigvalsh fallback of HsSplitSystem.from_matrix
+    model = dk.assemble_stokes_like(12, stabilization=0.0)
+    expected = json.dumps(audit_staircase(dk.midpoint_system(model, 1e-3).sys.a), indent=2)
+
+    def refuse(cls, a):
+        raise AssertionError("HsSplitSystem.from_matrix called")
+
+    monkeypatch.setattr(dk.HsSplitSystem, "from_matrix", classmethod(refuse))
+    out = tmp_path / "out"
+    assert main(["staircase", "--model", "stokes", "--param", "grid_n=12",
+                 "--param", "stabilization=0", "--tau", "1e-3", "--out", str(out)]) == 0
+    assert (out / "staircase.json").read_text() == expected
+
+
 def test_audit_staircase_stokes_midpoint_structure():
     # unstabilized Stokes midpoint matrix is already a 3-stage staircase
     sys = dk.assemble_stokes_like(3, stabilization=0.0)
