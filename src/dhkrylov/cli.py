@@ -34,7 +34,7 @@ import scipy.linalg
 
 from . import bounds as bounds_mod
 from . import dhdae, hs_core, krylov, staircase, timestep
-from .errors import DhKrylovError, ModelError
+from .errors import DhKrylovError, ModelError, ParameterError
 from .hs_core import RANK_TOL, Definiteness, HsSplitSystem, read_matrix, split_hs, write_matrix
 
 
@@ -404,6 +404,8 @@ def cmd_staircase(args):
 
 
 def cmd_bounds(args):
+    if args.kmax < 0:
+        raise ParameterError(f"--kmax must be nonnegative, got {args.kmax}")
     sysm = _load_system(args)
     interval = bounds_mod.spectral_interval(sysm)
     kappa = bounds_mod.kappa_y_estimate(sysm)

@@ -158,6 +158,186 @@ def test_spectral_interval_spectrum_in_the_arithmetic_of_the_data(monkeypatch, c
     assert seen == [dtype]
 
 
+def _max_imag_oracle(sysm):
+    """max |Im mu| over spec(H^{-1} S) from a dense nonsymmetric eigensolver."""
+    return float(np.max(np.abs(scipy.linalg.eigvals(np.linalg.solve(sysm.h, sysm.s)).imag)))
+
+
+def _n_by_n_route(sysm):
+    """(lam, max_real_part) by the n x n congruence M = L^{-1} S L^{-*}, call for call."""
+    low = sysm.h_factor.lower
+    tmp = scipy.linalg.solve_triangular(low, sysm.s, lower=True)
+    m = scipy.linalg.solve_triangular(low, tmp.conj().T, lower=True).conj().T
+    skew = (m - m.conj().T) / 2
+    theta2 = np.linalg.eigvalsh(skew.conj().T @ skew)
+    return float(np.sqrt(max(theta2[-1], 0.0))), float(np.linalg.norm((m + m.conj().T) / 2))
+
+
+def _traced_interval(sysm):
+    """spectral_interval with the orders of its eigvalsh and triangular-solve matrices."""
+    seen = {"eigvalsh": [], "solve_triangular": []}
+    eigvalsh, solve_triangular = np.linalg.eigvalsh, scipy.linalg.solve_triangular
+
+    def rec_eigvalsh(a, *args, **kwargs):
+        seen["eigvalsh"].append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    def rec_solve_triangular(a, *args, **kwargs):
+        seen["solve_triangular"].append(a.shape[0])
+        return solve_triangular(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", rec_eigvalsh)
+        mp.setattr(scipy.linalg, "solve_triangular", rec_solve_triangular)
+        interval = dk.spectral_interval(sysm)
+    return interval, seen
+
+
+def _two_part_system(rng, n, n_p, complex_, scale, density=1.0):
+    """A = H + S with H_PQ = 0, S_PP = S_QQ = 0 on a random interleaving of P and Q.
+
+    With ``density`` < 1 each off-diagonal entry of H_PP and H_QQ and each
+    entry of S_PQ is kept with that probability, so either graph may fall
+    apart into pieces; H is then made diagonally dominant.
+    """
+    perm = rng.permutation(n)
+    p, q = np.sort(perm[:n_p]), np.sort(perm[n_p:])
+    h = np.zeros((n, n), dtype=complex if complex_ else float)
+    s = np.zeros_like(h)
+    for part in (p, q):
+        u = random_unitary(rng, part.size, complex_)
+        block = (u * np.geomspace(1.0, 10.0, part.size)) @ u.conj().T
+        if density < 1.0:
+            keep = np.triu(rng.random(block.shape) < density, 1)
+            block = np.where(keep | keep.T, block, 0.0)
+            block += np.diag(1.0 + np.abs(block).sum(axis=1))
+        h[np.ix_(part, part)] = block
+    g = rng.standard_normal((p.size, q.size))
+    if complex_:
+        g = g + 1j * rng.standard_normal((p.size, q.size))
+    g *= rng.random(g.shape) < density
+    s[np.ix_(p, q)] = scale * g
+    s[np.ix_(q, p)] = -scale * g.conj().T
+    return (h + h.conj().T) / 2 + s, p, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0.0, 1e-6, 1.0, 1e3]),
+       st.sampled_from([1.0, 0.3, 0.05]))
+@example((1, 1), 0, False, 1.0, 1.0)    # one part empty: S = 0
+@example((2, 1), 0, True, 1.0, 1.0)     # the 2x2 case, complex
+@example((40, 3), 1, False, 1e3, 1.0)   # |P| != |Q|
+@example((40, 37), 2, True, 1e-6, 1.0)
+@example((33, 16), 3, False, 0.0, 1.0)  # both parts given, S = 0
+@example((40, 20), 4, True, 1.0, 0.05)  # S in pieces that colour independently
+def test_two_part_interval_matches_oracle_on_the_reduced_route(sizes, seed, complex_, scale,
+                                                               density):
+    # lam from the smaller Gram matrix of the coupling block, against max |Im mu|
+    # over spec(H^{-1} S); the route is seen in the orders of its dense kernels.
+    # A dense coupling fixes the parts; a sparse one may be split another way.
+    n, n_p = sizes
+    a, p, q = _two_part_system(np.random.default_rng(seed), n, n_p, complex_, scale, density)
+    sysm = dk.HsSplitSystem.from_matrix(a)
+    interval, seen = _traced_interval(sysm)
+    assert interval.max_real_part <= 1e-10 * interval.lam
+    if not np.any(sysm.s):
+        assert interval.lam == 0.0
+        assert seen == {"eigvalsh": [], "solve_triangular": []}
+        return
+    assert interval.lam == pytest.approx(_max_imag_oracle(sysm), rel=1e-12, abs=0.0)
+    assert len(seen["eigvalsh"]) == 1 and n not in seen["solve_triangular"]
+    if density == 1.0:
+        assert seen["eigvalsh"] == [min(p.size, q.size)]
+        assert set(seen["solve_triangular"]) == {p.size, q.size}
+    else:
+        assert 2 * seen["eigvalsh"][0] <= n
+
+
+def test_two_part_residue_is_the_n_by_n_residue():
+    # with S_QP != -S_PQ* the Hermitian residue of M is not rounding: the
+    # two-part route must report its Frobenius norm and the sigma_max of its
+    # skew part, as M itself gives them
+    rng = np.random.default_rng(83)
+    a, p, q = _two_part_system(rng, 12, 5, True, 1.0)
+    sysm = dk.HsSplitSystem.from_matrix(a)
+    s = sysm.s.copy()
+    s[np.ix_(q, p)] += 0.3 * (rng.standard_normal((q.size, p.size))
+                              + 1j * rng.standard_normal((q.size, p.size)))
+    low = sysm.h_factor.lower
+    interval = dk.bounds._two_part_interval(low, s, p, q)
+    tmp = scipy.linalg.solve_triangular(low, s, lower=True)
+    m = scipy.linalg.solve_triangular(low, tmp.conj().T, lower=True).conj().T
+    assert interval.max_real_part == pytest.approx(np.linalg.norm((m + m.conj().T) / 2),
+                                                   rel=1e-12)
+    assert interval.lam == pytest.approx(np.linalg.norm((m - m.conj().T) / 2, 2), rel=1e-12)
+
+
+def _fallback_systems():
+    rng = np.random.default_rng(61)
+    a, p, q = _two_part_system(rng, 24, 9, False, 1.0)
+    # the same coupling over the diagonal of H: the patterns of H and S stay
+    # disjoint below, and the colouring itself must fail
+    diagonal_h = np.diag(np.diag(a)) + (a - a.T) / 2
+    systems = {}
+    for label, base in (("", a), ("-diagonal-H", diagonal_h)):
+        s_pp = base.copy()
+        s_pp[p[0], p[1]] += 0.5
+        s_pp[p[1], p[0]] -= 0.5
+        h_pq = base.copy()
+        if label:
+            # H_PQ in place of the coupling entry there
+            h_pq[p[0], q[0]] = h_pq[q[0], p[0]] = 0.1
+        else:
+            h_pq[p[0], q[0]] += 0.1
+            h_pq[q[0], p[0]] += 0.1
+        systems["entry-in-S_PP" + label] = dk.HsSplitSystem.from_matrix(s_pp)
+        systems["entry-in-H_PQ" + label] = dk.HsSplitSystem.from_matrix(h_pq)
+    stokes = dk.from_descriptor({"name": "stokes", "params": {
+        "grid_n": 6, "viscosity": 100.0, "stabilization": 0.005, "convection": 50.0}})
+    mechanical = dk.from_descriptor({"name": "mechanical", "params": {"n": 20}})
+    systems["convective-stokes"] = dk.midpoint_system(stokes, 1e-3).sys
+    systems["mechanical"] = dk.midpoint_system(mechanical, 1e-3).sys
+    return systems
+
+
+@pytest.mark.parametrize("name", [
+    "convective-stokes", "entry-in-S_PP", "entry-in-H_PQ", "entry-in-S_PP-diagonal-H",
+    "entry-in-H_PQ-diagonal-H", "mechanical"])
+def test_spectral_interval_without_two_parts_takes_the_n_by_n_route(name):
+    # the mechanical K is symmetric only to rounding, so its midpoint S has
+    # rounding-level entries in both diagonal blocks: no split, bitwise as before
+    sysm = _fallback_systems()[name]
+    interval, seen = _traced_interval(sysm)
+    assert seen["eigvalsh"] == [sysm.n]
+    assert set(seen["solve_triangular"]) == {sysm.n}
+    assert (interval.lam, interval.max_real_part) == _n_by_n_route(sysm)
+    assert interval.lam == pytest.approx(_max_imag_oracle(sysm), rel=1e-12, abs=0.0)
+
+
+STOKES_PIPELINE = {"name": "stokes", "params": {"grid_n": 16, "viscosity": 100.0,
+                                                "stabilization": 0.005}}
+
+
+@pytest.mark.parametrize("desc, tau, lam_n_by_n", [
+    (STOKES_PIPELINE, 1e-3, 0.08795539269690031),
+    (STOKES_PIPELINE, 1e-4, 0.08432587431454798),
+    ({"name": "rlc", "params": {}}, 1e-3, None),
+], ids=["stokes-tau1e-3", "stokes-tau1e-4", "rlc"])
+def test_two_part_route_agrees_with_the_n_by_n_route(desc, tau, lam_n_by_n):
+    # the Stokes saddle system without convection and the RLC circuit split
+    # into two parts; lam_n_by_n is the n x n route's value before the split
+    sysm = dk.midpoint_system(dk.from_descriptor(desc), tau).sys
+    interval, seen = _traced_interval(sysm)
+    assert len(seen["eigvalsh"]) == 1 and seen["eigvalsh"][0] < sysm.n
+    assert sysm.n not in seen["solve_triangular"]
+    lam, max_real = _n_by_n_route(sysm)
+    if lam_n_by_n is not None:
+        assert lam == pytest.approx(lam_n_by_n, rel=1e-14, abs=0.0)
+    assert interval.lam == pytest.approx(lam, rel=1e-14, abs=0.0)
+    assert abs(interval.max_real_part - max_real) <= 1e-10 * lam
+
+
 def test_kappa_y_estimate():
     rng = np.random.default_rng(2)
     h = random_spd(rng, 15, cond=400.0)

@@ -425,6 +425,13 @@ def test_integrate_negative_step_count_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_bounds_negative_kmax_is_usage_error(tmp_path, capsys):
+    code = main(["bounds", "--model", "rlc", "--kmax=-1", "--out", str(tmp_path / "run")])
+    assert code == 2
+    _single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_integrate_reports_krylov_iterations_total(tmp_path):
     model = {"name": "mechanical", "params": {"n": 4, "damping": 0.5}}
     x0 = np.random.default_rng(4).standard_normal(8)
