@@ -51,29 +51,38 @@ class Scenario:
     name: str = "scenario"
 
     def validate(self):
-        if not self.tau_list:
-            raise DhKrylovError("tau_list must be nonempty")
+        for key, kind in (("tau_list", "list"), ("solvers", "list"), ("rhs", "dict")):
+            value = getattr(self, key)
+            if not (isinstance(value, dict if kind == "dict" else (list, tuple)) and value):
+                raise DhKrylovError(f"scenario {key} must be a nonempty {kind}, got {value!r}")
         for tau in self.tau_list:
             timestep.check_tau(tau)
-        if not self.solvers:
-            raise DhKrylovError("at least one solver is required")
         for s in self.solvers:
-            if s not in krylov.SOLVER_NAMES:
+            if not isinstance(s, str) or s not in krylov.SOLVER_NAMES:
                 raise DhKrylovError(f"unknown solver {s!r}")
         if self.rhs.get("kind") not in ("random", "from-model", "file"):
             raise DhKrylovError("rhs kind must be one of random|from-model|file")
         if self.rhs["kind"] == "file" and not isinstance(self.rhs.get("path"), str):
             raise DhKrylovError("a file rhs needs a \"path\" string")
+        seed = self.rhs.get("seed", 0)
+        if self.rhs["kind"] == "random" and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise DhKrylovError(f"a random rhs needs a nonnegative integer seed, got {seed!r}")
         krylov.check_tol_maxit(self.tol, self.maxit)
 
     @classmethod
     def from_json(cls, path, overrides=None):
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DhKrylovError(f"scenario {path} is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise DhKrylovError(f"scenario is a JSON {type(data).__name__}, not an object")
         data.update(overrides or {})
         unknown = sorted(set(data) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise DhKrylovError(f"unknown scenario keys: {', '.join(unknown)}")
+        missing = sorted({"model", "tau_list", "solvers"} - set(data))
+        if unknown or missing:
+            raise DhKrylovError(f"scenario keys unknown: {unknown}, missing: {missing}")
         sc = cls(**data)
         sc.validate()
         return sc

@@ -7,13 +7,13 @@ solves with Hermitian positive definite matrices, and Matrix Market I/O.
 All other modules build on these kernels.
 
 Definiteness is certified, not read off a spectrum, wherever it can be:
-:func:`certify_definiteness` factors ``h = L L*`` and accepts ``h`` as
-positive definite when ``1/trace(h^{-1}) = 1/||L^{-1}||_F^2`` exceeds
-``(tol + n eps) ||h||_inf``.  Only an inconclusive certificate falls back to
-``eigvalsh``.  :meth:`HsSplitSystem.from_matrix` is the one place that
-decomposes the Hermitian part of a system: the certified Cholesky factor
-serves every H-solve and the half-width computed in :mod:`dhkrylov.bounds`,
-and the spectrum of ``h`` is computed only when a caller reads it.
+:func:`certify_definiteness` factors ``h = L L*`` once and tests, in order
+of cost, a Gershgorin margin from one pass over ``|h|``, the trace bound
+``1/||L^{-1}||_F^2``, which inverts L, and only then ``eigvalsh``.
+:meth:`HsSplitSystem.from_matrix` is the one place that decomposes the
+Hermitian part of a system: the certified Cholesky factor serves every
+H-solve and the half-width computed in :mod:`dhkrylov.bounds`, and the
+spectrum of ``h`` is computed only when a caller reads it.
 
 Matrices are plain 2-D numpy arrays, real or complex.  All functions are
 pure; returned arrays are marked read-only where they become part of a
@@ -58,18 +58,34 @@ def as_square_matrix(a, name="a"):
 
 
 def max_norm(a):
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    a = np.abs(a) if np.iscomplexobj(a) else np.asarray(a)  # a real a needs no |a| temporary
+    return abs(float(max(a.max(), -a.min()))) if a.size else 0.0  # abs() drops a -0.0
+
+
+def _adjoint(a):
+    """``a*``: a view of a real array, since ``conj`` would copy it."""
+    return a.conj().T if np.iscomplexobj(a) else a.T
+
+
+def _half(op, a, b):
+    """``op(a, b) / 2`` bitwise, halved in place; ``* 0.5`` would flip zero signs if complex."""
+    c = op(a, b, dtype=np.result_type(a, b, 0.5))  # an integer input gives floats
+    return np.divide(c, 2, out=c) if np.iscomplexobj(c) else np.multiply(c, 0.5, out=c)
+
+
+def _by_panels(f, *arrays):
+    """``f`` on each 64-row panel of ``arrays``: row-wise work with no n x n temporary."""
+    return [f(*(a[i:i + 64] for a in arrays)) for i in range(0, len(arrays[0]), 64)]
 
 
 def hermitian_deviation(a):
     """Max-norm of ``a - a*`` (zero iff ``a`` is Hermitian)."""
-    return max_norm(a - a.conj().T)
+    return max(_by_panels(lambda p, q: max_norm(p - q), a, _adjoint(a)), default=0.0)
 
 
 def skew_deviation(a):
     """Max-norm of ``a + a*`` (zero iff ``a`` is skew-Hermitian)."""
-    return max_norm(a + a.conj().T)
+    return max(_by_panels(lambda p, q: max_norm(p + q), a, _adjoint(a)), default=0.0)
 
 
 def require_hermitian(a, name="matrix"):
@@ -93,10 +109,8 @@ def split_hs(a):
     ``a = h + s``, ``h = h*`` and ``s = -s*`` exactly up to rounding.
     """
     a = as_square_matrix(a)
-    at = a.conj().T
-    h = (a + at) / 2
-    s = (a - at) / 2
-    return h, s
+    at = _adjoint(a)
+    return _half(np.add, a, at), _half(np.subtract, a, at)
 
 
 def saddle_blocks(a):
@@ -153,7 +167,7 @@ def definiteness_class(h, tol=DEFAULT_TOL):
     inputs that are not Hermitian within ``DEFAULT_TOL``.
     """
     h = require_hermitian(h, name="h")
-    return certify_definiteness((h + h.conj().T) / 2, tol)[0]
+    return certify_definiteness(_half(np.add, h, _adjoint(h)), tol)[0]
 
 
 def _cholesky(h):
@@ -164,17 +178,13 @@ def _cholesky(h):
         return None
 
 
-def _trace_bound_certifies(c_lower, h, tol):
-    """True when ``1/||L^{-1}||_F^2 > (tol + n eps) ||h||_inf``.
+def _abs_row_sums(a):
+    """Row sums of ``|a|``: Gershgorin radius plus ``|a_ii|``; their max is ``||a||_inf``."""
+    return np.concatenate(_by_panels(lambda p: np.abs(p).sum(axis=1), a) + [np.zeros(0)])
 
-    ``||L^{-1}||_F^2 = trace(h^{-1}) >= 1/lambda_min`` and
-    ``||h||_inf >= lambda_max``, so the test implies ``lambda_min > tol *
-    lambda_max`` with a margin of ``n eps`` for rounding.
-    """
-    n = h.shape[0]
-    if n == 0:
-        return True  # trtri rejects an empty matrix, which counts as definite
-    threshold = (tol + n * np.finfo(float).eps) * np.linalg.norm(h, np.inf)
+
+def _trace_bound_certifies(c_lower, threshold):
+    """True when ``1/||L^{-1}||_F^2 = 1/trace(h^{-1}) <= lambda_min`` exceeds ``threshold``."""
     # the transpose of a C-ordered copy of L is Fortran-ordered, so trtri
     # inverts L^T in place; (L^T)^{-1} = (L^{-1})^T has the same F-norm
     upper = np.tril(c_lower[0]).T
@@ -186,22 +196,28 @@ def _trace_bound_certifies(c_lower, h, tol):
 def certify_definiteness(h, tol=DEFAULT_TOL):
     """Definiteness of an exactly Hermitian ``h``, certified by Cholesky first.
 
-    Returns ``(definiteness, factor, eigs)``.  When the Cholesky factor
-    exists and passes the trace bound of :func:`_trace_bound_certifies`,
-    ``h`` is positive definite in the sense of :func:`_classify` and
-    ``eigs`` is None.  Otherwise the ascending spectrum decides through
-    :func:`_classify` and is returned as ``eigs``.  ``factor`` is the
-    :class:`HermitianFactor` of ``h`` for a positive definite class whose
-    factorization succeeded, and None otherwise.
+    Returns ``(definiteness, factor, eigs)``.  With a Cholesky factor, ``h``
+    is positive definite in the sense of :func:`_classify`, and ``eigs``
+    None, when its Gershgorin margin ``min_i (2 h_ii - sum_j |h_ij|)``
+    exceeds ``(tol + 2n eps) ||h||_inf`` (``2n eps`` covers the rounding of
+    the sums) or else the trace bound of :func:`_trace_bound_certifies`
+    holds at ``(tol + n eps) ||h||_inf``.  Otherwise the spectrum decides
+    and is returned as ``eigs``.  ``factor`` is the :class:`HermitianFactor`
+    of a positive definite ``h`` whose factorization succeeded, else None.
     """
-    c = _cholesky(h)
+    n, eps, rows = h.shape[0], np.finfo(float).eps, _abs_row_sums(h)
+    norm_inf = float(rows.max(initial=0.0))
+    # the margin of an empty h is inf: it is definite, and never reaches trtri
+    margin = float(np.min(2.0 * np.diagonal(h).real - rows, initial=np.inf))
+    c = _cholesky(h if np.iscomplexobj(h) else h.T)  # h.T = h, F-ordered: potrf copies it flat
     eigs = None
-    if c is None or not _trace_bound_certifies(c, h, tol):
+    if c is None or not (margin > (tol + 2 * n * eps) * norm_inf
+                         or _trace_bound_certifies(c, (tol + n * eps) * norm_inf)):
         eigs = np.linalg.eigvalsh(h)
     dclass = Definiteness.POSITIVE_DEFINITE if eigs is None else _classify(eigs, tol)
     factor = None
     if c is not None and dclass is Definiteness.POSITIVE_DEFINITE:
-        factor = HermitianFactor(c_lower=c, n=h.shape[0])
+        factor = HermitianFactor(c_lower=c, n=n)
     return dclass, factor, eigs
 
 
@@ -216,7 +232,7 @@ def is_semidefinite(a):
     submatrix is, and a zero block would make every Cholesky fail.
     """
     diag = np.diagonal(a).real
-    if np.all(2.0 * diag >= np.abs(a).sum(axis=1)):
+    if np.all(2.0 * diag >= _abs_row_sums(a)):
         return True
     touched = a != 0
     nonzero = np.flatnonzero(touched.any(axis=0) | touched.any(axis=1))

@@ -68,9 +68,9 @@ class MidpointSystem:
 
 
 def check_tau(tau):
-    """Raise ``ParameterError`` unless the step size is positive and finite."""
-    if not (tau > 0 and math.isfinite(tau)):
-        raise ParameterError(f"tau must be positive and finite, got {tau}")
+    """Raise ``ParameterError`` unless the step size is a positive finite number."""
+    if not (isinstance(tau, numbers.Real) and tau > 0 and math.isfinite(tau)):
+        raise ParameterError(f"tau must be a positive finite number, got {tau!r}")
 
 
 def _midpoint_matrix(sys: DhDaeSystem, tau: float):
@@ -153,16 +153,19 @@ def check_consistency(sys: DhDaeSystem, x0, t0=0.0):
     """Residual of the algebraic constraints at the initial value.
 
     After splitting off ker(E) at ``hs_core.RANK_TOL``, the algebraic block
-    demands V2* ((J - R) x0 + f(t0)) = 0.  Raises ``ConsistencyError`` when
-    the relative residual exceeds ``CONSISTENCY_TOL``.
+    demands V2* ((J - R) x0 + f(t0)) = 0, scaled by ``sqrt(||J - R||_1 ||J - R||_inf)
+    >= ||J - R||_2`` (Golub & Van Loan, sec. 2.3) in place of an SVD.  Raises
+    ``ConsistencyError`` when the relative residual exceeds ``CONSISTENCY_TOL``.
     """
     v_null = nullspace_of_e(sys)
     if v_null.shape[1] == 0:
         return 0.0
     x0 = np.asarray(x0)
     jr = sys.operator()
-    g = v_null.conj().T @ (jr @ x0 + np.asarray(sys.f(t0)))
-    scale = float(np.linalg.norm(jr, 2) * np.linalg.norm(x0) + np.linalg.norm(sys.f(t0)))
+    f0 = np.asarray(sys.f(t0))
+    g = v_null.conj().T @ (jr @ x0 + f0)
+    norm_jr = math.sqrt(np.linalg.norm(jr, 1) * np.linalg.norm(jr, np.inf))
+    scale = float(norm_jr * np.linalg.norm(x0) + np.linalg.norm(f0))
     resid = float(np.linalg.norm(g))
     rel = resid / scale if scale > 0 else resid
     if rel > CONSISTENCY_TOL:

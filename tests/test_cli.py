@@ -547,6 +547,31 @@ def test_scenario_unknown_key_is_usage_error(mech_scenario, tmp_path, capsys, ke
     assert not (tmp_path / "run").exists()
 
 
+def _edited(**changes):
+    return lambda scn: json.dumps({**scn, **changes})
+
+
+@pytest.mark.parametrize("make, needle", [
+    (_edited(rhs=5), "rhs"),
+    (_edited(tau_list="0.1"), "tau_list"),
+    (_edited(tau_list=["0.1"]), "tau"),
+    (_edited(rhs={"kind": "random", "seed": "x"}), "seed"),
+    (_edited(solvers="widlund"), "solvers"),
+    (lambda scn: json.dumps([scn]), "list"),
+    (lambda scn: json.dumps(scn)[:-1], "JSON"),
+    (lambda scn: json.dumps({k: v for k, v in scn.items() if k != "model"}), "model"),
+], ids=["rhs_number", "tau_list_string", "tau_string", "seed_string", "solvers_string",
+        "top_level_array", "invalid_json", "missing_model"])
+def test_malformed_scenario_is_usage_error(mech_scenario, tmp_path, capsys, make, needle):
+    mech_scenario.write_text(make(json.loads(mech_scenario.read_text())))
+    code = main(["bench", "--scenario", str(mech_scenario), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    _single_error_line(err)
+    assert needle in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_integrate_unknown_solver_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["integrate", "--model", "rlc", "--tau", "0.01", "--steps", "3",

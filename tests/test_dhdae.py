@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dhkrylov as dk
 from dhkrylov.errors import ModelError
@@ -128,6 +129,27 @@ def test_stokes_structure():
     assert np.allclose(sys.r[nv:, nv:], 0.25 * np.eye(8))
 
 
+@pytest.mark.parametrize("grid_n, viscosity, convection, stabilization",
+                         [(2, 1.0, 0.0, 0.0), (5, 1.0, 50.0, 0.0), (16, 100.0, 0.0, 0.005),
+                          (6, 2.0, -3.0, 0.25)])
+def test_stokes_assembly_bitwise_equal_to_block_diag_build(grid_n, viscosity, convection,
+                                                           stabilization):
+    # the reference is the scipy.linalg.block_diag assembly of the same stencils
+    sys = dk.assemble_stokes_like(grid_n, viscosity, convection, stabilization)
+    h = 1.0 / grid_n
+    fwd = scipy.linalg.block_diag(dk.dhdae._grid_shift(grid_n - 1, grid_n),
+                                  dk.dhdae._grid_shift(grid_n, grid_n - 1))
+    nv, n_p = fwd.shape[0], grid_n * grid_n - 1
+    amp = 0.5 * convection * h
+    lap = 4.0 * np.eye(nv) - fwd - fwd.T
+    e = scipy.linalg.block_diag((h * h) * np.eye(nv), np.zeros((n_p, n_p)))
+    r = scipy.linalg.block_diag(viscosity * lap, stabilization * np.eye(n_p))
+    assert sys.e.tobytes() == e.tobytes() and sys.r.tobytes() == r.tobytes()
+    assert sys.j[:nv, :nv].tobytes() == (amp * fwd - amp * fwd.T).tobytes()
+    assert sys.j[:nv, nv:].tobytes() == (-sys.j[nv:, :nv]).T.copy().tobytes()
+    assert not sys.j[nv:, nv:].any()
+
+
 # ---------------------------------------------------------------------------
 # poroelastic
 # ---------------------------------------------------------------------------
@@ -210,6 +232,17 @@ def test_nullspace_basis_of_e():
 # ---------------------------------------------------------------------------
 # model plumbing
 # ---------------------------------------------------------------------------
+
+def test_from_parts_copies_the_callers_arrays_and_freezes_its_own():
+    # generators hand over arrays no one else holds; a caller's arrays are copied
+    e, j, r = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([1.0, 0.0])
+    sys = dk.DhDaeSystem.from_parts(e, j, r)
+    for mine, kept in ((e, sys.e), (j, sys.j), (r, sys.r)):
+        assert mine.flags.writeable and not np.shares_memory(mine, kept)
+        assert np.array_equal(mine, kept) and not kept.flags.writeable
+    stokes = dk.assemble_stokes_like(3, stabilization=0.1)
+    assert not (stokes.e.flags.writeable or stokes.j.flags.writeable or stokes.r.flags.writeable)
+
 
 def test_zero_source_default():
     sys = dk.assemble_rlc(1, 1, 1, 1, 1, 1)

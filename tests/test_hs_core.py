@@ -173,6 +173,150 @@ def test_certificate_of_empty_matrix(capfd):
     assert capfd.readouterr().err == ""
 
 
+class _TrtriCount:
+    """Counts the ``trtri`` lookups of the trace-bound certificate inside a ``with`` block."""
+
+    def __enter__(self):
+        self.calls = 0
+        self._get = get = scipy.linalg.lapack.get_lapack_funcs
+
+        def counted(names, *args, **kwargs):
+            self.calls += list(names).count("trtri")
+            return get(names, *args, **kwargs)
+
+        scipy.linalg.lapack.get_lapack_funcs = counted
+        return self
+
+    def __exit__(self, *exc):
+        scipy.linalg.lapack.get_lapack_funcs = self._get
+
+
+def _planted_dominant(rng, n, kind, tol, complex_):
+    """Hermitian h with ``||h||_inf = 2^k`` and the smallest Gershgorin margin planted.
+
+    ``kind`` "strict" plants min_i (h_ii - sum_{j != i} |h_ij|) = 10 tol
+    ||h||_inf, "weak" 0.1 tol ||h||_inf; "zero_rows" zeroes some rows and
+    columns of a strict h.  Powers of two scale it without rounding.
+    """
+    margin = (10.0 if kind != "weak" else 0.1) * tol
+    g = rng.standard_normal((n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 1.0))
+    if complex_:
+        g = g + 1j * rng.standard_normal((n, n))
+    g = np.triu(g, 1)
+    g = g + g.conj().T
+    radii = np.abs(g).sum(axis=1)
+    if radii.max() > 0:
+        g *= (1.0 - margin) / 2 / radii.max()
+        radii = np.abs(g).sum(axis=1)
+    # row i has margin delta_i in [margin, 1 - 2 r_i]; the widest row sets ||h||_inf
+    delta = margin + rng.random(n) * np.maximum(1.0 - 2 * radii - margin, 0.0)
+    delta[np.argmax(radii)] = margin
+    h = g + np.diag(radii + delta)
+    if kind == "zero_rows" and n > 1:
+        zero = rng.random(n) < 0.3
+        zero[rng.integers(n)] = True
+        h[zero, :] = 0.0
+        h[:, zero] = 0.0
+    return h * 2.0 ** int(rng.integers(-20, 21))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from(["strict", "weak", "zero_rows"]), st.sampled_from([1e-12, 1e-8]))
+def test_dominance_certificate(n, seed, complex_, kind, tol):
+    h = _planted_dominant(np.random.default_rng(seed), n, kind, tol, complex_)
+    rows = np.abs(h).sum(axis=1)
+    dominant = np.min(2 * h.diagonal().real - rows) > (tol + 2 * n * EPS) * rows.max()
+    if n > 1:
+        assert dominant == (kind == "strict")
+    with _TrtriCount() as trtri:
+        dclass, factor, eigs = certify_definiteness(h, tol)
+    assert dclass is _classify(np.linalg.eigvalsh(h), tol)
+    # the inverse runs exactly when dominance fails and a Cholesky factor exists
+    cholesky = dk.hs_core._cholesky(h) is not None
+    assert trtri.calls == int(not dominant and cholesky)
+    if dominant:
+        assert dclass is dk.Definiteness.POSITIVE_DEFINITE and eigs is None
+        assert factor is not None
+    if factor is not None:
+        low = np.tril(factor.lower)
+        assert np.allclose(low @ low.conj().T, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
+
+
+def _stokes_midpoint(tau=1e-3, **params):
+    return dk.midpoint_system(dk.from_descriptor({"name": "stokes", "params": params}), tau)
+
+
+# (builder of the model or matrix, trtri runs when its split system is made)
+SETUP_CASES = {
+    "stabilized_stokes": (lambda: _stokes_midpoint(grid_n=8, viscosity=100.0,
+                                                   stabilization=0.005).sys.a, 0),
+    "stabilized_stokes_tau_1e-4": (lambda: _stokes_midpoint(1e-4, grid_n=8, viscosity=100.0,
+                                                            stabilization=0.005).sys.a, 0),
+    "convective_stokes": (lambda: _stokes_midpoint(grid_n=8, convection=50.0,
+                                                   stabilization=0.005).sys.a, 0),
+    "unstabilized_stokes_a11": (lambda: dk.midpoint_saddle_blocks(
+        dk.assemble_stokes_like(12, convection=50.0), 1e-3)[0], 0),
+    "rlc": (lambda: dk.midpoint_system(dk.from_descriptor({"name": "rlc"}), 0.1).sys.a, 0),
+    "mechanical": (lambda: dk.midpoint_system(dk.from_descriptor(
+        {"name": "mechanical", "params": {"n": 30}}), 0.02).sys.a, 1),
+    "poroelastic": (lambda: dk.midpoint_system(dk.from_descriptor({"name": "poroelastic"}),
+                                               0.01).sys.a, 1),
+    "random_spd": (lambda: random_spd(np.random.default_rng(3), 30), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SETUP_CASES))
+def test_setup_certifies_dominant_h_without_inverse(case):
+    build, expected = SETUP_CASES[case]
+    a = np.array(build())
+    with _TrtriCount() as trtri:
+        sysm = dk.HsSplitSystem.from_matrix(a)
+    assert trtri.calls == expected
+    # split, factor and class are bitwise those of the direct formulas
+    at = a.conj().T
+    assert sysm.h.tobytes() == ((a + at) / 2).tobytes()
+    assert sysm.s.tobytes() == ((a - at) / 2).tobytes()
+    c, lower = scipy.linalg.cho_factor((a + at) / 2, lower=True)
+    assert lower and sysm.h_factor.c_lower[0].tobytes() == c.tobytes()
+    assert sysm.definiteness is _classify(np.linalg.eigvalsh(sysm.h), dk.hs_core.DEFAULT_TOL)
+    assert sysm.definiteness is dk.Definiteness.POSITIVE_DEFINITE
+
+
+def test_integer_matrices_split_and_classify_as_floats():
+    # an integer Matrix Market file reads as int, and np.diag([1, 2]) is int
+    ints = np.random.default_rng(22).integers(-9, 10, size=(6, 6))
+    h, s = dk.split_hs(ints)
+    assert _bits(h) == _bits((ints + ints.T) / 2) and _bits(s) == _bits((ints - ints.T) / 2)
+    assert dk.definiteness_class(np.diag([1, 2])) is dk.Definiteness.POSITIVE_DEFINITE
+    assert dk.assemble_mechanical(np.diag([1, 2]), np.zeros((2, 2)), np.diag([3, 4])).n == 4
+
+
+def _bits(x):
+    return np.asarray(x).dtype, np.asarray(x).shape, np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("shape, complex_", [((7, 7), False), ((7, 7), True), ((1, 1), False),
+                                             ((1, 1), True), ((0, 0), False), ((0, 0), True)])
+def test_split_and_deviations_bitwise_equal_conj_formulas(shape, complex_):
+    # values with signed zeros, subnormals and huge entries, where a
+    # complex multiply by 0.5 and a division by 2 would part ways
+    rng = np.random.default_rng(21)
+    vals = np.array([0.0, -0.0, 1.5, -2.25, 1e-310, -1e-310, 3e300, -3e300, 0.1])
+    a = rng.choice(vals, size=shape)
+    if complex_:
+        a = a.astype(complex)  # set, not added: adding would turn the real -0.0 into 0.0
+        a.imag = rng.choice(vals, size=shape)
+    at = a.conj().T
+    h, s = dk.split_hs(a)
+    assert _bits(h) == _bits((a + at) / 2) and _bits(s) == _bits((a - at) / 2)
+    old_max_norm = (lambda m: float(np.max(np.abs(m))) if m.size else 0.0)
+    assert _bits(hermitian_deviation(a)) == _bits(old_max_norm(a - at))
+    assert _bits(skew_deviation(a)) == _bits(old_max_norm(a + at))
+    for m in (a, -np.abs(a), np.zeros(shape), -np.zeros(shape)):
+        assert _bits(dk.hs_core.max_norm(m)) == _bits(old_max_norm(m))
+
+
 def test_hermitian_solve_trivial():
     b = np.array([1.0, -2.0, 0.5])
     assert np.allclose(dk.HsSplitSystem.from_matrix(np.eye(3)).solve_h(b), b)

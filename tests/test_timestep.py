@@ -169,6 +169,46 @@ def test_inconsistent_initial_value_rejected():
         dk.integrate(sys, np.zeros(5), 0.1, 5)
 
 
+def _consistent_x0(sys, rng):
+    """A random x0 whose kernel coordinates (the last ones, here) solve the constraints."""
+    n_alg = dk.nullspace_of_e(sys).shape[1]
+    x0 = rng.standard_normal(sys.n)
+    jr, alg = sys.operator(), slice(sys.n - n_alg, None)
+    rest = jr[alg, :-n_alg] @ x0[:-n_alg] + np.asarray(sys.f(0.0))[alg]
+    x0[alg] = -np.linalg.solve(jr[alg, alg], rest)
+    return x0
+
+
+@pytest.mark.parametrize("model", [
+    {"name": "rlc", "params": {"eg": 1.0}},
+    {"name": "stokes", "params": {"grid_n": 16, "viscosity": 100.0, "stabilization": 0.005}},
+    {"name": "stokes", "params": {"grid_n": 6, "convection": 50.0, "stabilization": 0.1}},
+])
+def test_consistency_decisions_need_no_svd(model, monkeypatch):
+    # the scale sqrt(||J-R||_1 ||J-R||_inf) keeps the 2-norm scale's accept
+    # and reject decisions without the dense SVD behind np.linalg.norm(., 2)
+    sys = dk.from_descriptor(model)
+    rng = np.random.default_rng(23)
+    x_ok = _consistent_x0(sys, rng)
+    x_bad = x_ok.copy()
+    x_bad[-1] += np.linalg.norm(x_ok)
+    jr = sys.operator()
+    v_null = dk.nullspace_of_e(sys)
+    f0 = np.asarray(sys.f(0.0))
+    old = [np.linalg.norm(v_null.T @ (jr @ x + f0))
+           / (np.linalg.norm(jr, 2) * np.linalg.norm(x) + np.linalg.norm(f0))
+           <= dk.timestep.CONSISTENCY_TOL for x in (x_ok, x_bad)]
+    assert old == [True, False]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("check_consistency ran an SVD")
+
+    monkeypatch.setattr(np.linalg._linalg, "svd", refused)
+    assert dk.timestep.check_consistency(sys, x_ok) <= dk.timestep.CONSISTENCY_TOL
+    with pytest.raises(ConsistencyError):
+        dk.timestep.check_consistency(sys, x_bad)
+
+
 def test_consistency_check_of_index_zero_model_computes_no_eigenvectors(monkeypatch):
     # E is positive definite, so its eigenvalues alone show that ker(E) = {0}
     calls = []
