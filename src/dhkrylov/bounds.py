@@ -21,7 +21,8 @@ and Z = L_Q^{-1} S_QP L_P^{-*} = -Y* up to rounding.  Then spec(K) =
 +-i sigma(Y) (Golub & Van Loan, *Matrix Computations*, §8.6), and
 lam is the largest singular value of the skew part (Y - Z*)/2, taken from
 the smaller of its two Gram matrices.  The split is read off the exact zero
-patterns of H and S; every other input takes the n x n route.
+patterns of H and S, from their CSR copies when the system has them
+(``HsSplitSystem.ops``); every other input takes the n x n route.
 """
 
 from __future__ import annotations
@@ -76,26 +77,35 @@ def _half_width(gram):
 def _two_part_split(h, s):
     """Coordinates ``(p, q)`` with S_pp = S_qq = 0 and H_pq = 0, or None.
 
-    The split is a 2-colouring of the graph of S in which every edge of the
-    graph of H joins equal colours, read from the exact zero patterns.  On
-    the signed double cover (node i as i and n + i) an edge of H joins
-    i-j and n+i-n+j, an edge of S joins i-n+j and n+i-j; a colouring exists
-    iff no component holds both copies of a node, and the copy with the
-    smaller component label then picks the part.
+    ``h`` and ``s`` are a system's product operators (``HsSplitSystem.ops``),
+    dense or CSR.  The split is a 2-colouring of the graph of S in which
+    every edge of the graph of H joins equal colours, read from the exact
+    zero patterns.  On the signed double cover (node i as i and n + i) an
+    edge of H joins i-j and n+i-n+j, an edge of S joins i-n+j and n+i-j; a
+    colouring exists iff no component holds both copies of a node, and the
+    copy with the smaller component label then picks the part.
     """
     # imported here: csgraph adds about 1 MB to a process that never asks for lam
     import scipy.sparse.csgraph
 
     n = h.shape[0]
-    h_edges = h != 0
-    s_edges = s != 0
     # an entry in both graphs (a nonzero S_ii among them) would join the two
     # copies of a node on the cover; this common case is found without it
-    if np.any(h_edges & s_edges):
-        return None
-    # flatnonzero with divmod is ten times faster than a 2-D nonzero
-    hi, hj = np.divmod(np.flatnonzero(h_edges), n)
-    si, sj = np.divmod(np.flatnonzero(s_edges), n)
+    if scipy.sparse.issparse(h):
+        # CSR operators store exactly their nonzero entries
+        hi, hj = np.repeat(np.arange(n), np.diff(h.indptr)), h.indices
+        si, sj = np.repeat(np.arange(n), np.diff(s.indptr)), s.indices
+        # both index sets are free of repeats; checking that is 15x the cost
+        if np.intersect1d(hi * n + hj, si * n + sj, assume_unique=True).size:
+            return None
+    else:
+        h_edges = h != 0
+        s_edges = s != 0
+        if np.any(h_edges & s_edges):
+            return None
+        # flatnonzero with divmod is ten times faster than a 2-D nonzero
+        hi, hj = np.divmod(np.flatnonzero(h_edges), n)
+        si, sj = np.divmod(np.flatnonzero(s_edges), n)
     rows = np.concatenate([hi, hi + n, si, si + n])
     cols = np.concatenate([hj, hj + n, sj + n, sj])
     cover = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
@@ -133,7 +143,7 @@ def spectral_interval(sys: HsSplitSystem) -> SpectralInterval:
     if sys.n == 0:
         return SpectralInterval(0.0, 0.0)
     low = sys.h_factor.lower
-    parts = _two_part_split(sys.h, sys.s)
+    parts = _two_part_split(*sys.ops[1:])
     if parts is not None:
         return _two_part_interval(low, sys.s, *parts)
     # m = L^{-1} S L^{-*} is skew-Hermitian up to rounding

@@ -31,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from . import bounds as bounds_mod
 from . import dhdae, hs_core, krylov, staircase, timestep
@@ -140,8 +142,22 @@ def _blank_row(model_name, tau, solver, lam=None):
             "residual_gap": None, "wall_time_s": 0.0}
 
 
+def _reference_solution(sysm, b):
+    """A^{-1} b by ``splu`` of a CSR ``sysm.ops`` A, else by ``scipy.linalg.solve``."""
+    a = sysm.ops[0]
+    if not scipy.sparse.issparse(a):
+        return scipy.linalg.solve(a, b)
+    a = a.tocsc().astype(np.result_type(a.dtype, b.dtype), copy=False)
+    return scipy.sparse.linalg.splu(a).solve(b)
+
+
 def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
-    """Run solver x tau cells of a scenario; write CSVs, table and manifest."""
+    """Run solver x tau cells of a scenario; write CSVs, table and manifest.
+
+    The manifest's ``operators`` list records, per tau, whether products
+    with the midpoint matrix A ran on CSR copies or dense arrays
+    (``HsSplitSystem.ops``) and nnz(A).
+    """
     scenario.validate()
     model = dhdae.from_descriptor(scenario.model)
     out = Path(out_dir)
@@ -150,9 +166,14 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
     rows = []
     artifacts = []
     meta = {}
+    operators = []
     for tau in scenario.tau_list:
         msys = timestep.midpoint_system(model, tau)
         h_pd = msys.sys.definiteness is Definiteness.POSITIVE_DEFINITE
+        a_op = msys.sys.ops[0]
+        csr = scipy.sparse.issparse(a_op)
+        operators.append({"tau": float(tau), "products": "csr" if csr else "dense",
+                          "nnz_a": int(a_op.nnz if csr else np.count_nonzero(a_op))})
         try:
             b = _make_rhs(scenario.rhs, msys, model.n, meta)
         except DhKrylovError as exc:
@@ -163,7 +184,7 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
         # the reference solution feeds only the err_hnorm column of these two
         x_ref = None
         if h_pd and {"widlund", "rapoport"} & set(scenario.solvers):
-            x_ref = scipy.linalg.solve(msys.sys.a, b)
+            x_ref = _reference_solution(msys.sys, b)
         saddle = None  # the Schur blocks of this tau, shared by every solver
         for solver in scenario.solvers:
             csv_name = f"{model_name}_tau{tau:g}_{solver}.csv"
@@ -191,6 +212,7 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
             "rhs": scenario.rhs,
         },
         "rhs_metadata": meta,
+        "operators": operators,
         "artifacts": artifacts + ["table.json", "table.txt"],
         "created": datetime.datetime.now().isoformat(timespec="seconds"),
     }
@@ -387,7 +409,10 @@ def cmd_integrate(args):
 def cmd_bench(args):
     overrides = {}
     if args.tau:
-        overrides["tau_list"] = [float(t) for t in args.tau.split(",")]
+        try:
+            overrides["tau_list"] = [float(t) for t in args.tau.split(",")]
+        except ValueError:
+            raise ParameterError(f"--tau must be comma-separated numbers, got {args.tau!r}")
     if args.solvers:
         overrides["solvers"] = args.solvers.split(",")
     if args.tol is not None:

@@ -15,9 +15,11 @@ Hermitian part of a system: the certified Cholesky factor serves every
 H-solve and the half-width computed in :mod:`dhkrylov.bounds`, and the
 spectrum of ``h`` is computed only when a caller reads it.
 
-Matrices are plain 2-D numpy arrays, real or complex.  All functions are
-pure; returned arrays are marked read-only where they become part of a
-value object.
+Matrices are plain 2-D numpy arrays, real or complex, and the split and its
+certificate work on them.  Products run on :attr:`HsSplitSystem.ops`:
+``scipy.sparse`` CSR copies of A, H and S when the pattern of A + A* is
+sparse, else the arrays themselves.  All functions are pure; returned
+arrays are marked read-only where they become part of a value object.
 """
 
 from __future__ import annotations
@@ -39,6 +41,19 @@ DEFAULT_TOL = 1e-12
 #: Relative threshold of the rank decisions: ker(E), the index classifier and
 #: the staircase form.
 RANK_TOL = 1e-10
+
+#: Widest block that :meth:`HermitianFactor.solve` takes column by column.
+#: Per block with one BLAS thread, ``potrs`` against a ``trsv`` pair per
+#: column: 70 / 29, 82 / 56, 94 / 81, 105 / 108 us for 1-4 columns at
+#: n = 264, and 368 / 149, 417 / 357, 589 / 432, 486 / 593 us at n = 735.
+_TRSV_MAX_COLUMNS = 3
+
+#: Products run on CSR copies of a system's matrices when n >= 128 and the
+#: pattern of A + A* holds at most n^2 / 16 entries.  At Stokes grid 16
+#: (n = 735, 4447 entries) a CSR product with S takes 6-11 us against
+#: 230 us dense.
+_CSR_MIN_N = 128
+_CSR_MAX_FILL = 1 / 16
 
 
 class Definiteness(enum.Enum):
@@ -255,8 +270,10 @@ class HermitianFactor:
     A vector is solved by two BLAS-2 triangular solves (``trsv``) with L and
     L* on the Fortran-ordered payload, which read only its lower triangle;
     at n = 143-800 with one BLAS thread they take 2.5-3.7x less time than
-    LAPACK ``potrs``.  A block of columns goes through ``potrs``, whose
-    BLAS-3 kernel is faster for several right sides at once.
+    LAPACK ``potrs``.  A block of up to ``_TRSV_MAX_COLUMNS`` columns is
+    solved column by column in the same way, bitwise equal to the vector
+    solves; a wider block goes through ``potrs``, whose BLAS-3 kernel is
+    faster for several right sides at once.
     """
 
     c_lower: tuple
@@ -265,10 +282,16 @@ class HermitianFactor:
     def solve(self, b):
         """``h^{-1} b`` for a vector or block ``b``; a non-finite ``b`` raises ``ValueError``."""
         b = np.asarray_chkfinite(b)
-        low = self.c_lower[0]
-        if b.ndim == 2 or not b.size:
+        if not b.size or (b.ndim == 2 and b.shape[1] > _TRSV_MAX_COLUMNS):
             # trsv rejects an empty vector
             return scipy.linalg.cho_solve(self.c_lower, b, check_finite=False)
+        if b.ndim == 2:
+            return np.column_stack([self._trsv_pair(col) for col in b.T])
+        return self._trsv_pair(b)
+
+    def _trsv_pair(self, b):
+        """``h^{-1} b`` of a nonempty vector by ``trsv`` with L, then with L*."""
+        low = self.c_lower[0]
         trsv, = scipy.linalg.get_blas_funcs(("trsv",), (low, b))
         return trsv(low, trsv(low, b, lower=1), lower=1, trans=2, overwrite_x=1)
 
@@ -278,6 +301,37 @@ class HermitianFactor:
         low = self.c_lower[0].view()
         low.setflags(write=False)
         return low
+
+
+def _sparse_pattern(a):
+    """Rows and columns of the pattern of ``a + a*``, row by row, when it is sparse; else None.
+
+    One ``a != 0`` scan; a dense ``a`` stops at its count, since the
+    pattern of a + a* holds at least the nonzeros of a.
+    """
+    n = a.shape[0]
+    limit = _CSR_MAX_FILL * n * n
+    nonzero = a != 0
+    if n < _CSR_MIN_N or np.count_nonzero(nonzero) > limit:
+        return None
+    rows, cols = np.divmod(np.flatnonzero(nonzero), n)
+    # the sorted flat indices of both patterns, once each, come row by row;
+    # np.union1d takes 7x longer at n = 735
+    flat = np.concatenate([rows * n + cols, cols * n + rows])
+    flat.sort()
+    rows, cols = np.divmod(flat[np.append(True, flat[1:] != flat[:-1])], n)
+    return (rows, cols) if rows.size <= limit else None
+
+
+def _csr_on(m, rows, cols):
+    """``m`` as a read-only CSR array of its nonzero entries among ``(rows, cols)``, row by row."""
+    vals = m[rows, cols]
+    keep = vals != 0
+    indptr = np.searchsorted(rows[keep], np.arange(m.shape[0] + 1))
+    csr = scipy.sparse.csr_array((vals[keep], cols[keep], indptr), shape=m.shape)
+    for part in (csr.data, csr.indices, csr.indptr):
+        _freeze(part, copy=False)
+    return csr
 
 
 def _freeze(a, copy=True):
@@ -302,7 +356,8 @@ class HsSplitSystem:
 
     ``h_eigenvalues``, the ascending spectrum of ``h``, is computed on first
     read and kept; a spectrum computed for the classification is reused.
-    ``hss_factors`` is computed on first read and kept in the same way.
+    ``hss_factors`` and ``ops`` are computed on first read and kept in the
+    same way.
     """
 
     a: np.ndarray
@@ -318,6 +373,24 @@ class HsSplitSystem:
     @functools.cached_property
     def h_eigenvalues(self):
         return _freeze(np.linalg.eigvalsh(self.h))
+
+    @functools.cached_property
+    def ops(self):
+        """``(a, h, s)`` for products: ``scipy.sparse.csr_array`` copies or the fields.
+
+        The copies hold exactly the nonzero entries of the fields, and are
+        made when n >= ``_CSR_MIN_N`` and the pattern of A + A* holds at most
+        ``_CSR_MAX_FILL`` n^2 entries; otherwise, and when ``a`` is not an
+        ndarray, the fields serve.  A field that is not an ndarray (an
+        operator with ``@``) is always passed through.  Every product of the
+        solvers with A, H or S runs on these.
+        """
+        fields = (self.a, self.h, self.s)
+        pattern = _sparse_pattern(self.a) if isinstance(self.a, np.ndarray) else None
+        if pattern is None:
+            return fields
+        return tuple(_csr_on(m, *pattern) if isinstance(m, np.ndarray) else m
+                     for m in fields)
 
     @functools.cached_property
     def hss_factors(self):

@@ -51,10 +51,15 @@ restarts from it, so a stale r0 costs steps, never accuracy.  Every report
 carries that last true residual vector (``SolveReport.residual``).  A
 Widlund or Rapoport step costs one H-solve and one multiplication with S,
 plus O(n) vector work, and no product with A; in a
-block run each of these takes all running columns at once.  The H-solve of
+block run each of these takes all running columns at once.  Every product
+with A, H or S runs on the system's ``ops``
+(:attr:`~dhkrylov.hs_core.HsSplitSystem.ops`), CSR copies when the pattern
+of A + A* is sparse: then a product costs O(nnz), 6-11 us against 230 us
+dense for S at Stokes grid 16 (n = 735).  The H-solve of
 one vector is two BLAS-2 triangular solves with the Cholesky factor of H,
-and that of a block one LAPACK ``potrs`` call over all its columns
-(:meth:`HermitianFactor.solve`).  An L-GMRES step makes one H-solve and one
+and that of a block one LAPACK ``potrs`` call over all its columns, or a
+pair per column for up to three (:meth:`HermitianFactor.solve`).  An
+L-GMRES step makes one H-solve and one
 multiplication with A, plus five products of a k-row basis with a vector
 and one k x k triangular solve; in a block run the H-solve and the product
 take all running columns at once.  Residual histories are kept per iteration
@@ -506,13 +511,14 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
     block = b.ndim == 2
     bnorm = _cnorm(b)
     dtype = np.result_type(sys.a.dtype, b.dtype)
+    a_op, _, s_op = sys.ops
     if block:
         out = _Columns(b, dtype)
         cols = np.flatnonzero(bnorm)
         b, bnorm = b[:, cols], bnorm[cols]
         r0 = b
     else:
-        x0, r0, done = _start(sys.a, b, bnorm, x0, r0, tol, maxit, method)
+        x0, r0, done = _start(a_op, b, bnorm, x0, r0, tol, maxit, method)
         if done:
             return done
         dtype = np.result_type(dtype, r0.dtype)
@@ -543,7 +549,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
     for k in range(1, maxit + 1):
         if collect_basis:
             basis.append(v)
-        sv = sys.s @ v
+        sv = s_op @ v
         t_kk = _cdot(v, sv)
         top = -beta
         w = sys.solve_h(sv) - t_kk * v + beta * v_prev
@@ -575,14 +581,14 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
             if confirm or err_hist is not None:
                 x = x_r if rapoport else x_prev + g_w * p
             if confirm:
-                r = b - sys.a @ x
+                r = b - a_op @ x
                 rn, rec = _cnorm(r), rn
                 gap = max(gap, abs(rn - rec) / bnorm)
                 converged = rn <= tol * bnorm
                 restart = warm and not converged and k < maxit
                 if not (converged or broke or k == maxit or restart):
                     # residual replacement: the true residual restarts the update
-                    res_r = r if rapoport else b - sys.a @ x_r
+                    res_r = r if rapoport else b - a_op @ x_r
             res_hist.append(rn)
             if rapoport:
                 rhi_hist.append(abs(g))
@@ -593,7 +599,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
         elif confirm.any() or not confirm.size:
             at = np.flatnonzero(confirm)
             xc = x_r[:, at] if rapoport else x_prev[:, at] + g_w[at] * p[:, at]
-            r = b[:, at] - sys.a @ xc
+            r = b[:, at] - a_op @ xc
             rn = _cnorm(r)
             converged = rn <= tol * bnorm[at]
             stop = converged | broke[at] | (k == maxit)
@@ -601,7 +607,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
             keep, cols = out.stop(cols, done, k, xc[:, stop], r[:, stop], rn[stop],
                                   converged[stop], broke[done])
             if again.size:
-                res_r[:, again] = r[:, ~stop] if rapoport else b[:, again] - sys.a @ x_r[:, again]
+                res_r[:, again] = r[:, ~stop] if rapoport else b[:, again] - a_op @ x_r[:, again]
             if not cols.size:
                 break
             if done.size:
@@ -636,7 +642,7 @@ def _solve_hlanczos(method, sys, b, tol, maxit, x_exact=None,
 
 
 def _h_norm_of(sys, v):
-    return float(np.sqrt(max(np.vdot(v, sys.h @ v).real, 0.0)))
+    return float(np.sqrt(max(np.vdot(v, sys.ops[1] @ v).real, 0.0)))
 
 
 def solve_widlund(sys: HsSplitSystem, b, tol=1e-12, maxit=250, x_exact=None,
@@ -986,6 +992,7 @@ def _solve_hss(sys, b, tol, maxit, x0=None, r0=None) -> SolveReport:
     block = b.ndim == 2
     bnorm = _cnorm(b)
     dtype = np.result_type(sys.a.dtype, b.dtype)
+    a_op, h_op, s_op = sys.ops
     if block:
         out = _Columns(b, dtype)
         cols = np.flatnonzero(bnorm)
@@ -994,7 +1001,7 @@ def _solve_hss(sys, b, tol, maxit, x0=None, r0=None) -> SolveReport:
         b, bnorm = b[:, cols], bnorm[cols]
         x = np.zeros(b.shape, dtype=dtype)
     else:
-        x0, r, done = _start(sys.a, b, bnorm, x0, r0, tol, maxit, "hss")
+        x0, r, done = _start(a_op, b, bnorm, x0, r0, tol, maxit, "hss")
         if done:
             return done
         x = np.zeros(sys.n, dtype=dtype) if x0 is None else x0
@@ -1003,9 +1010,9 @@ def _solve_hss(sys, b, tol, maxit, x0=None, r0=None) -> SolveReport:
     converged = False
     k_done = 0
     for k in range(1, maxit + 1):
-        x_half = ch.solve(alpha * x - sys.s @ x + b)
-        x = scipy.linalg.lu_solve(lus, alpha * x_half - sys.h @ x_half + b)
-        r = b - sys.a @ x
+        x_half = ch.solve(alpha * x - s_op @ x + b)
+        x = scipy.linalg.lu_solve(lus, alpha * x_half - h_op @ x_half + b)
+        r = b - a_op @ x
         rn = _cnorm(r)
         if block:
             stop = (rn <= tol * bnorm) | (k == maxit)
@@ -1084,7 +1091,7 @@ def _solve_block(method, sys, b, tol, maxit) -> SolveReport:
     if method == "hss":
         return _solve_hss(sys, b, tol, maxit)
     if method in ("gmres", "lgmres"):
-        return _solve_gmres_block(sys.a, b, tol, maxit,
+        return _solve_gmres_block(sys.ops[0], b, tol, maxit,
                                   sys.solve_h if method == "lgmres" else None)
     raise ParameterError(f"unknown solver {method!r}; known: {SOLVER_NAMES}")
 
@@ -1164,7 +1171,7 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
         v = v + (w - x_b @ dp if inner_solver in _CORRECT_BY_X or not n_p
                  else inner_solve(rf - b_block @ dp))
         p = p + dp
-        rf = f - (a11 @ v + b_block @ p)
+        rf = f - (inner_sys.ops[0] @ v + b_block @ p)
         rg = g + b_block.conj().T @ v
         rel = float(np.sqrt(np.linalg.norm(rf) ** 2 + np.linalg.norm(rg) ** 2)
                     / (fnorm if fnorm > 0 else 1.0))
@@ -1194,11 +1201,11 @@ def solve(method: str, sys: HsSplitSystem, b, tol=1e-12, maxit=250, **kwargs) ->
     if method == "rapoport":
         return solve_rapoport(sys, b, tol=tol, maxit=maxit, **kwargs)
     if method == "gmres":
-        return solve_gmres(sys.a, b, tol=tol, maxit=maxit, **kwargs)
+        return solve_gmres(sys.ops[0], b, tol=tol, maxit=maxit, **kwargs)
     if method == "lgmres":
         if sys.h_factor is None:
             raise DefinitenessError("lgmres requires a positive definite Hermitian part")
-        return solve_gmres(sys.a, b, tol=tol, maxit=maxit, precond=sys.solve_h, **kwargs)
+        return solve_gmres(sys.ops[0], b, tol=tol, maxit=maxit, precond=sys.solve_h, **kwargs)
     if method == "hss":
         return solve_hss(sys, b, tol=tol, maxit=maxit, **kwargs)
     raise ParameterError(f"unknown solver {method!r}; known: {SOLVER_NAMES}")

@@ -97,7 +97,7 @@ def midpoint_rhs(msys: MidpointSystem, x_k, t_k: float):
     if x_k.shape[0] != model.n:
         raise DimensionError("x_k has wrong length")
     tau = msys.tau
-    b = 2.0 * (model.e @ x_k) - msys.sys.a @ x_k
+    b = 2.0 * (model.e @ x_k) - msys.sys.ops[0] @ x_k
     return b + tau * np.asarray(model.f(t_k + tau / 2.0))
 
 
@@ -281,12 +281,12 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
         )
     check_consistency(sys, x0, t0)
 
-    a = msys.sys.a
+    a, a_op = msys.sys.a, msys.sys.ops[0]  # a_op for products: CSR when A is sparse
     lu = scipy.linalg.lu_factor(a) if solver == "direct" else None
 
     x = x0
     t = t0
-    ex, ax = sys.e @ x, a @ x
+    ex, ax = sys.e @ x, a_op @ x
     history = None if solver == "direct" else _History(sys.n, np.result_type(a, x))
     if history is not None:
         history.add(x, ax)
@@ -302,14 +302,14 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
         k_steps = 0
         if solver == "direct":
             x_next = scipy.linalg.lu_solve(lu, b)
-            ax = a @ x_next
+            ax = a_op @ x_next
             rho = b - ax
             resid = np.linalg.norm(rho)
         else:
             x_next, rho = history.guess(b)
             resid = np.linalg.norm(rho)
             if resid <= tol * bnorm:
-                ax = a @ x_next
+                ax = a_op @ x_next
                 rho = b - ax
                 resid = np.linalg.norm(rho)
             if resid > tol * bnorm:

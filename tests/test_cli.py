@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import dhkrylov as dk
 from dhkrylov.cli import Scenario, audit_staircase, main, run_scenario
@@ -404,6 +405,44 @@ def test_bench_reference_solve_only_for_error_columns(tmp_path, monkeypatch, sol
         assert all(err_column) if solves_per_tau else not any(err_column)
 
 
+@pytest.mark.parametrize("model, products", [
+    ({"name": "stokes", "params": {"grid_n": 12, "viscosity": 100.0, "stabilization": 0.005}},
+     "csr"),
+    ({"name": "mechanical", "params": {"n": 10, "seed": 3, "damping": 1.0}}, "dense"),
+])
+def test_manifest_records_product_operators_and_sparse_reference(tmp_path, monkeypatch, model,
+                                                                  products):
+    # a CSR midpoint matrix takes its reference solution from splu, a dense
+    # one from scipy.linalg.solve; the manifest says which products ran
+    calls = []
+    for mod, name in ((scipy.linalg, "solve"), (scipy.sparse.linalg, "splu")):
+        def counted(*args, _f=getattr(mod, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    taus = [1e-3, 1e-4]
+    scn = Scenario(model=model, tau_list=taus, solvers=["widlund"],
+                   rhs={"kind": "random", "seed": 7})
+    out = tmp_path / "run"
+    table = run_scenario(scn, out)
+    assert calls == ["splu" if products == "csr" else "solve"] * len(taus)
+    manifest = json.loads((out / "manifest.json").read_text())
+    system = dk.from_descriptor(model)
+    expected = []
+    for tau in taus:
+        a = dk.midpoint_system(system, tau).sys.a
+        expected.append({"tau": tau, "products": products, "nnz_a": int(np.count_nonzero(a))})
+        b = np.random.default_rng(7).standard_normal(a.shape[0])
+        with open(out / f"{model['name']}_tau{tau:g}_widlund.csv") as fh:
+            err0 = float(next(csv.DictReader(fh))["err_hnorm"])
+        # the first entry is ||x_ref||_H of the reference solution
+        x = np.linalg.solve(a, b)
+        h = (a + a.T) / 2
+        assert err0 == pytest.approx(np.sqrt(x @ h @ x), rel=1e-10)
+    assert manifest["operators"] == expected
+    assert all(row["converged"] for row in table.rows)
+
+
 def test_integrate_subcommand(tmp_path):
     out = tmp_path / "out"
     code = main(["integrate", "--model", "mechanical", "--param", "n=4",
@@ -569,6 +608,17 @@ def test_malformed_scenario_is_usage_error(mech_scenario, tmp_path, capsys, make
     err = capsys.readouterr().err
     _single_error_line(err)
     assert needle in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_numeric_bench_tau_is_usage_error(mech_scenario, tmp_path, capsys):
+    # the --tau override is parsed before the scenario file is read
+    code = main(["bench", "--scenario", str(mech_scenario), "--tau", "1e-3,abc",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    _single_error_line(err)
+    assert "'1e-3,abc'" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -283,6 +284,61 @@ def test_setup_certifies_dominant_h_without_inverse(case):
     assert sysm.definiteness is dk.Definiteness.POSITIVE_DEFINITE
 
 
+# builders of split systems whose A + A* is sparse (n >= 128) or not
+OPS_CASES = {
+    "stabilized_stokes_grid12": (lambda: _stokes_midpoint(
+        grid_n=12, viscosity=100.0, stabilization=0.005).sys, True),
+    "stabilized_stokes_grid16_tau_1e-4": (lambda: _stokes_midpoint(
+        1e-4, grid_n=16, viscosity=100.0, stabilization=0.005).sys, True),
+    "convective_stokes_grid12": (lambda: _stokes_midpoint(
+        grid_n=12, convection=50.0, stabilization=0.005).sys, True),
+    "unstabilized_stokes_a11_grid12": (lambda: dk.HsSplitSystem.from_matrix(
+        dk.midpoint_saddle_blocks(dk.assemble_stokes_like(12, convection=50.0), 1e-3)[0]), True),
+    "mechanical": (lambda: dk.midpoint_system(dk.from_descriptor(
+        {"name": "mechanical", "params": {"n": 200}}), 0.02).sys, False),
+    "poroelastic": (lambda: dk.midpoint_system(dk.from_descriptor(
+        {"name": "poroelastic", "params": {"n": 100, "p": 50}}), 0.01).sys, False),
+    "random_hs_system": (lambda: random_hs_system(np.random.default_rng(4), 200), False),
+    "stokes_below_128": (lambda: _stokes_midpoint(grid_n=6, viscosity=100.0,
+                                                  stabilization=0.005).sys, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPS_CASES))
+def test_product_operators_are_csr_copies_of_sparse_systems(case):
+    build, sparse = OPS_CASES[case]
+    sysm = build()
+    assert (sysm.n >= dk.hs_core._CSR_MIN_N) == (case != "stokes_below_128")
+    ops = sysm.ops
+    assert sysm.ops is ops
+    for op, field in zip(ops, (sysm.a, sysm.h, sysm.s)):
+        if not sparse:
+            assert op is field
+            continue
+        assert isinstance(op, scipy.sparse.csr_array) and op.has_canonical_format
+        # exactly the nonzero entries of the field
+        assert np.all(op.data != 0)
+        assert _bits(op.toarray()) == _bits(field)
+
+
+def test_product_operators_pass_non_arrays_through():
+    class Op:
+        def __init__(self, m):
+            self.m, self.shape, self.dtype = m, m.shape, m.dtype
+
+        def __matmul__(self, x):
+            return self.m @ x
+
+    sysm = OPS_CASES["stabilized_stokes_grid12"][0]()
+    # the pattern is read from a: without an array a every field serves
+    no_a = dataclasses.replace(sysm, a=Op(sysm.a))
+    assert all(op is field for op, field in zip(no_a.ops, (no_a.a, no_a.h, no_a.s)))
+    no_h = dataclasses.replace(sysm, h=Op(sysm.h))
+    a_op, h_op, s_op = no_h.ops
+    assert h_op is no_h.h
+    assert _bits(a_op.toarray()) == _bits(sysm.a) and _bits(s_op.toarray()) == _bits(sysm.s)
+
+
 def test_integer_matrices_split_and_classify_as_floats():
     # an integer Matrix Market file reads as int, and np.diag([1, 2]) is int
     ints = np.random.default_rng(22).integers(-9, 10, size=(6, 6))
@@ -386,7 +442,8 @@ def test_hermitian_solve_rejects_non_finite_rhs(shape, bad):
 
 
 def test_vector_h_solve_runs_on_triangular_solves(monkeypatch):
-    # one vector costs two trsv; potrs (cho_solve) serves only blocks
+    # one vector, or each column of a narrow block, costs two trsv; potrs
+    # (cho_solve) serves only blocks of more than _TRSV_MAX_COLUMNS columns
     class Potrs(Exception):
         pass
 
@@ -397,10 +454,12 @@ def test_vector_h_solve_runs_on_triangular_solves(monkeypatch):
     h = _hpd(rng, 30, 1e2, False)
     sysm = dk.HsSplitSystem.from_matrix(h)
     monkeypatch.setattr(scipy.linalg, "cho_solve", refused)
-    for b in (_rhs(rng, 30, False), _rhs(rng, 30, True)):
+    narrow = dk.hs_core._TRSV_MAX_COLUMNS
+    for b in (_rhs(rng, 30, False), _rhs(rng, 30, True), _rhs(rng, (30, 1), True),
+              _rhs(rng, (30, narrow), False)):
         assert np.allclose(h @ sysm.solve_h(b), b, rtol=0, atol=1e-12)
     with pytest.raises(Potrs):
-        sysm.solve_h(_rhs(rng, (30, 2), False))
+        sysm.solve_h(_rhs(rng, (30, narrow + 1), False))
 
 
 @settings(max_examples=80, deadline=None)
@@ -418,6 +477,9 @@ def test_hermitian_solve_backward_stable(n, seed, kind, log_cond):
     xb = factor.solve(b)
     for j in range(3):
         assert np.linalg.norm(h @ xb[:, j] - b[:, j]) <= scale * np.linalg.norm(xb[:, j])
+    # a one-column block takes the vector path: bitwise the vector solve
+    x1 = factor.solve(b[:, :1])
+    assert x1.shape == (n, 1) and x1[:, 0].tobytes() == x.tobytes()
 
 
 def _potrs_solve(self, b):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import dhkrylov as dk
@@ -1148,3 +1149,98 @@ def test_block_report_carries_each_columns_true_residual():
     assert rep.residual.shape == b.shape
     assert np.max(np.abs(rep.residual - r)) <= _rounding(sysm, b[:, 0], rep.solution[:, 0])
     assert np.array_equal(np.linalg.norm(rep.residual, axis=0), rep.residual_2norm)
+
+
+# ---------------------------------------------------------------------------
+# CSR product operators against dense products
+# ---------------------------------------------------------------------------
+
+def _dense_products(sysm):
+    """``sysm`` with ``a``, ``h`` and ``s`` behind pass-through operators: dense products."""
+    dense = dataclasses.replace(sysm, **{f: _CountingOperator(getattr(sysm, f)) for f in "ahs"})
+    # the HSS shifts factor the dense fields, which the pass-through hides
+    vars(dense)["hss_factors"] = sysm.hss_factors
+    return dense
+
+
+def _complex_variant(a):
+    """A + i |S| / 2, whose Hermitian part is that of A: complex data on the same pattern."""
+    return a + 0.5j * np.abs(a - a.T)
+
+
+def _assert_same_solves(method, csr, dense):
+    """Equal steps and ``converged``, and solutions within 1e-12 relative per column.
+
+    Plain GMRES runs on A itself (kappa = 1.7e5 at Stokes grid 16, tau
+    1e-4): on dense products alone, a 1e-16 relative change of b moves its
+    tol-1e-10 solution by 2.6e-12 to 7.3e-12, and CSR products by 1.9e-12
+    to 6.5e-12.  Its solutions are held to 1e-10, the tolerance.  The
+    reports may be blocks.
+    """
+    assert np.array_equal(csr.iterations, dense.iterations), method
+    assert np.array_equal(csr.converged, dense.converged), method
+    x, y = csr.solution, dense.solution
+    rel = np.linalg.norm(x - y, axis=0) / np.linalg.norm(y, axis=0)
+    assert np.all(rel <= (1e-10 if method == "gmres" else 1e-12)), (method, rel)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("tau", [1e-3, 1e-4])
+def test_csr_products_match_dense_products_on_stokes(tau, complex_):
+    model = dk.from_descriptor({"name": "stokes", "params": {
+        "grid_n": 16, "viscosity": 100.0, "stabilization": 0.005}})
+    sysm = dk.midpoint_system(model, tau).sys
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(sysm.n)
+    if complex_:
+        sysm = dk.HsSplitSystem.from_matrix(_complex_variant(sysm.a))
+        b = b + 1j * rng.standard_normal(sysm.n)
+    assert isinstance(sysm.ops[0], scipy.sparse.csr_array)
+    dense = _dense_products(sysm)
+    for method in SOLVER_NAMES:
+        csr = dk.solve(method, sysm, b, tol=1e-10)
+        _assert_same_solves(method, csr, dk.solve(method, dense, b, tol=1e-10))
+        if method in ("widlund", "rapoport"):
+            # the H-norm error history runs its products with H on the operators too
+            x_ref = csr.solution
+            errs = [dk.solve(method, sys_, b, tol=1e-10, x_exact=x_ref).error_h_norm
+                    for sys_ in (sysm, dense)]
+            assert np.allclose(errs[0], errs[1], rtol=1e-10, atol=1e-14 * errs[1][0])
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_csr_products_match_dense_products_on_schur_block(complex_):
+    # the lockstep block of the Schur path: unstabilized Stokes, [B | f]
+    a11, b_block, _ = dk.midpoint_saddle_blocks(dk.assemble_stokes_like(12, convection=50.0),
+                                                1e-3)
+    f = np.random.default_rng(6).standard_normal(a11.shape[0])
+    if complex_:
+        a11, f = _complex_variant(a11), f + 1j * f[::-1]
+    sysm = dk.HsSplitSystem.from_matrix(np.array(a11))
+    assert isinstance(sysm.ops[0], scipy.sparse.csr_array)
+    dense = _dense_products(sysm)
+    rhs = np.column_stack([b_block, f])
+    for method in SOLVER_NAMES:
+        csr = dk.krylov._solve_block(method, sysm, rhs, 1e-13, 250)
+        assert np.all(csr.converged), method
+        _assert_same_solves(method, csr, dk.krylov._solve_block(method, dense, rhs, 1e-13, 250))
+
+
+@pytest.mark.parametrize("inner", ["rapoport", "lgmres"])
+def test_schur_path_on_csr_products_matches_dense_products(inner, monkeypatch):
+    # A11 of unstabilized Stokes at grid 12 (n_v = 264) is sparse; raising
+    # the size threshold keeps every product with A11 on the dense array
+    a11, b_block, (n_v, n_p) = dk.midpoint_saddle_blocks(
+        dk.assemble_stokes_like(12, convection=50.0), 1e-3)
+    rhs = np.random.default_rng(8).standard_normal(n_v + n_p)
+    reps = []
+    for min_n in (dk.hs_core._CSR_MIN_N, n_v + 1):
+        monkeypatch.setattr(dk.hs_core, "_CSR_MIN_N", min_n)
+        reps.append(dk.solve_via_schur(a11, b_block, rhs[:n_v], rhs[n_v:], inner_solver=inner,
+                                       tol=1e-10))
+    csr, dense = reps
+    assert (csr.inner_iterations, csr.outer_iterations, csr.refinements) == \
+        (dense.inner_iterations, dense.outer_iterations, dense.refinements)
+    assert csr.converged and dense.converged
+    for x, y in ((csr.v, dense.v), (csr.p, dense.p)):
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)

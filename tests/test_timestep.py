@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import dhkrylov as dk
 from dhkrylov.errors import (
@@ -284,6 +285,24 @@ def test_integrate_with_krylov_step_solver():
     t_direct = dk.integrate(sys, x0, 0.02, 20, solver="direct")
     t_rap = dk.integrate(sys, x0, 0.02, 20, solver="rapoport", tol=1e-13)
     assert np.linalg.norm(t_direct.states[-1] - t_rap.states[-1]) < 1e-9
+
+
+@pytest.mark.parametrize("solver", ["direct", "rapoport", "lgmres"])
+def test_integrate_on_csr_products_matches_dense_products(solver, monkeypatch):
+    # stabilized Stokes at grid 8 (n = 175) has a sparse A; raising the size
+    # threshold keeps every product with A on the dense array
+    model = dk.from_descriptor({"name": "stokes", "params": {
+        "grid_n": 8, "viscosity": 100.0, "stabilization": 0.005}})
+    x0 = _consistent_x0(model, np.random.default_rng(3))
+    assert isinstance(dk.midpoint_system(model, 1e-3).sys.ops[0], scipy.sparse.csr_array)
+    csr = dk.integrate(model, x0, 1e-3, 12, solver=solver)
+    monkeypatch.setattr(dk.hs_core, "_CSR_MIN_N", model.n + 1)
+    assert isinstance(dk.midpoint_system(model, 1e-3).sys.ops[0], np.ndarray)
+    dense = dk.integrate(model, x0, 1e-3, 12, solver=solver)
+    assert np.array_equal(csr.iterations, dense.iterations)
+    assert (solver == "direct") == (csr.iterations.sum() == 0)
+    scale = np.linalg.norm(dense.states, axis=1).max()
+    assert np.max(np.abs(csr.states - dense.states)) <= 1e-12 * scale
 
 
 def test_trajectory_csv_schema(tmp_path):
