@@ -10,7 +10,8 @@ trusted to a nonsymmetric eigensolver.  The eigenvalues of the Gram matrix
 M* M = -M^2 are the squares of the moduli |Im mu| over spec(K), so lam is
 the square root of its largest eigenvalue; on real data that is a real
 symmetric eigenproblem.  L is the system's own factor, ``sys.h_factor``;
-nothing here factors H.
+nothing here factors H.  A band factor gives its dense L, scattered from
+the band once and kept on the factor (``HermitianFactor.lower``).
 
 A two-part coupling takes a reduced route.  When the coordinates split into
 P and Q with S_PP = S_QQ = 0 and H_PQ = 0, as in the Stokes saddle system

@@ -142,6 +142,15 @@ def _blank_row(model_name, tau, solver, lam=None):
             "residual_gap": None, "wall_time_s": 0.0}
 
 
+def _factor_record(factor):
+    """The manifest's account of a Cholesky factor of H: its kind, and kd for a band one."""
+    if factor is None:
+        return {"factor": None}
+    if factor.band is None:
+        return {"factor": "dense"}
+    return {"factor": "band", "kd": factor.band.shape[0] - 1}
+
+
 def _reference_solution(sysm, b):
     """A^{-1} b by ``splu`` of a CSR ``sysm.ops`` A, else by ``scipy.linalg.solve``."""
     a = sysm.ops[0]
@@ -156,7 +165,9 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
 
     The manifest's ``operators`` list records, per tau, whether products
     with the midpoint matrix A ran on CSR copies or dense arrays
-    (``HsSplitSystem.ops``) and nnz(A).
+    (``HsSplitSystem.ops``), nnz(A), and the Cholesky factor of H:
+    ``"band"`` with its half-bandwidth ``kd``, ``"dense"``, or null when H
+    is not positive definite.
     """
     scenario.validate()
     model = dhdae.from_descriptor(scenario.model)
@@ -173,7 +184,8 @@ def run_scenario(scenario: Scenario, out_dir) -> ComparisonTable:
         a_op = msys.sys.ops[0]
         csr = scipy.sparse.issparse(a_op)
         operators.append({"tau": float(tau), "products": "csr" if csr else "dense",
-                          "nnz_a": int(a_op.nnz if csr else np.count_nonzero(a_op))})
+                          "nnz_a": int(a_op.nnz if csr else np.count_nonzero(a_op)),
+                          **_factor_record(msys.sys.h_factor)})
         try:
             b = _make_rhs(scenario.rhs, msys, model.n, meta)
         except DhKrylovError as exc:

@@ -9,7 +9,11 @@ All other modules build on these kernels.
 Definiteness is certified, not read off a spectrum, wherever it can be:
 :func:`certify_definiteness` factors ``h = L L*`` once and tests, in order
 of cost, a Gershgorin margin from one pass over ``|h|``, the trace bound
-``1/||L^{-1}||_F^2``, which inverts L, and only then ``eigvalsh``.
+``1/||L^{-1}||_F^2``, which inverts L, and only then ``eigvalsh``.  An
+``h`` that the margin certifies and whose nonzeros lie in a narrow band
+about the diagonal is factored by LAPACK ``pbtrf`` on its packed band,
+in O(n kd^2) rather than O(n^3) for half-bandwidth kd (Golub & Van Loan,
+*Matrix Computations*, §4.3); every other ``h`` by dense ``potrf``.
 :meth:`HsSplitSystem.from_matrix` is the one place that decomposes the
 Hermitian part of a system: the certified Cholesky factor serves every
 H-solve and the half-width computed in :mod:`dhkrylov.bounds`, and the
@@ -54,6 +58,20 @@ _TRSV_MAX_COLUMNS = 3
 #: 230 us dense.
 _CSR_MIN_N = 128
 _CSR_MAX_FILL = 1 / 16
+
+#: A certified ``h`` is factored on its band when n >= 128 and its
+#: half-bandwidth kd has kd + 1 <= n / 16.  At Stokes grid 16 (n = 735,
+#: kd = 16, one BLAS thread) ``pbtrf`` takes 0.07-0.14 ms against 4.8-8.4 ms
+#: for ``potrf``, after a 0.3 ms scan for kd, and a vector solve by ``pbtrs``
+#: 25-31 us against 150 us for the ``trsv`` pair.
+_BAND_MIN_N = 128
+_BAND_MAX_FILL = 1 / 16
+
+#: Widest block that :meth:`HermitianFactor.solve` takes through ``pbtrs``;
+#: wider ones take ``potrs`` on the dense L.  At the Stokes grid-12 A11
+#: (n = 264, kd = 12), ``pbtrs`` against ``potrs``: 160 / 175 us at 16
+#: columns, 323 / 317 at 32, 652 / 618 at 64 and 1736 / 1361 at 144.
+_PBTRS_MAX_COLUMNS = 16
 
 
 class Definiteness(enum.Enum):
@@ -208,6 +226,29 @@ def _trace_bound_certifies(c_lower, threshold):
     return bool(info == 0 and np.linalg.norm(inv) ** 2 * threshold < 1.0)
 
 
+def _band_factor(h):
+    """The band :class:`HermitianFactor` of a dominant ``h`` with a narrow band, else None.
+
+    kd is the largest ``i - j`` over the nonzeros ``h_ij``; the diagonal of
+    a dominant ``h`` is nonzero, so each row's first nonzero lies at or left
+    of it.  Returns None when n < ``_BAND_MIN_N``, kd + 1 > ``_BAND_MAX_FILL``
+    n, or ``pbtrf`` fails.
+    """
+    n = h.shape[0]
+    if n < _BAND_MIN_N:
+        return None
+    kd = int(np.max(np.arange(n) - np.argmax(h != 0, axis=1)))
+    if kd + 1 > _BAND_MAX_FILL * n:
+        return None
+    # LAPACK's lower band storage: row d holds the d-th subdiagonal, h[j + d, j] at column j
+    band = np.zeros((kd + 1, n), dtype=h.dtype, order="F")  # F-ordered: pbtrf works in place
+    for d in range(kd + 1):
+        band[d, :n - d] = np.diagonal(h, -d)
+    pbtrf, = scipy.linalg.lapack.get_lapack_funcs(("pbtrf",), (band,))
+    band, info = pbtrf(band, lower=1, overwrite_ab=1)
+    return HermitianFactor(c_lower=None, n=n, band=_freeze(band, copy=False)) if info == 0 else None
+
+
 def certify_definiteness(h, tol=DEFAULT_TOL):
     """Definiteness of an exactly Hermitian ``h``, certified by Cholesky first.
 
@@ -219,14 +260,20 @@ def certify_definiteness(h, tol=DEFAULT_TOL):
     holds at ``(tol + n eps) ||h||_inf``.  Otherwise the spectrum decides
     and is returned as ``eigs``.  ``factor`` is the :class:`HermitianFactor`
     of a positive definite ``h`` whose factorization succeeded, else None.
+    A narrow-band ``h`` that the margin certifies gets the band factor of
+    :func:`_band_factor`; only then is its bandwidth read.
     """
     n, eps, rows = h.shape[0], np.finfo(float).eps, _abs_row_sums(h)
     norm_inf = float(rows.max(initial=0.0))
     # the margin of an empty h is inf: it is definite, and never reaches trtri
     margin = float(np.min(2.0 * np.diagonal(h).real - rows, initial=np.inf))
+    dominant = margin > (tol + 2 * n * eps) * norm_inf
+    factor = _band_factor(h) if dominant else None
+    if factor is not None:
+        return Definiteness.POSITIVE_DEFINITE, factor, None
     c = _cholesky(h if np.iscomplexobj(h) else h.T)  # h.T = h, F-ordered: potrf copies it flat
     eigs = None
-    if c is None or not (margin > (tol + 2 * n * eps) * norm_inf
+    if c is None or not (dominant
                          or _trace_bound_certifies(c, (tol + n * eps) * norm_inf)):
         eigs = np.linalg.eigvalsh(h)
     dclass = Definiteness.POSITIVE_DEFINITE if eigs is None else _classify(eigs, tol)
@@ -262,29 +309,38 @@ def is_semidefinite(a):
 class HermitianFactor:
     """Cholesky factorization of a Hermitian positive definite matrix.
 
-    Built once, reused for many solves.  ``c_lower`` is the scipy
-    ``cho_factor(..., lower=True)`` payload, computed from a matrix checked
-    to be finite, so a solve checks only its right-hand side and never
-    re-scans the factor.
+    Built once, reused for many solves, from a matrix checked to be finite,
+    so a solve checks only its right-hand side and never re-scans the
+    factor.  The factor is dense or banded.  A dense one has ``c_lower``,
+    the scipy ``cho_factor(..., lower=True)`` payload, and ``band`` None.
+    A band one has ``c_lower`` None and ``band``, the ``pbtrf`` payload:
+    the lower band of L in LAPACK's (kd + 1) x n storage.
 
-    A vector is solved by two BLAS-2 triangular solves (``trsv``) with L and
-    L* on the Fortran-ordered payload, which read only its lower triangle;
-    at n = 143-800 with one BLAS thread they take 2.5-3.7x less time than
-    LAPACK ``potrs``.  A block of up to ``_TRSV_MAX_COLUMNS`` columns is
-    solved column by column in the same way, bitwise equal to the vector
-    solves; a wider block goes through ``potrs``, whose BLAS-3 kernel is
-    faster for several right sides at once.
+    On a dense factor a vector is solved by two BLAS-2 triangular solves
+    (``trsv``) with L and L* on the Fortran-ordered payload, which read only
+    its lower triangle; at n = 143-800 with one BLAS thread they take
+    2.5-3.7x less time than LAPACK ``potrs``.  A block of up to
+    ``_TRSV_MAX_COLUMNS`` columns is solved column by column in the same
+    way, bitwise equal to the vector solves; a wider block goes through
+    ``potrs``, whose BLAS-3 kernel is faster for several right sides at
+    once.  On a band factor a vector or a block of up to
+    ``_PBTRS_MAX_COLUMNS`` columns is solved by ``pbtrs`` in O(n kd) per
+    column, and a wider block by ``potrs`` on the dense L of :attr:`lower`.
     """
 
-    c_lower: tuple
+    c_lower: tuple | None
     n: int
+    band: np.ndarray | None = None
 
     def solve(self, b):
         """``h^{-1} b`` for a vector or block ``b``; a non-finite ``b`` raises ``ValueError``."""
         b = np.asarray_chkfinite(b)
+        if self.band is not None and (b.ndim == 1 or b.shape[1] <= _PBTRS_MAX_COLUMNS):
+            pbtrs, = scipy.linalg.lapack.get_lapack_funcs(("pbtrs",), (self.band, b))
+            return pbtrs(self.band, b, lower=1)[0]
         if not b.size or (b.ndim == 2 and b.shape[1] > _TRSV_MAX_COLUMNS):
             # trsv rejects an empty vector
-            return scipy.linalg.cho_solve(self.c_lower, b, check_finite=False)
+            return scipy.linalg.cho_solve(self._dense, b, check_finite=False)
         if b.ndim == 2:
             return np.column_stack([self._trsv_pair(col) for col in b.T])
         return self._trsv_pair(b)
@@ -295,10 +351,23 @@ class HermitianFactor:
         trsv, = scipy.linalg.get_blas_funcs(("trsv",), (low, b))
         return trsv(low, trsv(low, b, lower=1), lower=1, trans=2, overwrite_x=1)
 
+    @functools.cached_property
+    def _dense(self):
+        """``c_lower``, or that payload of L scattered from ``band`` on first use and kept."""
+        if self.band is None:
+            return self.c_lower
+        n = self.n
+        low = np.zeros((n, n), dtype=self.band.dtype, order="F")
+        # in Fortran order L[j + d, j] sits at flat index j (n + 1) + d
+        flat = low.ravel(order="F")
+        for d, row in enumerate(self.band):
+            flat[d::n + 1][:n - d] = row[:n - d]
+        return low, True
+
     @property
     def lower(self):
-        """Read-only array whose lower triangle is L (h = L L*); ignore the rest."""
-        low = self.c_lower[0].view()
+        """Read-only Fortran-ordered array whose lower triangle is L (h = L L*); ignore the rest."""
+        low = self._dense[0].view()
         low.setflags(write=False)
         return low
 
@@ -334,6 +403,16 @@ def _csr_on(m, rows, cols):
     return csr
 
 
+def csr_copy(m):
+    """``m`` as a read-only CSR array of its nonzero entries when the pattern of m + m* is sparse.
+
+    Sparse means what it means for :attr:`HsSplitSystem.ops`; otherwise ``m``
+    itself is returned.
+    """
+    pattern = _sparse_pattern(m)
+    return m if pattern is None else _csr_on(m, *pattern)
+
+
 def _freeze(a, copy=True):
     """``a`` made read-only; a copy unless ``copy`` is False (an array no one else holds)."""
     a = np.array(a) if copy else a
@@ -351,8 +430,9 @@ class HsSplitSystem:
     definiteness : classification of ``h``, certified by its Cholesky
         factor (:func:`certify_definiteness`) and decided by the spectrum
         only when that certificate is inconclusive
-    h_factor : the certified Cholesky factorization of ``h``; present iff
-        ``h`` is positive definite
+    h_factor : the certified Cholesky factorization of ``h``, on its band
+        when ``h`` is dominant with a narrow band; present iff ``h`` is
+        positive definite
 
     ``h_eigenvalues``, the ascending spectrum of ``h``, is computed on first
     read and kept; a spectrum computed for the classification is reused.

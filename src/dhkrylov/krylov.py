@@ -55,10 +55,15 @@ block run each of these takes all running columns at once.  Every product
 with A, H or S runs on the system's ``ops``
 (:attr:`~dhkrylov.hs_core.HsSplitSystem.ops`), CSR copies when the pattern
 of A + A* is sparse: then a product costs O(nnz), 6-11 us against 230 us
-dense for S at Stokes grid 16 (n = 735).  The H-solve of
-one vector is two BLAS-2 triangular solves with the Cholesky factor of H,
-and that of a block one LAPACK ``potrs`` call over all its columns, or a
-pair per column for up to three (:meth:`HermitianFactor.solve`).  An
+dense for S at Stokes grid 16 (n = 735).  The H-solve runs on the
+Cholesky factor of H (:meth:`HermitianFactor.solve`).  On the band factor
+of a narrow-band, diagonally dominant H (Stokes) a vector or a block of up
+to 16 columns takes one LAPACK ``pbtrs`` call in O(n kd) per column, 25-31
+us against 150-220 us dense at grid 16, so a step there costs about one
+band H-solve plus one CSR product with S; a wider block takes one
+``potrs`` call on the dense L.  On a dense factor a vector takes two BLAS-2
+triangular solves, a block of up to three columns a pair per column, and a
+wider block one ``potrs`` call over all its columns.  An
 L-GMRES step makes one H-solve and one
 multiplication with A, plus five products of a k-row basis with a vector
 and one k x k triangular solve; in a block run the H-solve and the product

@@ -29,12 +29,14 @@ which :class:`Trajectory` books term by term.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .dhdae import DhDaeSystem, nullspace_of_e
 from .errors import (
@@ -44,7 +46,7 @@ from .errors import (
     SingularHermitianPartError,
     SolverError,
 )
-from .hs_core import Definiteness, HsSplitSystem, saddle_blocks
+from .hs_core import Definiteness, HsSplitSystem, csr_copy, saddle_blocks
 
 #: Relative tolerance for the algebraic-constraint residual of initial values.
 CONSISTENCY_TOL = 1e-8
@@ -65,6 +67,20 @@ class MidpointSystem:
     @property
     def n(self):
         return self.sys.n
+
+    @functools.cached_property
+    def model_ops(self):
+        """``(e, r)`` of the model for products: CSR copies when ``sys.ops`` are, else the arrays.
+
+        A model whose step matrix keeps dense products (mechanical,
+        poroelastic) keeps its arrays, and no pattern of E or R is read.  At
+        Stokes grid 16 (n = 735) a product with E or R takes 172-175 us
+        dense and 6-11 us in CSR.
+        """
+        e, r = self.source.e, self.source.r
+        if not scipy.sparse.issparse(self.sys.ops[0]):
+            return e, r
+        return csr_copy(e), csr_copy(r)
 
 
 def check_tau(tau):
@@ -97,7 +113,7 @@ def midpoint_rhs(msys: MidpointSystem, x_k, t_k: float):
     if x_k.shape[0] != model.n:
         raise DimensionError("x_k has wrong length")
     tau = msys.tau
-    b = 2.0 * (model.e @ x_k) - msys.sys.ops[0] @ x_k
+    b = 2.0 * (msys.model_ops[0] @ x_k) - msys.sys.ops[0] @ x_k
     return b + tau * np.asarray(model.f(t_k + tau / 2.0))
 
 
@@ -281,12 +297,13 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
         )
     check_consistency(sys, x0, t0)
 
-    a, a_op = msys.sys.a, msys.sys.ops[0]  # a_op for products: CSR when A is sparse
+    # products run on these: CSR copies when A is sparse
+    a, a_op, (e_op, r_op) = msys.sys.a, msys.sys.ops[0], msys.model_ops
     lu = scipy.linalg.lu_factor(a) if solver == "direct" else None
 
     x = x0
     t = t0
-    ex, ax = sys.e @ x, a_op @ x
+    ex, ax = e_op @ x, a_op @ x
     history = None if solver == "direct" else _History(sys.n, np.result_type(a, x))
     if history is not None:
         history.add(x, ax)
@@ -324,12 +341,12 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
                 f"residual {resid / bnorm:.3e}, above tolerance"
             )
         m = (x + x_next) / 2.0
-        diss.append(tau * float(np.vdot(m, sys.r @ m).real))
+        diss.append(tau * float(np.vdot(m, r_op @ m).real))
         supply.append(tau * float(np.vdot(m, f_mid).real))
         defect.append(float(np.vdot(m, rho).real))
         x = x_next
         t += tau
-        ex = sys.e @ x
+        ex = e_op @ x
         times.append(t)
         states.append(x)
         hams.append(0.5 * float(np.vdot(x, ex).real))

@@ -413,7 +413,10 @@ def test_bench_reference_solve_only_for_error_columns(tmp_path, monkeypatch, sol
 def test_manifest_records_product_operators_and_sparse_reference(tmp_path, monkeypatch, model,
                                                                   products):
     # a CSR midpoint matrix takes its reference solution from splu, a dense
-    # one from scipy.linalg.solve; the manifest says which products ran
+    # one from scipy.linalg.solve; the manifest says which products ran and
+    # which Cholesky factor of H served the H-solves: the band one of the
+    # Stokes H (kd = 12 at grid 12), the dense one of the mechanical H
+    factor = {"factor": "band", "kd": 12} if products == "csr" else {"factor": "dense"}
     calls = []
     for mod, name in ((scipy.linalg, "solve"), (scipy.sparse.linalg, "splu")):
         def counted(*args, _f=getattr(mod, name), _name=name, **kwargs):
@@ -431,7 +434,8 @@ def test_manifest_records_product_operators_and_sparse_reference(tmp_path, monke
     expected = []
     for tau in taus:
         a = dk.midpoint_system(system, tau).sys.a
-        expected.append({"tau": tau, "products": products, "nnz_a": int(np.count_nonzero(a))})
+        expected.append({"tau": tau, "products": products, "nnz_a": int(np.count_nonzero(a)),
+                         **factor})
         b = np.random.default_rng(7).standard_normal(a.shape[0])
         with open(out / f"{model['name']}_tau{tau:g}_widlund.csv") as fh:
             err0 = float(next(csv.DictReader(fh))["err_hnorm"])

@@ -267,6 +267,20 @@ SETUP_CASES = {
 }
 
 
+def _packed_band(h, kd):
+    """The lower band of ``h`` in LAPACK's (kd + 1) x n storage: h[j + d, j] at [d, j]."""
+    n = h.shape[0]
+    band = np.zeros((kd + 1, n), dtype=h.dtype)
+    for d in range(kd + 1):
+        band[d, :n - d] = [h[j + d, j] for j in range(n - d)]
+    return band
+
+
+# the SETUP_CASES whose H is factored on its band: n >= 128 with (kd + 1) <= n / 16
+BAND_SETUP_CASES = {"stabilized_stokes": 8, "stabilized_stokes_tau_1e-4": 8,
+                    "convective_stokes": 8, "unstabilized_stokes_a11": 12}
+
+
 @pytest.mark.parametrize("case", sorted(SETUP_CASES))
 def test_setup_certifies_dominant_h_without_inverse(case):
     build, expected = SETUP_CASES[case]
@@ -274,12 +288,20 @@ def test_setup_certifies_dominant_h_without_inverse(case):
     with _TrtriCount() as trtri:
         sysm = dk.HsSplitSystem.from_matrix(a)
     assert trtri.calls == expected
-    # split, factor and class are bitwise those of the direct formulas
+    # split, factor and class are bitwise those of the direct formulas: a
+    # narrow-band H's factor is pbtrf of its packed band, any other's cho_factor
     at = a.conj().T
     assert sysm.h.tobytes() == ((a + at) / 2).tobytes()
     assert sysm.s.tobytes() == ((a - at) / 2).tobytes()
-    c, lower = scipy.linalg.cho_factor((a + at) / 2, lower=True)
-    assert lower and sysm.h_factor.c_lower[0].tobytes() == c.tobytes()
+    if case in BAND_SETUP_CASES:
+        band = _packed_band((a + at) / 2, BAND_SETUP_CASES[case])
+        c, info = scipy.linalg.lapack.get_lapack_funcs(("pbtrf",), (band,))[0](band, lower=1)
+        assert info == 0 and sysm.h_factor.c_lower is None
+        assert _bits(sysm.h_factor.band) == _bits(c)
+    else:
+        c, lower = scipy.linalg.cho_factor((a + at) / 2, lower=True)
+        assert lower and sysm.h_factor.band is None
+        assert sysm.h_factor.c_lower[0].tobytes() == c.tobytes()
     assert sysm.definiteness is _classify(np.linalg.eigvalsh(sysm.h), dk.hs_core.DEFAULT_TOL)
     assert sysm.definiteness is dk.Definiteness.POSITIVE_DEFINITE
 
@@ -482,6 +504,60 @@ def test_hermitian_solve_backward_stable(n, seed, kind, log_cond):
     assert x1.shape == (n, 1) and x1[:, 0].tobytes() == x.tobytes()
 
 
+def _planted_band(rng, n, kd, complex_):
+    """Dominant Hermitian h with half-bandwidth exactly kd and some zeros inside the band."""
+    g = np.zeros((n, n), dtype=complex if complex_ else float)
+    for d in range(1, kd + 1):
+        vals = _rhs(rng, n - d, complex_) * (rng.random(n - d) < 0.7)
+        vals[rng.integers(n - d)] = 1.0  # the outermost diagonal is not all zero
+        g[np.arange(d, n), np.arange(n - d)] = vals
+    g = g + g.conj().T
+    h = g + np.diag(np.abs(g).sum(axis=1) + rng.uniform(0.1, 1.0, n))
+    return h * 2.0 ** int(rng.integers(-20, 21))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(128, 300), st.integers(0, 2**32 - 1), st.sampled_from(sorted(SOLVE_KINDS)),
+       st.integers(2, dk.hs_core._PBTRS_MAX_COLUMNS), st.integers(1, 24))
+def test_band_factor_backward_stable(n, seed, kind, narrow, extra):
+    complex_h, complex_b = SOLVE_KINDS[kind]
+    rng = np.random.default_rng(seed)
+    kd = int(rng.integers(0, n // 16))  # kd + 1 <= n / 16 takes the band path
+    h = _planted_band(rng, n, kd, complex_h)
+    factor = dk.HsSplitSystem.from_matrix(h).h_factor
+    assert factor.c_lower is None and factor.band.shape == (kd + 1, n)
+    # a vector, a narrow block (pbtrs) and a wide block (potrs on the dense L)
+    wide = dk.hs_core._PBTRS_MAX_COLUMNS + extra
+    scale = 8 * n * EPS * np.linalg.norm(h, 2)
+    for b in (_rhs(rng, n, complex_b), _rhs(rng, (n, narrow), complex_b),
+              _rhs(rng, (n, wide), complex_b)):
+        x = factor.solve(b)
+        assert x.shape == b.shape and np.iscomplexobj(x) == complex_b
+        resid = np.linalg.norm((h @ x - b).reshape(n, -1), axis=0)
+        assert np.all(resid <= scale * np.linalg.norm(x.reshape(n, -1), axis=0))
+    low = np.tril(factor.lower)
+    assert factor.lower.flags.f_contiguous and not factor.lower.flags.writeable
+    assert np.allclose(low @ low.conj().T, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
+
+
+def test_band_h_solve_takes_potrs_only_for_wide_blocks(monkeypatch):
+    # vectors and blocks of up to _PBTRS_MAX_COLUMNS columns take pbtrs on
+    # the band; a wider block, such as the Schur build of [B | f], takes potrs
+    rng = np.random.default_rng(7)
+    factor = dk.HsSplitSystem.from_matrix(_planted_band(rng, 160, 4, False)).h_factor
+    potrs, cho_solve = [], scipy.linalg.cho_solve
+
+    def recorded(c, b, **kwargs):
+        potrs.append(b.shape)
+        return cho_solve(c, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", recorded)
+    wide = dk.hs_core._PBTRS_MAX_COLUMNS + 1
+    for shape in ((160,), (160, 0), (160, 1), (160, wide - 1), (160, wide)):
+        factor.solve(_rhs(rng, shape, False))
+    assert potrs == [(160, wide)]
+
+
 def _potrs_solve(self, b):
     """The LAPACK potrs kernel that served every H-solve before, kept as a reference."""
     return scipy.linalg.cho_solve(self.c_lower, np.asarray_chkfinite(b), check_finite=False)
@@ -601,7 +677,8 @@ def test_stokes_setup_computes_no_spectrum(decompositions):
     msys = dk.midpoint_system(model, 1e-3)
     assert msys.sys.definiteness is dk.Definiteness.POSITIVE_DEFINITE
     assert decompositions["eigvalsh"] == decompositions["eigh"] == 0
-    assert decompositions["cho_factor"] == 1
+    # n = 175 with kd = 8: H is factored once, on its band, not by cho_factor
+    assert decompositions["cho_factor"] == 0 and msys.sys.h_factor.band.shape == (9, 175)
 
 
 def test_spectral_interval_reuses_the_system_factor(decompositions):

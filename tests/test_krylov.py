@@ -1244,3 +1244,50 @@ def test_schur_path_on_csr_products_matches_dense_products(inner, monkeypatch):
     assert csr.converged and dense.converged
     for x, y in ((csr.v, dense.v), (csr.p, dense.p)):
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+
+# ---------------------------------------------------------------------------
+# Band Cholesky factor of H against the dense factor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tau", [1e-3, 1e-4])
+def test_band_factor_matches_dense_factor_on_stokes(tau, monkeypatch):
+    # stabilized Stokes at grid 16 (n = 735, kd = 16) takes the band factor;
+    # raising the size threshold gives the same H its dense potrf factor
+    model = dk.from_descriptor({"name": "stokes", "params": {
+        "grid_n": 16, "viscosity": 100.0, "stabilization": 0.005}})
+    b = np.random.default_rng(5).standard_normal(model.n)
+    methods = ("widlund", "rapoport", "lgmres")
+    runs = []
+    for min_n in (dk.hs_core._BAND_MIN_N, model.n + 1):
+        monkeypatch.setattr(dk.hs_core, "_BAND_MIN_N", min_n)
+        sysm = dk.midpoint_system(model, tau).sys
+        runs.append((sysm.h_factor, dk.spectral_interval(sysm).lam,
+                     [dk.solve(method, sysm, b, tol=1e-10) for method in methods]))
+    (band, band_lam, band_reps), (dense, dense_lam, dense_reps) = runs
+    assert band.band.shape == (17, 735) and dense.band is None
+    assert band_lam == pytest.approx(dense_lam, rel=1e-12, abs=0)
+    for method, rep, ref in zip(methods, band_reps, dense_reps):
+        assert rep.converged, method
+        _assert_same_solves(method, rep, ref)
+
+
+@pytest.mark.parametrize("inner", ["widlund", "rapoport", "lgmres"])
+def test_schur_path_on_band_factor_keeps_step_counts(inner, monkeypatch):
+    # A11 of unstabilized Stokes at grid 12 (n_v = 264, kd = 12) takes the
+    # band factor; its wide lockstep blocks of [B | f] go through potrs
+    a11, b_block, (n_v, n_p) = dk.midpoint_saddle_blocks(
+        dk.assemble_stokes_like(12, convection=50.0), 1e-3)
+    assert dk.HsSplitSystem.from_matrix(a11).h_factor.band.shape == (13, n_v)
+    rhs = np.random.default_rng(8).standard_normal(n_v + n_p)
+    reps = []
+    for min_n in (dk.hs_core._BAND_MIN_N, n_v + 1):
+        monkeypatch.setattr(dk.hs_core, "_BAND_MIN_N", min_n)
+        reps.append(dk.solve_via_schur(a11, b_block, rhs[:n_v], rhs[n_v:], inner_solver=inner,
+                                       tol=1e-10))
+    band, dense = reps
+    assert (band.inner_iterations, band.outer_iterations, band.refinements) == \
+        (dense.inner_iterations, dense.outer_iterations, dense.refinements)
+    assert band.converged and dense.converged
+    for x, y in ((band.v, dense.v), (band.p, dense.p)):
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)

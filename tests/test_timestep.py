@@ -305,6 +305,30 @@ def test_integrate_on_csr_products_matches_dense_products(solver, monkeypatch):
     assert np.max(np.abs(csr.states - dense.states)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("solver", ["direct", "rapoport"])
+def test_integrate_on_csr_model_products_matches_dense_model_products(solver, monkeypatch):
+    # stabilized Stokes at grid 8 (n = 175): with a sparse A, the products
+    # with E and R run on CSR copies; the arrays themselves give the reference
+    model = dk.from_descriptor({"name": "stokes", "params": {
+        "grid_n": 8, "viscosity": 100.0, "stabilization": 0.005}})
+    x0 = _consistent_x0(model, np.random.default_rng(3))
+    msys = dk.midpoint_system(model, 1e-3)
+    assert all(isinstance(m, scipy.sparse.csr_array) for m in msys.model_ops)
+    rhs = 2.0 * (model.e @ x0) - msys.sys.a @ x0 + 1e-3 * model.f(5e-4)
+    assert np.allclose(dk.midpoint_rhs(msys, x0, 0.0), rhs, rtol=0,
+                       atol=1e-12 * np.max(np.abs(rhs)))
+    csr = dk.integrate(model, x0, 1e-3, 12, solver=solver)
+    monkeypatch.setattr(dk.timestep.MidpointSystem, "model_ops",
+                        property(lambda self: (self.source.e, self.source.r)))
+    dense = dk.integrate(model, x0, 1e-3, 12, solver=solver)
+    assert np.array_equal(csr.iterations, dense.iterations)
+    scale = np.linalg.norm(dense.states, axis=1).max()
+    assert np.max(np.abs(csr.states - dense.states)) <= 1e-12 * scale
+    for name in ("hamiltonians", "dissipation"):
+        ref = getattr(dense, name)
+        assert np.max(np.abs(getattr(csr, name) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_trajectory_csv_schema(tmp_path):
     sys = scalar_system(e=1.0, r=1.0)
     traj = dk.integrate(sys, np.array([1.0]), 0.1, 5)
@@ -522,7 +546,6 @@ def test_one_krylov_step_makes_six_matrix_passes(solver, monkeypatch):
     msys = dk.midpoint_system(sys, tau)
     split = dataclasses.replace(msys.sys, **{name: _Logged(getattr(msys.sys, name), name, log)
                                              for name in ("a", "h", "s")})
-    logged = dataclasses.replace(msys, sys=split)
 
     def source(t):
         log.append("step")
@@ -530,6 +553,8 @@ def test_one_krylov_step_makes_six_matrix_passes(solver, monkeypatch):
 
     model = dk.DhDaeSystem(**{name: _Logged(getattr(sys, name), name, log)
                               for name in ("e", "j", "r")}, f=source)
+    # the products with E and R run on the step system's model, as midpoint_system sets it
+    logged = dataclasses.replace(msys, sys=split, source=model)
     h_solve = dk.hs_core.HermitianFactor.solve
 
     def logged_h_solve(self, b):
