@@ -10,20 +10,24 @@ trusted to a nonsymmetric eigensolver.  The eigenvalues of the Gram matrix
 M* M = -M^2 are the squares of the moduli |Im mu| over spec(K), so lam is
 the square root of its largest eigenvalue; on real data that is a real
 symmetric eigenproblem.  L is the system's own factor, ``sys.h_factor``;
-nothing here factors H.  A band factor gives its dense L, scattered from
-the band once and kept on the factor (``HermitianFactor.lower``).
+nothing here factors H.  The congruence runs on that factor
+(``HermitianFactor.solve_lower``): ``trsm`` on a dense L, and LAPACK
+``tbtrs`` on a band factor in O(n kd) per column, with no dense L built.
 
 A two-part coupling takes a reduced route.  When the coordinates split into
 P and Q with S_PP = S_QQ = 0 and H_PQ = 0, as in the Stokes saddle system
 without convection, the RLC circuit and canonical position/momentum
 Hamiltonians, the Cholesky factor has L_PQ = L_QP = 0, so L_P and L_Q are
-principal blocks of L and M = [[0, Y], [Z, 0]] with Y = L_P^{-1} S_PQ L_Q^{-*}
+principal blocks of L (``HermitianFactor.principal_block``; on a band
+factor a band of at most the same width, and kd = 0 for a diagonal block)
+and M = [[0, Y], [Z, 0]] with Y = L_P^{-1} S_PQ L_Q^{-*}
 and Z = L_Q^{-1} S_QP L_P^{-*} = -Y* up to rounding.  Then spec(K) =
 +-i sigma(Y) (Golub & Van Loan, *Matrix Computations*, §8.6), and
 lam is the largest singular value of the skew part (Y - Z*)/2, taken from
-the smaller of its two Gram matrices.  The split is read off the exact zero
-patterns of H and S, from their CSR copies when the system has them
-(``HsSplitSystem.ops``); every other input takes the n x n route.
+the smaller of its two Gram matrices.  The split and the blocks S_PQ, S_QP
+are read off the exact zero patterns of H and S, from their CSR copies when
+the system has them (``HsSplitSystem.ops``); every other input takes the
+n x n route.
 """
 
 from __future__ import annotations
@@ -57,15 +61,13 @@ class SpectralInterval:
     max_real_part: float
 
 
-def _congruence(low_left, x, low_right):
-    """``L1^{-1} x L2^{-*}`` for lower-triangular L1, L2 (their upper triangles are ignored).
+def _congruence(left, x, right):
+    """``L1^{-1} x L2^{-*}`` for the L1, L2 of two :class:`HermitianFactor` values.
 
     The factor and the split of a system are finite by construction, so the
     operands are not scanned again.
     """
-    tmp = scipy.linalg.solve_triangular(low_left, x, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(low_right, tmp.conj().T, lower=True,
-                                         check_finite=False).conj().T
+    return right.solve_lower(left.solve_lower(x).conj().T).conj().T
 
 
 def _half_width(gram):
@@ -118,18 +120,24 @@ def _two_part_split(h, s):
     return np.flatnonzero(in_p), np.flatnonzero(~in_p)
 
 
-def _two_part_interval(low, s, p, q):
+def _block(m, rows, cols):
+    """The dense block ``m[rows][:, cols]`` of a dense or CSR matrix."""
+    if scipy.sparse.issparse(m):
+        return m[rows][:, cols].toarray()
+    return m[np.ix_(rows, cols)]
+
+
+def _two_part_interval(factor, s, p, q):
     """The interval from the coupling blocks Y = L_P^{-1} S_PQ L_Q^{-*}, Z = L_Q^{-1} S_QP L_P^{-*}.
 
-    H_PQ = 0 makes L_QP = 0 in the system's own factor ``low``, so L_P and
-    L_Q are its principal blocks and nothing is refactored.
+    H_PQ = 0 makes L_QP = 0 in the system's own factor, so L_P and L_Q are
+    its principal blocks and nothing is refactored.  ``s`` is dense or CSR.
     """
     if not (p.size and q.size):
         return SpectralInterval(0.0, 0.0)  # then S = 0
-    # the factor is Fortran-ordered: gather rows of its transpose, 2.5x faster
-    low_p, low_q = low.T[np.ix_(p, p)].T, low.T[np.ix_(q, q)].T
-    y = _congruence(low_p, s[np.ix_(p, q)], low_q)
-    z = _congruence(low_q, s[np.ix_(q, p)], low_p)
+    low_p, low_q = factor.principal_block(p), factor.principal_block(q)
+    y = _congruence(low_p, _block(s, p, q), low_q)
+    z = _congruence(low_q, _block(s, q, p), low_p)
     skew = (y - z.conj().T) / 2
     gram = skew.conj().T @ skew if p.size >= q.size else skew @ skew.conj().T
     lam = _half_width(gram)
@@ -143,12 +151,12 @@ def spectral_interval(sys: HsSplitSystem) -> SpectralInterval:
         raise DefinitenessError("spectral_interval requires a positive definite Hermitian part")
     if sys.n == 0:
         return SpectralInterval(0.0, 0.0)
-    low = sys.h_factor.lower
+    factor = sys.h_factor
     parts = _two_part_split(*sys.ops[1:])
     if parts is not None:
-        return _two_part_interval(low, sys.s, *parts)
+        return _two_part_interval(factor, sys.ops[2], *parts)
     # m = L^{-1} S L^{-*} is skew-Hermitian up to rounding
-    m = _congruence(low, sys.s, low)
+    m = _congruence(factor, sys.s, factor)
     herm_residue = (m + m.conj().T) / 2
     skew = (m - m.conj().T) / 2
     # spec(skew* skew) = {theta^2}

@@ -67,11 +67,18 @@ _CSR_MAX_FILL = 1 / 16
 _BAND_MIN_N = 128
 _BAND_MAX_FILL = 1 / 16
 
-#: Widest block that :meth:`HermitianFactor.solve` takes through ``pbtrs``;
-#: wider ones take ``potrs`` on the dense L.  At the Stokes grid-12 A11
-#: (n = 264, kd = 12), ``pbtrs`` against ``potrs``: 160 / 175 us at 16
-#: columns, 323 / 317 at 32, 652 / 618 at 64 and 1736 / 1361 at 144.
+#: :meth:`HermitianFactor.solve` takes a block through ``pbtrs`` when it has
+#: at most 16 columns or the band is narrow, kd + 1 <= n / 24; only a wider
+#: block on a wider band takes ``potrs`` on the dense L.  Per block with one
+#: BLAS thread, ``pbtrs`` against ``potrs`` in us at 16 / 32 / 144 / 256
+#: columns on Stokes factors: n = 264, kd = 12 (the grid-12 Schur A11, kd + 1
+#: = n / 20.3): 146 / 161, 312 / 311, 1540 / 1227, 2420 / 2160; n = 480,
+#: kd = 16 (grid-16 A11, n / 28.2): 249 / 478, 491 / 759, 2182 / 2919,
+#: 4091 / 5253; n = 735, kd = 16 (stabilized grid 16, n / 43.2): 369 / 896,
+#: 797 / 1497, 3316 / 5629, 6280 / 9843.  The time ratio tracks
+#: 25 (kd + 1) / n at 144 columns.
 _PBTRS_MAX_COLUMNS = 16
+_PBTRS_WIDE_FILL = 1 / 24
 
 
 class Definiteness(enum.Enum):
@@ -323,9 +330,13 @@ class HermitianFactor:
     ``_TRSV_MAX_COLUMNS`` columns is solved column by column in the same
     way, bitwise equal to the vector solves; a wider block goes through
     ``potrs``, whose BLAS-3 kernel is faster for several right sides at
-    once.  On a band factor a vector or a block of up to
-    ``_PBTRS_MAX_COLUMNS`` columns is solved by ``pbtrs`` in O(n kd) per
-    column, and a wider block by ``potrs`` on the dense L of :attr:`lower`.
+    once.  On a band factor a vector or block is solved by ``pbtrs`` in
+    O(n kd) per column, except a block of more than ``_PBTRS_MAX_COLUMNS``
+    columns on a band with kd + 1 > ``_PBTRS_WIDE_FILL`` n: that one takes
+    ``potrs`` on the dense L of :attr:`lower`, scattered from the band on
+    first use.  Nothing else in the package reads a dense L of a band
+    factor: :meth:`solve_lower` and :meth:`principal_block` serve the
+    congruences of :mod:`dhkrylov.bounds` on either form.
     """
 
     c_lower: tuple | None
@@ -335,7 +346,8 @@ class HermitianFactor:
     def solve(self, b):
         """``h^{-1} b`` for a vector or block ``b``; a non-finite ``b`` raises ``ValueError``."""
         b = np.asarray_chkfinite(b)
-        if self.band is not None and (b.ndim == 1 or b.shape[1] <= _PBTRS_MAX_COLUMNS):
+        if self.band is not None and (b.ndim == 1 or b.shape[1] <= _PBTRS_MAX_COLUMNS
+                                      or len(self.band) <= _PBTRS_WIDE_FILL * self.n):
             pbtrs, = scipy.linalg.lapack.get_lapack_funcs(("pbtrs",), (self.band, b))
             return pbtrs(self.band, b, lower=1)[0]
         if not b.size or (b.ndim == 2 and b.shape[1] > _TRSV_MAX_COLUMNS):
@@ -350,6 +362,39 @@ class HermitianFactor:
         low = self.c_lower[0]
         trsv, = scipy.linalg.get_blas_funcs(("trsv",), (low, b))
         return trsv(low, trsv(low, b, lower=1), lower=1, trans=2, overwrite_x=1)
+
+    def solve_lower(self, x):
+        """``L^{-1} x`` for a 2-D block ``x``: ``trsm`` on a dense factor, ``tbtrs`` on a band."""
+        if self.band is None:
+            return scipy.linalg.solve_triangular(self.c_lower[0], x, lower=True,
+                                                 check_finite=False)
+        tbtrs, = scipy.linalg.lapack.get_lapack_funcs(("tbtrs",), (self.band, x))
+        return tbtrs(self.band, x, uplo="L")[0]
+
+    def principal_block(self, idx):
+        """The factor whose L is the principal block ``L[idx, idx]``, for sorted ``idx``.
+
+        It is the factor of ``h[idx, idx]`` when L has no entries in rows
+        ``idx`` outside columns ``idx``, as for the two parts of
+        :mod:`dhkrylov.bounds`.  A dense factor gathers the block; a band
+        factor gathers its band, of half-bandwidth at most kd since the
+        indices are sorted, and drops the outer diagonals that are exactly
+        zero: a diagonal block of L gives kd = 0.
+        """
+        if self.band is None:
+            # the payload is Fortran-ordered: gather rows of its transpose, 2.5x faster
+            return HermitianFactor(c_lower=(self.c_lower[0].T[np.ix_(idx, idx)].T, True),
+                                   n=idx.size)
+        kd, m = len(self.band) - 1, idx.size
+        # row e of the block's band holds L[idx[j + e], idx[j]] = band[idx[j + e] - idx[j], idx[j]]
+        block = np.zeros((kd + 1, m), dtype=self.band.dtype, order="F")
+        for e in range(min(kd + 1, m)):
+            offset = idx[e:] - idx[:m - e]
+            inside = offset <= kd
+            block[e, :m - e][inside] = self.band[offset[inside], idx[:m - e][inside]]
+        kd = int(np.max(np.flatnonzero(block.any(axis=1)), initial=0))
+        return HermitianFactor(c_lower=None, n=m,
+                               band=_freeze(np.asfortranarray(block[:kd + 1]), copy=False))
 
     @functools.cached_property
     def _dense(self):
@@ -366,7 +411,10 @@ class HermitianFactor:
 
     @property
     def lower(self):
-        """Read-only Fortran-ordered array whose lower triangle is L (h = L L*); ignore the rest."""
+        """Read-only Fortran-ordered array whose lower triangle is L (h = L L*); ignore the rest.
+
+        A band factor scatters its dense L on the first read and keeps it.
+        """
         low = self._dense[0].view()
         low.setflags(write=False)
         return low
@@ -490,13 +538,16 @@ class HsSplitSystem:
     @classmethod
     def from_matrix(cls, a):
         # h = (a + a*)/2 is exactly Hermitian: no symmetrization or re-check;
-        # h and s are new arrays, frozen without a copy
+        # h and s are new arrays, frozen without a copy.  So is a read-only
+        # array that owns its data, such as midpoint_system's; any other a
+        # is copied, so the caller's later writes cannot reach the system.
         h, s = split_hs(a)
         dclass, factor, eigs = certify_definiteness(h)
         if dclass is Definiteness.POSITIVE_DEFINITE and factor is None:
             raise DefinitenessError("Cholesky failed: h is not positive definite")
+        frozen = isinstance(a, np.ndarray) and a.flags.owndata and not a.flags.writeable
         system = cls(
-            a=_freeze(a),
+            a=_freeze(a, copy=not frozen),
             h=_freeze(h, copy=False),
             s=_freeze(s, copy=False),
             definiteness=dclass,

@@ -46,7 +46,7 @@ from .errors import (
     SingularHermitianPartError,
     SolverError,
 )
-from .hs_core import Definiteness, HsSplitSystem, csr_copy, saddle_blocks
+from .hs_core import Definiteness, HsSplitSystem, _freeze, csr_copy, saddle_blocks
 
 #: Relative tolerance for the algebraic-constraint residual of initial values.
 CONSISTENCY_TOL = 1e-8
@@ -96,7 +96,8 @@ def _midpoint_matrix(sys: DhDaeSystem, tau: float):
 
 def midpoint_system(sys: DhDaeSystem, tau: float) -> MidpointSystem:
     """Assemble A = E + tau/2 (R - J) with its Hermitian/skew split."""
-    a = _midpoint_matrix(sys, tau)
+    # frozen as built, so from_matrix keeps it without a copy
+    a = _freeze(_midpoint_matrix(sys, tau), copy=False)
     return MidpointSystem(sys=HsSplitSystem.from_matrix(a), tau=tau, source=sys)
 
 

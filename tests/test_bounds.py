@@ -174,9 +174,14 @@ def _n_by_n_route(sysm):
 
 
 def _traced_interval(sysm):
-    """spectral_interval with the orders of its eigvalsh and triangular-solve matrices."""
-    seen = {"eigvalsh": [], "solve_triangular": []}
+    """spectral_interval with the orders of its eigvalsh, triangular-solve and band-solve matrices.
+
+    The band kernel is LAPACK ``tbtrs``, which ``HermitianFactor.solve_lower``
+    runs on a band factor; its order is the number of columns of the band.
+    """
+    seen = {"eigvalsh": [], "solve_triangular": [], "tbtrs": []}
     eigvalsh, solve_triangular = np.linalg.eigvalsh, scipy.linalg.solve_triangular
+    get_lapack_funcs = scipy.linalg.lapack.get_lapack_funcs
 
     def rec_eigvalsh(a, *args, **kwargs):
         seen["eigvalsh"].append(a.shape[0])
@@ -186,9 +191,21 @@ def _traced_interval(sysm):
         seen["solve_triangular"].append(a.shape[0])
         return solve_triangular(a, *args, **kwargs)
 
+    def rec_get_lapack_funcs(names, *args, **kwargs):
+        funcs = get_lapack_funcs(names, *args, **kwargs)
+        if tuple(names) != ("tbtrs",):
+            return funcs
+
+        def rec_tbtrs(ab, *args, **kwargs):
+            seen["tbtrs"].append(ab.shape[1])
+            return funcs[0](ab, *args, **kwargs)
+
+        return (rec_tbtrs,)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "eigvalsh", rec_eigvalsh)
         mp.setattr(scipy.linalg, "solve_triangular", rec_solve_triangular)
+        mp.setattr(scipy.linalg.lapack, "get_lapack_funcs", rec_get_lapack_funcs)
         interval = dk.spectral_interval(sysm)
     return interval, seen
 
@@ -243,7 +260,7 @@ def test_two_part_interval_matches_oracle_on_the_reduced_route(sizes, seed, comp
     assert interval.max_real_part <= 1e-10 * interval.lam
     if not np.any(sysm.s):
         assert interval.lam == 0.0
-        assert seen == {"eigvalsh": [], "solve_triangular": []}
+        assert seen == {"eigvalsh": [], "solve_triangular": [], "tbtrs": []}
         return
     assert interval.lam == pytest.approx(_max_imag_oracle(sysm), rel=1e-12, abs=0.0)
     assert len(seen["eigvalsh"]) == 1 and n not in seen["solve_triangular"]
@@ -265,7 +282,7 @@ def test_two_part_residue_is_the_n_by_n_residue():
     s[np.ix_(q, p)] += 0.3 * (rng.standard_normal((q.size, p.size))
                               + 1j * rng.standard_normal((q.size, p.size)))
     low = sysm.h_factor.lower
-    interval = dk.bounds._two_part_interval(low, s, p, q)
+    interval = dk.bounds._two_part_interval(sysm.h_factor, s, p, q)
     tmp = scipy.linalg.solve_triangular(low, s, lower=True)
     m = scipy.linalg.solve_triangular(low, tmp.conj().T, lower=True).conj().T
     assert interval.max_real_part == pytest.approx(np.linalg.norm((m + m.conj().T) / 2),
@@ -331,11 +348,60 @@ def test_two_part_route_agrees_with_the_n_by_n_route(desc, tau, lam_n_by_n):
     interval, seen = _traced_interval(sysm)
     assert len(seen["eigvalsh"]) == 1 and seen["eigvalsh"][0] < sysm.n
     assert sysm.n not in seen["solve_triangular"]
+    if sysm.h_factor.band is not None:
+        # Stokes at grid 16 holds a band factor: tbtrs on the principal band
+        # blocks of L (480 velocities, 255 pressures), and no dense L
+        assert seen["solve_triangular"] == [] and sorted(set(seen["tbtrs"])) == [255, 480]
+        assert "_dense" not in vars(sysm.h_factor)
+        # the pressure block of L is diagonal: its band keeps kd = 0
+        p, q = dk.bounds._two_part_split(*sysm.ops[1:])
+        assert [sysm.h_factor.principal_block(i).band.shape for i in (p, q)] == [(17, 480),
+                                                                                 (1, 255)]
+        assert interval.lam == pytest.approx(lam_n_by_n, rel=1e-14, abs=0.0)
     lam, max_real = _n_by_n_route(sysm)
     if lam_n_by_n is not None:
         assert lam == pytest.approx(lam_n_by_n, rel=1e-14, abs=0.0)
     assert interval.lam == pytest.approx(lam, rel=1e-14, abs=0.0)
     assert abs(interval.max_real_part - max_real) <= 1e-10 * lam
+
+
+def _complex_band_variant(a):
+    """A with complex S and complex Hermitian H on the same patterns; H stays dominant."""
+    below = np.tril(a + a.T, -1) / 2
+    return a + 0.5j * np.abs(a - a.T) + 0.01j * (below - below.T)
+
+
+@pytest.mark.parametrize("convection, complex_", [
+    (50.0, False), (50.0, True), (0.0, False), (0.0, True),
+], ids=["convective", "convective-complex", "two-part", "two-part-complex"])
+def test_band_factor_route_matches_the_dense_factor_route(convection, complex_, monkeypatch):
+    # stabilized Stokes at grid 12 (n = 407, kd = 12) holds a band factor; a
+    # size threshold above n gives the same H its dense factor.  Convection
+    # puts entries in S_PP and takes the n x n route; without it the two-part
+    # route runs.  Both routes solve on the band by tbtrs alone.
+    model = dk.from_descriptor({"name": "stokes", "params": {
+        "grid_n": 12, "viscosity": 100.0, "stabilization": 0.005, "convection": convection}})
+    a = np.array(dk.midpoint_system(model, 1e-3).sys.a)
+    if complex_:
+        a = _complex_band_variant(a)
+    runs = []
+    for min_n in (dk.hs_core._BAND_MIN_N, model.n + 1):
+        monkeypatch.setattr(dk.hs_core, "_BAND_MIN_N", min_n)
+        sysm = dk.HsSplitSystem.from_matrix(a)
+        runs.append((sysm, *_traced_interval(sysm)))
+    (band_sys, band, band_seen), (dense_sys, dense, dense_seen) = runs
+    assert band_sys.h_factor.band.shape == (13, 407) and dense_sys.h_factor.band is None
+    assert np.iscomplexobj(band_sys.h) == complex_
+    assert band_seen["solve_triangular"] == [] and dense_seen["tbtrs"] == []
+    assert "_dense" not in vars(band_sys.h_factor)
+    if convection:
+        assert band_seen["tbtrs"] == dense_seen["solve_triangular"] == [407, 407]
+    else:
+        assert sorted(band_seen["tbtrs"]) == sorted(dense_seen["solve_triangular"])
+        assert band_seen["eigvalsh"][0] < 407
+    assert band.lam == pytest.approx(dense.lam, rel=1e-14, abs=0.0)
+    assert band.lam == pytest.approx(_max_imag_oracle(band_sys), rel=1e-12, abs=0.0)
+    assert band.max_real_part <= 1e-10 * band.lam
 
 
 def test_kappa_y_estimate():

@@ -6,7 +6,7 @@ import pytest
 import scipy.io
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dhkrylov as dk
 from dhkrylov.cli import audit_staircase
@@ -60,6 +60,19 @@ def test_from_matrix_freezes_its_split_without_a_copy(monkeypatch):
     assert not (sysm.a.flags.writeable or sysm.h.flags.writeable or sysm.s.flags.writeable)
     # the caller's matrix is copied, not frozen
     assert a.flags.writeable and not np.shares_memory(a, sysm.a)
+
+
+def test_from_matrix_copies_a_writable_matrix_and_keeps_a_frozen_one():
+    a = np.array([[2.0, 1.0], [-1.0, 3.0]])
+    sysm = dk.HsSplitSystem.from_matrix(a)
+    a[0, 1] = 7.0  # a later write by the caller does not reach the system
+    assert sysm.a[0, 1] == 1.0 and sysm.h[0, 1] == 0.0
+    frozen = np.array([[2.0, 1.0], [-1.0, 3.0]])
+    frozen.setflags(write=False)
+    assert dk.HsSplitSystem.from_matrix(frozen).a is frozen
+    # a read-only view does not own its data, and is copied
+    view = frozen[:, :]
+    assert dk.HsSplitSystem.from_matrix(view).a is not view
 
 
 def test_split_forced_by_formula():
@@ -517,16 +530,21 @@ def _planted_band(rng, n, kd, complex_):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(128, 300), st.integers(0, 2**32 - 1), st.sampled_from(sorted(SOLVE_KINDS)),
+@given(st.integers(128, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n // 16 - 1))),
+       st.integers(0, 2**32 - 1), st.sampled_from(sorted(SOLVE_KINDS)),
        st.integers(2, dk.hs_core._PBTRS_MAX_COLUMNS), st.integers(1, 24))
-def test_band_factor_backward_stable(n, seed, kind, narrow, extra):
+@example((735, 16), 0, "real", 16, 16)     # the band of stabilized Stokes at grid 16
+@example((735, 16), 1, "complex", 9, 128)  # its 144-column block shape
+@example((264, 12), 2, "real", 16, 128)    # the grid-12 Schur A11: wide blocks take potrs
+def test_band_factor_backward_stable(shape, seed, kind, narrow, extra):
     complex_h, complex_b = SOLVE_KINDS[kind]
+    n, kd = shape  # kd + 1 <= n / 16 takes the band path
     rng = np.random.default_rng(seed)
-    kd = int(rng.integers(0, n // 16))  # kd + 1 <= n / 16 takes the band path
     h = _planted_band(rng, n, kd, complex_h)
     factor = dk.HsSplitSystem.from_matrix(h).h_factor
     assert factor.c_lower is None and factor.band.shape == (kd + 1, n)
-    # a vector, a narrow block (pbtrs) and a wide block (potrs on the dense L)
+    # a vector, a narrow block (pbtrs) and a wide block: pbtrs on a band
+    # with kd + 1 <= n / 24, else potrs on the dense L
     wide = dk.hs_core._PBTRS_MAX_COLUMNS + extra
     scale = 8 * n * EPS * np.linalg.norm(h, 2)
     for b in (_rhs(rng, n, complex_b), _rhs(rng, (n, narrow), complex_b),
@@ -535,6 +553,7 @@ def test_band_factor_backward_stable(n, seed, kind, narrow, extra):
         assert x.shape == b.shape and np.iscomplexobj(x) == complex_b
         resid = np.linalg.norm((h @ x - b).reshape(n, -1), axis=0)
         assert np.all(resid <= scale * np.linalg.norm(x.reshape(n, -1), axis=0))
+    assert ("_dense" in vars(factor)) == (kd + 1 > dk.hs_core._PBTRS_WIDE_FILL * n)
     low = np.tril(factor.lower)
     assert factor.lower.flags.f_contiguous and not factor.lower.flags.writeable
     assert np.allclose(low @ low.conj().T, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
@@ -542,9 +561,10 @@ def test_band_factor_backward_stable(n, seed, kind, narrow, extra):
 
 def test_band_h_solve_takes_potrs_only_for_wide_blocks(monkeypatch):
     # vectors and blocks of up to _PBTRS_MAX_COLUMNS columns take pbtrs on
-    # the band; a wider block, such as the Schur build of [B | f], takes potrs
+    # the band; a wider block on a band with kd + 1 > n / 24, such as the
+    # Schur build of [B | f] at grid 12, takes potrs; on a narrower band it
+    # takes pbtrs too
     rng = np.random.default_rng(7)
-    factor = dk.HsSplitSystem.from_matrix(_planted_band(rng, 160, 4, False)).h_factor
     potrs, cho_solve = [], scipy.linalg.cho_solve
 
     def recorded(c, b, **kwargs):
@@ -553,9 +573,53 @@ def test_band_h_solve_takes_potrs_only_for_wide_blocks(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "cho_solve", recorded)
     wide = dk.hs_core._PBTRS_MAX_COLUMNS + 1
-    for shape in ((160,), (160, 0), (160, 1), (160, wide - 1), (160, wide)):
-        factor.solve(_rhs(rng, shape, False))
-    assert potrs == [(160, wide)]
+    shapes = ((160,), (160, 0), (160, 1), (160, wide - 1), (160, wide))
+    for kd, expected in ((8, [(160, wide)]), (4, [])):
+        factor = dk.HsSplitSystem.from_matrix(_planted_band(rng, 160, kd, False)).h_factor
+        assert factor.band.shape == (kd + 1, 160)
+        potrs.clear()
+        for shape in shapes:
+            factor.solve(_rhs(rng, shape, False))
+        assert potrs == expected
+        assert ("_dense" in vars(factor)) == bool(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(128, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n // 16 - 1))),
+       st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 40))
+@example((735, 16), 0, False, 16)  # the band of stabilized Stokes at grid 16
+@example((300, 17), 1, True, 1)    # one-column blocks
+def test_principal_band_block_and_lower_solve(shape, seed, complex_, columns):
+    # the band of a principal block L[idx, idx] is gathered exactly, and
+    # L^{-1} x by tbtrs is backward stable on the band and on the block
+    n, kd = shape
+    rng = np.random.default_rng(seed)
+    factor = dk.HsSplitSystem.from_matrix(_planted_band(rng, n, kd, complex_)).h_factor
+    low = np.tril(dk.hs_core.HermitianFactor(c_lower=None, n=n, band=factor.band).lower)
+    idx = np.flatnonzero(rng.random(n) < rng.uniform(0.05, 1.0))
+    idx = idx if idx.size else np.array([int(rng.integers(n))])
+    block = factor.principal_block(idx)
+    assert block.band.shape[0] <= kd + 1 and block.band.flags.f_contiguous
+    assert np.any(block.band[-1] != 0)  # outer diagonals that are all zero are dropped
+    assert np.array_equal(np.tril(block.lower), low[np.ix_(idx, idx)])
+    for tri, f in ((low, factor), (low[np.ix_(idx, idx)], block)):
+        x_in = _rhs(rng, (f.n, columns), complex_)
+        x = f.solve_lower(x_in)
+        resid = np.linalg.norm(tri @ x - x_in, axis=0)
+        assert np.all(resid <= 8 * f.n * EPS * np.linalg.norm(tri, 2) * np.linalg.norm(x, axis=0))
+    assert "_dense" not in vars(factor)
+
+
+def test_principal_block_of_dense_factor_is_gathered_from_the_payload():
+    # a dense factor gathers L[idx, idx] bitwise, and solve_lower is solve_triangular
+    rng = np.random.default_rng(19)
+    factor = dk.HsSplitSystem.from_matrix(_hpd(rng, 30, 10.0, True)).h_factor
+    idx = np.array([0, 3, 4, 17, 29])
+    block = factor.principal_block(idx)
+    assert block.band is None and np.array_equal(block.lower, factor.lower[np.ix_(idx, idx)])
+    x = _rhs(rng, (5, 3), True)
+    assert block.solve_lower(x).tobytes() == scipy.linalg.solve_triangular(
+        block.lower, x, lower=True).tobytes()
 
 
 def _potrs_solve(self, b):

@@ -31,6 +31,19 @@ def test_midpoint_matrix_trivial():
     assert np.allclose(ms.sys.s, [[0.0]])
 
 
+def test_midpoint_system_keeps_the_matrix_it_built(monkeypatch):
+    built = []
+    midpoint_matrix = dk.timestep._midpoint_matrix
+
+    def recorded(sys, tau):
+        built.append(midpoint_matrix(sys, tau))
+        return built[-1]
+
+    monkeypatch.setattr(dk.timestep, "_midpoint_matrix", recorded)
+    msys = dk.midpoint_system(dk.from_descriptor({"name": "rlc", "params": {}}), 1e-3)
+    assert msys.sys.a is built[0] and not built[0].flags.writeable
+
+
 @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_tau_raises_parameter_error(tau):
     stokes = dk.assemble_stokes_like(3)
