@@ -13,7 +13,8 @@ of cost, a Gershgorin margin from one pass over ``|h|``, the trace bound
 ``h`` that the margin certifies and whose nonzeros lie in a narrow band
 about the diagonal is factored by LAPACK ``pbtrf`` on its packed band,
 in O(n kd^2) rather than O(n^3) for half-bandwidth kd (Golub & Van Loan,
-*Matrix Computations*, §4.3); every other ``h`` by dense ``potrf``.
+*Matrix Computations*, §4.3), and every solve with it runs on that band;
+every other ``h`` by dense ``potrf``.
 :meth:`HsSplitSystem.from_matrix` is the one place that decomposes the
 Hermitian part of a system: the certified Cholesky factor serves every
 H-solve and the half-width computed in :mod:`dhkrylov.bounds`, and the
@@ -46,12 +47,6 @@ DEFAULT_TOL = 1e-12
 #: the staircase form.
 RANK_TOL = 1e-10
 
-#: Widest block that :meth:`HermitianFactor.solve` takes column by column.
-#: Per block with one BLAS thread, ``potrs`` against a ``trsv`` pair per
-#: column: 70 / 29, 82 / 56, 94 / 81, 105 / 108 us for 1-4 columns at
-#: n = 264, and 368 / 149, 417 / 357, 589 / 432, 486 / 593 us at n = 735.
-_TRSV_MAX_COLUMNS = 3
-
 #: Products run on CSR copies of a system's matrices when n >= 128 and the
 #: pattern of A + A* holds at most n^2 / 16 entries.  At Stokes grid 16
 #: (n = 735, 4447 entries) a CSR product with S takes 6-11 us against
@@ -66,19 +61,6 @@ _CSR_MAX_FILL = 1 / 16
 #: 25-31 us against 150 us for the ``trsv`` pair.
 _BAND_MIN_N = 128
 _BAND_MAX_FILL = 1 / 16
-
-#: :meth:`HermitianFactor.solve` takes a block through ``pbtrs`` when it has
-#: at most 16 columns or the band is narrow, kd + 1 <= n / 24; only a wider
-#: block on a wider band takes ``potrs`` on the dense L.  Per block with one
-#: BLAS thread, ``pbtrs`` against ``potrs`` in us at 16 / 32 / 144 / 256
-#: columns on Stokes factors: n = 264, kd = 12 (the grid-12 Schur A11, kd + 1
-#: = n / 20.3): 146 / 161, 312 / 311, 1540 / 1227, 2420 / 2160; n = 480,
-#: kd = 16 (grid-16 A11, n / 28.2): 249 / 478, 491 / 759, 2182 / 2919,
-#: 4091 / 5253; n = 735, kd = 16 (stabilized grid 16, n / 43.2): 369 / 896,
-#: 797 / 1497, 3316 / 5629, 6280 / 9843.  The time ratio tracks
-#: 25 (kd + 1) / n at 144 columns.
-_PBTRS_MAX_COLUMNS = 16
-_PBTRS_WIDE_FILL = 1 / 24
 
 
 class Definiteness(enum.Enum):
@@ -321,22 +303,18 @@ class HermitianFactor:
     factor.  The factor is dense or banded.  A dense one has ``c_lower``,
     the scipy ``cho_factor(..., lower=True)`` payload, and ``band`` None.
     A band one has ``c_lower`` None and ``band``, the ``pbtrf`` payload:
-    the lower band of L in LAPACK's (kd + 1) x n storage.
+    the lower band of L in LAPACK's (kd + 1) x n storage, and holds no
+    other array.
 
-    On a dense factor a vector is solved by two BLAS-2 triangular solves
-    (``trsv``) with L and L* on the Fortran-ordered payload, which read only
-    its lower triangle; at n = 143-800 with one BLAS thread they take
-    2.5-3.7x less time than LAPACK ``potrs``.  A block of up to
-    ``_TRSV_MAX_COLUMNS`` columns is solved column by column in the same
-    way, bitwise equal to the vector solves; a wider block goes through
-    ``potrs``, whose BLAS-3 kernel is faster for several right sides at
-    once.  On a band factor a vector or block is solved by ``pbtrs`` in
-    O(n kd) per column, except a block of more than ``_PBTRS_MAX_COLUMNS``
-    columns on a band with kd + 1 > ``_PBTRS_WIDE_FILL`` n: that one takes
-    ``potrs`` on the dense L of :attr:`lower`, scattered from the band on
-    first use.  Nothing else in the package reads a dense L of a band
-    factor: :meth:`solve_lower` and :meth:`principal_block` serve the
-    congruences of :mod:`dhkrylov.bounds` on either form.
+    On a band factor every vector and block is solved by LAPACK ``pbtrs``
+    in O(n kd) per column.  On a dense factor a vector is solved by two
+    BLAS-2 triangular solves (``trsv``) with L and L* on the
+    Fortran-ordered payload, which read only its lower triangle; at
+    n = 143-800 with one BLAS thread they take 2.5-3.7x less time than
+    LAPACK ``potrs``.  A block, and an empty vector, which ``trsv``
+    rejects, goes through ``potrs``.  :meth:`solve_lower` and
+    :meth:`principal_block` serve the congruences of
+    :mod:`dhkrylov.bounds` on either form.
     """
 
     c_lower: tuple | None
@@ -346,19 +324,11 @@ class HermitianFactor:
     def solve(self, b):
         """``h^{-1} b`` for a vector or block ``b``; a non-finite ``b`` raises ``ValueError``."""
         b = np.asarray_chkfinite(b)
-        if self.band is not None and (b.ndim == 1 or b.shape[1] <= _PBTRS_MAX_COLUMNS
-                                      or len(self.band) <= _PBTRS_WIDE_FILL * self.n):
+        if self.band is not None:
             pbtrs, = scipy.linalg.lapack.get_lapack_funcs(("pbtrs",), (self.band, b))
             return pbtrs(self.band, b, lower=1)[0]
-        if not b.size or (b.ndim == 2 and b.shape[1] > _TRSV_MAX_COLUMNS):
-            # trsv rejects an empty vector
-            return scipy.linalg.cho_solve(self._dense, b, check_finite=False)
-        if b.ndim == 2:
-            return np.column_stack([self._trsv_pair(col) for col in b.T])
-        return self._trsv_pair(b)
-
-    def _trsv_pair(self, b):
-        """``h^{-1} b`` of a nonempty vector by ``trsv`` with L, then with L*."""
+        if b.ndim == 2 or not b.size:
+            return scipy.linalg.cho_solve(self.c_lower, b, check_finite=False)
         low = self.c_lower[0]
         trsv, = scipy.linalg.get_blas_funcs(("trsv",), (low, b))
         return trsv(low, trsv(low, b, lower=1), lower=1, trans=2, overwrite_x=1)
@@ -395,29 +365,6 @@ class HermitianFactor:
         kd = int(np.max(np.flatnonzero(block.any(axis=1)), initial=0))
         return HermitianFactor(c_lower=None, n=m,
                                band=_freeze(np.asfortranarray(block[:kd + 1]), copy=False))
-
-    @functools.cached_property
-    def _dense(self):
-        """``c_lower``, or that payload of L scattered from ``band`` on first use and kept."""
-        if self.band is None:
-            return self.c_lower
-        n = self.n
-        low = np.zeros((n, n), dtype=self.band.dtype, order="F")
-        # in Fortran order L[j + d, j] sits at flat index j (n + 1) + d
-        flat = low.ravel(order="F")
-        for d, row in enumerate(self.band):
-            flat[d::n + 1][:n - d] = row[:n - d]
-        return low, True
-
-    @property
-    def lower(self):
-        """Read-only Fortran-ordered array whose lower triangle is L (h = L L*); ignore the rest.
-
-        A band factor scatters its dense L on the first read and keeps it.
-        """
-        low = self._dense[0].view()
-        low.setflags(write=False)
-        return low
 
 
 def _sparse_pattern(a):

@@ -57,14 +57,12 @@ with A, H or S runs on the system's ``ops``
 of A + A* is sparse: then a product costs O(nnz), 6-11 us against 230 us
 dense for S at Stokes grid 16 (n = 735).  The H-solve runs on the
 Cholesky factor of H (:meth:`HermitianFactor.solve`).  On the band factor
-of a narrow-band, diagonally dominant H (Stokes) a vector or a block of up
-to 16 columns takes one LAPACK ``pbtrs`` call in O(n kd) per column, 25-31
-us against 150-220 us dense at grid 16, so a step there costs about one
-band H-solve plus one CSR product with S; a wider block takes one
-``potrs`` call on the dense L.  On a dense factor a vector takes two BLAS-2
-triangular solves, a block of up to three columns a pair per column, and a
-wider block one ``potrs`` call over all its columns.  An
-L-GMRES step makes one H-solve and one
+of a narrow-band, diagonally dominant H (Stokes) a vector or block takes
+one LAPACK ``pbtrs`` call in O(n kd) per column, 25-31 us against 150-220
+us dense for a vector at grid 16, so a step there costs about one band
+H-solve plus one CSR product with S.  On a dense factor a vector takes two
+BLAS-2 triangular solves and a block one ``potrs`` call over all its
+columns.  An L-GMRES step makes one H-solve and one
 multiplication with A, plus five products of a k-row basis with a vector
 and one k x k triangular solve; in a block run the H-solve and the product
 take all running columns at once.  Residual histories are kept per iteration
@@ -87,7 +85,7 @@ import scipy.linalg
 from .bounds import rapoport_bound, widlund_bound
 from .errors import (DefinitenessError, DimensionError, ParameterError, SolverError,
                      StructureError)
-from .hs_core import Definiteness, HsSplitSystem
+from .hs_core import Definiteness, HsSplitSystem, as_square_matrix
 
 #: Lucky-breakdown threshold for the Lanczos subdiagonal, relative to ||b_hat||_H.
 BREAKDOWN_REL = 1e-14
@@ -1115,8 +1113,9 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
     Rapoport, and for every method when n_p = 0; the other methods solve
     A v = f - B p once more.  A is required to have positive definite
     Hermitian part and B full column rank, which makes S1 positive definite
-    as well.  Up to two
-    residual-based refinement passes are applied if needed.
+    as well.  B must be a finite 2-D block whose n_v rows match the order
+    of A; otherwise ``DimensionError`` or ``StructureError`` names it.  Up
+    to two residual-based refinement passes are applied if needed.
     ``inner_iterations`` sums the steps of every inner column.  An inner or
     outer solve that misses its tolerance raises ``SolverError`` with the
     method, the steps taken against ``maxit`` and the relative residual
@@ -1124,9 +1123,12 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
     """
     check_tol_maxit(tol, maxit)
     start = time.perf_counter()
-    a11 = np.asarray(a11)
-    b_block = np.atleast_2d(np.asarray(b_block))
-    n_v, n_p = b_block.shape
+    a11 = as_square_matrix(a11, "A11")
+    b_block = np.asarray(b_block)
+    if b_block.ndim != 2:
+        raise DimensionError(f"B must be a 2-D (n_v, n_p) block, got shape {b_block.shape}")
+    n_v, n_p = len(a11), b_block.shape[1]
+    _as_rhs(b_block, n_v, n_p, name="B")
     f = _as_rhs(f, n_v)
     g = _as_rhs(g, n_p)
     inner_tol = max(tol * 1e-3, 1e-15)
@@ -1146,7 +1148,7 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
         return rep.solution
 
     if n_p:
-        sol = inner_solve(_as_rhs(np.column_stack([b_block, f]), inner_sys.n, n_p + 1))
+        sol = inner_solve(np.column_stack([b_block, f]))
         x_b, w = sol[:, :n_p], sol[:, n_p]
     else:
         x_b, w = b_block, inner_solve(f)

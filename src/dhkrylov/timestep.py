@@ -259,8 +259,11 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
     ``solver`` selects how each step's linear system is solved: "direct"
     (LU of A, factored once) or one of the Krylov methods "widlund",
     "rapoport", "gmres", "lgmres", "hss"; any other name raises
-    ``ParameterError`` before the step matrix is assembled, and so does an
-    ``n_steps`` that is not a nonnegative integer.  The Hermitian
+    ``ParameterError`` before the step matrix is assembled, and so do an
+    ``n_steps`` that is not a nonnegative integer and a negative or
+    non-finite ``tol``; an ``x0`` of the wrong shape raises
+    ``DimensionError`` and one with non-finite entries ``StructureError``,
+    before assembly too.  The Hermitian
     part of the step matrix must be positive definite; singular-H systems
     (index two) go through the Schur path of :mod:`dhkrylov.krylov` instead.
 
@@ -286,10 +289,9 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
             f"unknown solver {solver!r}; known: {('direct',) + krylov.SOLVER_NAMES}")
     if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 0:
         raise ParameterError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
-    x0 = np.asarray(x0)
+    krylov.check_tol_maxit(tol, 0)  # integrate takes no maxit
+    x0 = krylov._as_rhs(x0, sys.n, name="x0")
     x0 = x0.astype(np.result_type(sys.e.dtype, x0.dtype))
-    if x0.shape[0] != sys.n:
-        raise DimensionError("x0 has wrong length")
     msys = midpoint_system(sys, tau)
     if msys.sys.definiteness is not Definiteness.POSITIVE_DEFINITE:
         raise SingularHermitianPartError(

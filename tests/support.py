@@ -11,6 +11,27 @@ def random_spd(rng, n, cond=10.0):
     return (q * np.geomspace(1.0, cond, n)) @ q.T
 
 
+def dense_lower(factor):
+    """The n x n lower-triangular L of a ``HermitianFactor`` (h = L L*), a reference for tests.
+
+    A dense factor gives the lower triangle of its payload; a band factor
+    scatters its band, whose row d holds L[j + d, j] at column j.
+    """
+    if factor.band is None:
+        return np.tril(factor.c_lower[0])
+    n = factor.n
+    low = np.zeros((n, n), dtype=factor.band.dtype)
+    for d, row in enumerate(factor.band):
+        low[np.arange(d, n), np.arange(n - d)] = row[:n - d]
+    return low
+
+
+def holds_n_by_n_array(factor):
+    """True when a field of a ``HermitianFactor`` is an n x n array, as a dense L would be."""
+    return any(isinstance(v, np.ndarray) and v.shape == (factor.n, factor.n)
+               for v in vars(factor).values())
+
+
 def random_unitary(rng, n, complex_=False):
     g = rng.standard_normal((n, n))
     if complex_:

@@ -468,6 +468,17 @@ def test_integrate_negative_step_count_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("solver", ["direct", "rapoport"])
+def test_integrate_nan_tol_is_usage_error(tmp_path, capsys, solver):
+    code = main(["integrate", "--model", "rlc", "--tau", "0.01", "--steps", "3",
+                 "--solver", solver, "--tol", "nan", "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    _single_error_line(err)
+    assert "tol must be" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_bounds_negative_kmax_is_usage_error(tmp_path, capsys):
     code = main(["bounds", "--model", "rlc", "--kmax=-1", "--out", str(tmp_path / "run")])
     assert code == 2

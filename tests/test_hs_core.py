@@ -19,7 +19,7 @@ from dhkrylov.hs_core import (
     skew_deviation,
 )
 
-from support import random_hs_system, random_spd, random_unitary
+from support import dense_lower, holds_n_by_n_array, random_hs_system, random_spd, random_unitary
 
 
 def test_split_identity():
@@ -176,7 +176,7 @@ def test_certificate_agrees_with_spectrum(n, seed, complex_, kind, tol):
         assert eigs is not None
     if factor is not None:
         assert dclass is dk.Definiteness.POSITIVE_DEFINITE
-        low = np.tril(factor.lower)
+        low = dense_lower(factor)
         assert np.allclose(low @ low.conj().T, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
 
 
@@ -187,22 +187,32 @@ def test_certificate_of_empty_matrix(capfd):
     assert capfd.readouterr().err == ""
 
 
-class _TrtriCount:
-    """Counts the ``trtri`` lookups of the trace-bound certificate inside a ``with`` block."""
+class _Kernels:
+    """Names of the LAPACK and BLAS kernels looked up or called inside a ``with`` block.
+
+    ``pbtrs`` and the ``trtri`` of the trace-bound certificate come from a
+    LAPACK lookup, ``trsv`` from a BLAS lookup and ``potrs`` from
+    ``scipy.linalg.cho_solve``.
+    """
+
+    PATCHED = ((scipy.linalg.lapack, "get_lapack_funcs"), (scipy.linalg, "get_blas_funcs"),
+               (scipy.linalg, "cho_solve"))
 
     def __enter__(self):
-        self.calls = 0
-        self._get = get = scipy.linalg.lapack.get_lapack_funcs
-
-        def counted(names, *args, **kwargs):
-            self.calls += list(names).count("trtri")
-            return get(names, *args, **kwargs)
-
-        scipy.linalg.lapack.get_lapack_funcs = counted
+        self.names, self._saved = [], [getattr(owner, name) for owner, name in self.PATCHED]
+        for (owner, name), original in zip(self.PATCHED, self._saved):
+            setattr(owner, name, self._recorder(name, original))
         return self
 
+    def _recorder(self, name, original):
+        def recorded(*args, **kwargs):
+            self.names.extend(["potrs"] if name == "cho_solve" else args[0])
+            return original(*args, **kwargs)
+        return recorded
+
     def __exit__(self, *exc):
-        scipy.linalg.lapack.get_lapack_funcs = self._get
+        for (owner, name), original in zip(self.PATCHED, self._saved):
+            setattr(owner, name, original)
 
 
 def _planted_dominant(rng, n, kind, tol, complex_):
@@ -243,17 +253,17 @@ def test_dominance_certificate(n, seed, complex_, kind, tol):
     dominant = np.min(2 * h.diagonal().real - rows) > (tol + 2 * n * EPS) * rows.max()
     if n > 1:
         assert dominant == (kind == "strict")
-    with _TrtriCount() as trtri:
+    with _Kernels() as kernels:
         dclass, factor, eigs = certify_definiteness(h, tol)
     assert dclass is _classify(np.linalg.eigvalsh(h), tol)
     # the inverse runs exactly when dominance fails and a Cholesky factor exists
     cholesky = dk.hs_core._cholesky(h) is not None
-    assert trtri.calls == int(not dominant and cholesky)
+    assert kernels.names.count("trtri") == int(not dominant and cholesky)
     if dominant:
         assert dclass is dk.Definiteness.POSITIVE_DEFINITE and eigs is None
         assert factor is not None
     if factor is not None:
-        low = np.tril(factor.lower)
+        low = dense_lower(factor)
         assert np.allclose(low @ low.conj().T, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
 
 
@@ -298,9 +308,9 @@ BAND_SETUP_CASES = {"stabilized_stokes": 8, "stabilized_stokes_tau_1e-4": 8,
 def test_setup_certifies_dominant_h_without_inverse(case):
     build, expected = SETUP_CASES[case]
     a = np.array(build())
-    with _TrtriCount() as trtri:
+    with _Kernels() as kernels:
         sysm = dk.HsSplitSystem.from_matrix(a)
-    assert trtri.calls == expected
+    assert kernels.names.count("trtri") == expected
     # split, factor and class are bitwise those of the direct formulas: a
     # narrow-band H's factor is pbtrf of its packed band, any other's cho_factor
     at = a.conj().T
@@ -477,8 +487,8 @@ def test_hermitian_solve_rejects_non_finite_rhs(shape, bad):
 
 
 def test_vector_h_solve_runs_on_triangular_solves(monkeypatch):
-    # one vector, or each column of a narrow block, costs two trsv; potrs
-    # (cho_solve) serves only blocks of more than _TRSV_MAX_COLUMNS columns
+    # a nonempty vector costs two trsv on a dense factor; every block, one
+    # column or many, and an empty vector go through potrs (cho_solve)
     class Potrs(Exception):
         pass
 
@@ -489,12 +499,11 @@ def test_vector_h_solve_runs_on_triangular_solves(monkeypatch):
     h = _hpd(rng, 30, 1e2, False)
     sysm = dk.HsSplitSystem.from_matrix(h)
     monkeypatch.setattr(scipy.linalg, "cho_solve", refused)
-    narrow = dk.hs_core._TRSV_MAX_COLUMNS
-    for b in (_rhs(rng, 30, False), _rhs(rng, 30, True), _rhs(rng, (30, 1), True),
-              _rhs(rng, (30, narrow), False)):
+    for b in (_rhs(rng, 30, False), _rhs(rng, 30, True)):
         assert np.allclose(h @ sysm.solve_h(b), b, rtol=0, atol=1e-12)
-    with pytest.raises(Potrs):
-        sysm.solve_h(_rhs(rng, (30, narrow + 1), False))
+    for shape in ((30, 1), (30, 3), (30, 4)):
+        with pytest.raises(Potrs):
+            sysm.solve_h(_rhs(rng, shape, True))
 
 
 @settings(max_examples=80, deadline=None)
@@ -512,9 +521,10 @@ def test_hermitian_solve_backward_stable(n, seed, kind, log_cond):
     xb = factor.solve(b)
     for j in range(3):
         assert np.linalg.norm(h @ xb[:, j] - b[:, j]) <= scale * np.linalg.norm(xb[:, j])
-    # a one-column block takes the vector path: bitwise the vector solve
+    # a one-column block is a block, solved by potrs, and backward stable too
     x1 = factor.solve(b[:, :1])
-    assert x1.shape == (n, 1) and x1[:, 0].tobytes() == x.tobytes()
+    assert x1.shape == (n, 1)
+    assert np.linalg.norm(h @ x1[:, 0] - b[:, 0]) <= scale * np.linalg.norm(x1)
 
 
 def _planted_band(rng, n, kd, complex_):
@@ -532,10 +542,10 @@ def _planted_band(rng, n, kd, complex_):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(128, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n // 16 - 1))),
        st.integers(0, 2**32 - 1), st.sampled_from(sorted(SOLVE_KINDS)),
-       st.integers(2, dk.hs_core._PBTRS_MAX_COLUMNS), st.integers(1, 24))
+       st.integers(2, 16), st.integers(1, 24))
 @example((735, 16), 0, "real", 16, 16)     # the band of stabilized Stokes at grid 16
 @example((735, 16), 1, "complex", 9, 128)  # its 144-column block shape
-@example((264, 12), 2, "real", 16, 128)    # the grid-12 Schur A11: wide blocks take potrs
+@example((264, 12), 2, "real", 16, 128)    # the grid-12 Schur A11 and its [B | f] blocks
 def test_band_factor_backward_stable(shape, seed, kind, narrow, extra):
     complex_h, complex_b = SOLVE_KINDS[kind]
     n, kd = shape  # kd + 1 <= n / 16 takes the band path
@@ -543,9 +553,8 @@ def test_band_factor_backward_stable(shape, seed, kind, narrow, extra):
     h = _planted_band(rng, n, kd, complex_h)
     factor = dk.HsSplitSystem.from_matrix(h).h_factor
     assert factor.c_lower is None and factor.band.shape == (kd + 1, n)
-    # a vector, a narrow block (pbtrs) and a wide block: pbtrs on a band
-    # with kd + 1 <= n / 24, else potrs on the dense L
-    wide = dk.hs_core._PBTRS_MAX_COLUMNS + extra
+    # a vector, a narrow block and a wide block, each by pbtrs on the band
+    wide = 16 + extra
     scale = 8 * n * EPS * np.linalg.norm(h, 2)
     for b in (_rhs(rng, n, complex_b), _rhs(rng, (n, narrow), complex_b),
               _rhs(rng, (n, wide), complex_b)):
@@ -553,17 +562,15 @@ def test_band_factor_backward_stable(shape, seed, kind, narrow, extra):
         assert x.shape == b.shape and np.iscomplexobj(x) == complex_b
         resid = np.linalg.norm((h @ x - b).reshape(n, -1), axis=0)
         assert np.all(resid <= scale * np.linalg.norm(x.reshape(n, -1), axis=0))
-    assert ("_dense" in vars(factor)) == (kd + 1 > dk.hs_core._PBTRS_WIDE_FILL * n)
-    low = np.tril(factor.lower)
-    assert factor.lower.flags.f_contiguous and not factor.lower.flags.writeable
+    assert not holds_n_by_n_array(factor)
+    low = dense_lower(factor)
     assert np.allclose(low @ low.conj().T, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
 
 
 def test_band_h_solve_takes_potrs_only_for_wide_blocks(monkeypatch):
-    # vectors and blocks of up to _PBTRS_MAX_COLUMNS columns take pbtrs on
-    # the band; a wider block on a band with kd + 1 > n / 24, such as the
-    # Schur build of [B | f] at grid 12, takes potrs; on a narrower band it
-    # takes pbtrs too
+    # on a band factor no block takes potrs, however wide: vectors, empty,
+    # narrow and wide blocks, such as the Schur build of [B | f] at grid 12,
+    # all take pbtrs on the band, and no dense L is scattered from it
     rng = np.random.default_rng(7)
     potrs, cho_solve = [], scipy.linalg.cho_solve
 
@@ -572,16 +579,60 @@ def test_band_h_solve_takes_potrs_only_for_wide_blocks(monkeypatch):
         return cho_solve(c, b, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "cho_solve", recorded)
-    wide = dk.hs_core._PBTRS_MAX_COLUMNS + 1
-    shapes = ((160,), (160, 0), (160, 1), (160, wide - 1), (160, wide))
-    for kd, expected in ((8, [(160, wide)]), (4, [])):
-        factor = dk.HsSplitSystem.from_matrix(_planted_band(rng, 160, kd, False)).h_factor
+    shapes = ((160,), (160, 0), (160, 1), (160, 16), (160, 17), (160, 144))
+    for kd in (8, 4):
+        h = _planted_band(rng, 160, kd, False)
+        factor = dk.HsSplitSystem.from_matrix(h).h_factor
         assert factor.band.shape == (kd + 1, 160)
-        potrs.clear()
+        scale = 8 * 160 * EPS * np.linalg.norm(h, 2)
         for shape in shapes:
-            factor.solve(_rhs(rng, shape, False))
-        assert potrs == expected
-        assert ("_dense" in vars(factor)) == bool(expected)
+            b = _rhs(rng, shape, False)
+            x = factor.solve(b)
+            resid = np.linalg.norm((h @ x - b).reshape(160, -1), axis=0)
+            assert np.all(resid <= scale * np.linalg.norm(x.reshape(160, -1), axis=0))
+        assert potrs == [] and not holds_n_by_n_array(factor)
+
+
+def _kernel_solve(factor, b):
+    """``factor.solve(b)`` and the set of kernels it ran."""
+    with _Kernels() as kernels:
+        x = factor.solve(b)
+    return x, set(kernels.names)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.tuples(st.integers(0, 40), st.none()),
+                 st.integers(128, 300).flatmap(
+                     lambda n: st.tuples(st.just(n), st.integers(0, n // 16 - 1)))),
+       st.integers(0, 2**32 - 1), st.sampled_from(sorted(SOLVE_KINDS)))
+@example((264, 12), 0, "real")     # the grid-12 Schur A11 and its 144-column [B | f]
+@example((735, 16), 1, "complex")  # the band of stabilized Stokes at grid 16
+def test_block_h_solve_matches_column_solves_on_one_kernel_per_form(shape, seed, kind):
+    # a band factor (kd given) solves every vector and block by pbtrs; a
+    # dense one a nonempty vector by the trsv pair, any other right side by
+    # potrs.  Each column of a block solve and its vector solve agree to
+    # their backward error, and no solve leaves an n x n array on a band
+    n, kd = shape
+    complex_h, complex_b = SOLVE_KINDS[kind]
+    rng = np.random.default_rng(seed)
+    h = _hpd(rng, n, 1e3, complex_h) if kd is None else _planted_band(rng, n, kd, complex_h)
+    factor = dk.HsSplitSystem.from_matrix(h).h_factor
+    assert (factor.band is None) == (kd is None)
+    block_kernel = "potrs" if kd is None else "pbtrs"
+    vector_kernel = "trsv" if kd is None and n else block_kernel
+    scale = 8 * n * EPS * (np.linalg.norm(h, 2) if n else 0.0)
+    for width in (0, 1, 2, 3, 16, 17, 144):
+        b = _rhs(rng, (n, width), complex_b)
+        x, kernels = _kernel_solve(factor, b)
+        assert kernels == {block_kernel} and x.shape == b.shape
+        assert np.iscomplexobj(x) == complex_b
+        for j in range(width):
+            col, kernels = _kernel_solve(factor, b[:, j])
+            assert kernels == {vector_kernel}
+            gap = np.linalg.norm(h @ (x[:, j] - col))
+            assert gap <= scale * (np.linalg.norm(x[:, j]) + np.linalg.norm(col))
+    if kd is not None:
+        assert factor.band.shape == (kd + 1, n) and not holds_n_by_n_array(factor)
 
 
 @settings(max_examples=40, deadline=None)
@@ -595,19 +646,19 @@ def test_principal_band_block_and_lower_solve(shape, seed, complex_, columns):
     n, kd = shape
     rng = np.random.default_rng(seed)
     factor = dk.HsSplitSystem.from_matrix(_planted_band(rng, n, kd, complex_)).h_factor
-    low = np.tril(dk.hs_core.HermitianFactor(c_lower=None, n=n, band=factor.band).lower)
+    low = dense_lower(factor)
     idx = np.flatnonzero(rng.random(n) < rng.uniform(0.05, 1.0))
     idx = idx if idx.size else np.array([int(rng.integers(n))])
     block = factor.principal_block(idx)
     assert block.band.shape[0] <= kd + 1 and block.band.flags.f_contiguous
     assert np.any(block.band[-1] != 0)  # outer diagonals that are all zero are dropped
-    assert np.array_equal(np.tril(block.lower), low[np.ix_(idx, idx)])
+    assert np.array_equal(dense_lower(block), low[np.ix_(idx, idx)])
     for tri, f in ((low, factor), (low[np.ix_(idx, idx)], block)):
         x_in = _rhs(rng, (f.n, columns), complex_)
         x = f.solve_lower(x_in)
         resid = np.linalg.norm(tri @ x - x_in, axis=0)
         assert np.all(resid <= 8 * f.n * EPS * np.linalg.norm(tri, 2) * np.linalg.norm(x, axis=0))
-    assert "_dense" not in vars(factor)
+    assert not holds_n_by_n_array(factor)
 
 
 def test_principal_block_of_dense_factor_is_gathered_from_the_payload():
@@ -616,10 +667,11 @@ def test_principal_block_of_dense_factor_is_gathered_from_the_payload():
     factor = dk.HsSplitSystem.from_matrix(_hpd(rng, 30, 10.0, True)).h_factor
     idx = np.array([0, 3, 4, 17, 29])
     block = factor.principal_block(idx)
-    assert block.band is None and np.array_equal(block.lower, factor.lower[np.ix_(idx, idx)])
+    low = block.c_lower[0]
+    assert block.band is None and np.array_equal(low, factor.c_lower[0][np.ix_(idx, idx)])
     x = _rhs(rng, (5, 3), True)
     assert block.solve_lower(x).tobytes() == scipy.linalg.solve_triangular(
-        block.lower, x, lower=True).tobytes()
+        low, x, lower=True).tobytes()
 
 
 def _potrs_solve(self, b):

@@ -901,6 +901,20 @@ def test_schur_path_rejects_bad_tol_and_maxit():
                                tol=tol, maxit=maxit)
 
 
+def test_schur_path_names_a_bad_b():
+    # a 1-D B of length n_v once became a (1, n_v) row and failed on g
+    sys = dk.assemble_stokes_like(3, stabilization=0.0)
+    a11, b_block, (nv, n_p) = dk.midpoint_saddle_blocks(sys, 1e-2)
+    nan_b = np.array(b_block)
+    nan_b[0, 0] = np.nan
+    for b, error, match in ((b_block[:, 0], DimensionError, r"B must be a 2-D .* got shape"),
+                            (b_block[None], DimensionError, r"B must be a 2-D .* got shape"),
+                            (b_block[1:], DimensionError, rf"B must have shape \({nv}, {n_p}\)"),
+                            (nan_b, StructureError, "B has non-finite entries")):
+        with pytest.raises(error, match=match):
+            dk.solve_via_schur(a11, b, np.ones(nv), np.zeros(n_p))
+
+
 # ---------------------------------------------------------------------------
 # dispatch, reports, CSV
 # ---------------------------------------------------------------------------
@@ -1275,7 +1289,7 @@ def test_band_factor_matches_dense_factor_on_stokes(tau, monkeypatch):
 @pytest.mark.parametrize("inner", ["widlund", "rapoport", "lgmres"])
 def test_schur_path_on_band_factor_keeps_step_counts(inner, monkeypatch):
     # A11 of unstabilized Stokes at grid 12 (n_v = 264, kd = 12) takes the
-    # band factor; its wide lockstep blocks of [B | f] go through potrs
+    # band factor; its wide lockstep blocks of [B | f] go through pbtrs
     a11, b_block, (n_v, n_p) = dk.midpoint_saddle_blocks(
         dk.assemble_stokes_like(12, convection=50.0), 1e-3)
     assert dk.HsSplitSystem.from_matrix(a11).h_factor.band.shape == (13, n_v)

@@ -13,6 +13,7 @@ from dhkrylov.errors import (
     ParameterError,
     SingularHermitianPartError,
     SolverError,
+    StructureError,
 )
 
 from support import random_spd, rlc_dc_operating_point
@@ -270,6 +271,27 @@ def test_integrate_rejects_unknown_solver_before_assembly(monkeypatch):
     monkeypatch.setattr(dk.timestep, "midpoint_system", lambda *args: calls.append(args))
     with pytest.raises(ParameterError, match="'foo'"):
         dk.integrate(sys, np.zeros(10), 0.02, 3, solver="foo")
+    assert calls == []
+
+
+@pytest.mark.parametrize("solver", ["direct", "rapoport"])
+@pytest.mark.parametrize("tol, x0, error, match", [
+    (np.nan, np.zeros(10), ParameterError, "tol"),
+    (-1.0, np.zeros(10), ParameterError, "tol"),
+    (1e-12, np.array([np.nan] + [0.0] * 9), StructureError, "x0 has non-finite"),
+    (1e-12, np.zeros(9), DimensionError, r"x0 must have shape \(10,\)"),
+    (1e-12, np.zeros((10, 1)), DimensionError, r"x0 must have shape \(10,\)"),
+], ids=["nan-tol", "negative-tol", "nan-x0", "short-x0", "2d-x0"])
+def test_integrate_rejects_bad_tol_and_x0_before_assembly(solver, tol, x0, error, match,
+                                                          monkeypatch):
+    # a NaN tol would skip every Krylov solve (resid > nan is False) and a
+    # NaN in x0 would reach the solvers
+    sys = dk.from_descriptor({"name": "mechanical",
+                              "params": {"n": 5, "seed": 1, "damping": 0.5}})
+    calls = []
+    monkeypatch.setattr(dk.timestep, "midpoint_system", lambda *args: calls.append(args))
+    with pytest.raises(error, match=match):
+        dk.integrate(sys, x0, 0.02, 3, solver=solver, tol=tol)
     assert calls == []
 
 
