@@ -6,6 +6,7 @@ from .hs_core import (
     Definiteness,
     HermitianFactor,
     HsSplitSystem,
+    as_dense,
     definiteness_class,
     read_matrix,
     saddle_blocks,

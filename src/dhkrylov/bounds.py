@@ -40,7 +40,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import DefinitenessError
-from .hs_core import Definiteness, HsSplitSystem
+from .hs_core import Definiteness, HsSplitSystem, as_dense
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def spectral_interval(sys: HsSplitSystem) -> SpectralInterval:
     if parts is not None:
         return _two_part_interval(factor, sys.ops[2], *parts)
     # m = L^{-1} S L^{-*} is skew-Hermitian up to rounding
-    m = _congruence(factor, sys.s, factor)
+    m = _congruence(factor, as_dense(sys.s), factor)
     herm_residue = (m + m.conj().T) / 2
     skew = (m - m.conj().T) / 2
     # spec(skew* skew) = {theta^2}
@@ -236,12 +236,13 @@ def bendixson_rectangle(sys: HsSplitSystem, slack_rel=1e-10) -> BendixsonRectang
     from the eigenvalues of S.  Every eigenvalue of A = H + S must lie in
     the rectangle up to ``slack_rel * ||A||_2``.
     """
+    a, s = as_dense(sys.a), as_dense(sys.s)
     h_eigs = sys.h_eigenvalues
-    s_eigs = np.linalg.eigvalsh(-1j * sys.s).real if sys.n else np.zeros(0)
+    s_eigs = np.linalg.eigvalsh(-1j * s).real if sys.n else np.zeros(0)
     re_min, re_max = float(h_eigs[0]), float(h_eigs[-1])
     im_min, im_max = float(np.min(s_eigs)), float(np.max(s_eigs))
-    a_eigs = scipy.linalg.eigvals(sys.a)
-    slack = slack_rel * float(np.linalg.norm(sys.a, 2))
+    a_eigs = scipy.linalg.eigvals(a)
+    slack = slack_rel * float(np.linalg.norm(a, 2))
     viol = 0.0
     for z in a_eigs:
         viol = max(

@@ -279,8 +279,8 @@ def _solve_cell(row, sysm, b, solver, tol, maxit, csv_path, lam=None, saddle=Non
 
 
 def audit_staircase(a, tol=RANK_TOL) -> dict:
-    """Staircase + Schur audit of one matrix, as a JSON-ready dict."""
-    a = np.asarray(a)
+    """Staircase + Schur audit of one matrix, as a JSON-ready dict; a sparse one is densified."""
+    a = hs_core.as_dense(a)
     h, s = split_hs(a)
     sf = staircase.hs_staircase(h, s, tol=tol)
     report = staircase.staircase_report(sf)

@@ -25,12 +25,14 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DimensionError, ModelError
 from .hs_core import (
     RANK_TOL,
     Definiteness,
     _freeze,
+    as_dense,
     certify_definiteness,
     definiteness_class,
     is_semidefinite,
@@ -64,9 +66,12 @@ class DaeIndex(enum.Enum):
 class DhDaeSystem:
     """The triple (E, J, R) plus the source f(t).
 
-    ``f`` must be a pure function of t so systems can be shared across
-    threads.  The kernel basis of :func:`nullspace_of_e` is computed on
-    first use and kept, read-only, on the system.
+    ``e``, ``j`` and ``r`` are read-only: ``scipy.sparse`` CSR arrays of
+    their nonzero entries for the Stokes model and for sparse inputs to
+    :meth:`from_parts`, else ndarrays.  ``f`` must be a pure function of t
+    so systems can be shared across threads.  The kernel basis of
+    :func:`nullspace_of_e` is computed on first use and kept, read-only, on
+    the system.
     """
 
     e: np.ndarray
@@ -80,11 +85,14 @@ class DhDaeSystem:
 
     @classmethod
     def from_parts(cls, e, j, r, f=None):
-        return cls._from_new_parts(np.array(e), np.array(j), np.array(r), f)
+        return cls._from_new_parts(_freeze(e), _freeze(j), _freeze(r), f)
 
     @classmethod
     def _from_new_parts(cls, e, j, r, f=None):
-        """:meth:`from_parts` of arrays that no one else holds: frozen, not copied."""
+        """:meth:`from_parts` of arrays that no one else holds: frozen, not copied.
+
+        Sparse parts are checked on their stored entries.
+        """
         e = require_hermitian(e, name="e")
         j = require_skew(j, name="j")
         r = require_hermitian(r, name="r")
@@ -100,7 +108,7 @@ class DhDaeSystem:
 
     @functools.cached_property
     def _e_nullspace(self):
-        return _freeze(_nullspace(self.e))
+        return _freeze(_nullspace(as_dense(self.e)))
 
     def operator(self):
         """The right-hand-side matrix J - R."""
@@ -185,13 +193,26 @@ def assemble_rlc(L, C1, C2, RG, RL, RR, eg=0.0):
     return DhDaeSystem._from_new_parts(e, j, r, f=f)
 
 
-def _grid_shift(nx, ny):
-    """1 at (a, b) when node b follows node a along either axis of an nx-by-ny grid.
+def _grid_edges(nx, ny, offset=0):
+    """Pairs (a, b) where node b follows node a along either axis of an nx-by-ny grid.
 
-    Node (i, j) has flat index i * ny + j.  Stencils are built as
-    ``c * F - c * F.T`` from this nonnegative F, so every zero stays +0.0.
+    Node (i, j) has flat index ``offset + i * ny + j``.
     """
-    return np.kron(np.eye(nx, k=1), np.eye(ny)) + np.kron(np.eye(nx), np.eye(ny, k=1))
+    node = offset + np.arange(nx * ny).reshape(nx, ny)
+    return (np.concatenate([node[:-1].ravel(), node[:, :-1].ravel()]),
+            np.concatenate([node[1:].ravel(), node[:, 1:].ravel()]))
+
+
+def _csr(n, *entries):
+    """The n x n CSR array of ``(rows, cols, values)`` triples, with zero values left out.
+
+    ``values`` is an array like ``rows`` or one number for all of them; no
+    position may repeat.
+    """
+    rows, cols, vals = (np.concatenate(part) for part in zip(
+        *((i, j, np.broadcast_to(v, np.shape(i))) for i, j, v in entries)))
+    keep = vals != 0
+    return scipy.sparse.csr_array((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
 def assemble_stokes_like(grid_n, viscosity=1.0, convection=0.0, stabilization=0.0,
@@ -204,6 +225,8 @@ def assemble_stokes_like(grid_n, viscosity=1.0, convection=0.0, stabilization=0.
     E = blkdiag(M, 0), J = [[A_S, B], [-B*, 0]],
     R = blkdiag(viscosity * Laplacian, stabilization * I).
     Index one when stabilization > 0, two when stabilization = 0.
+    E, J and R are built as read-only ``scipy.sparse`` CSR arrays of their
+    nonzero entries, from index arithmetic on the grid, with no n x n array.
 
     Only the block structure (definiteness, full row rank of B*, the index)
     is contractual; the concrete finite-difference stencils are not.
@@ -218,35 +241,31 @@ def assemble_stokes_like(grid_n, viscosity=1.0, convection=0.0, stabilization=0.
     h = 1.0 / n_cells
     nu_x, nu_y = n_cells - 1, n_cells        # u on interior vertical edges
     nv_x, nv_y = n_cells, n_cells - 1        # v on interior horizontal edges
-    n_vel = nu_x * nu_y + nv_x * nv_y
-    n_p = n_cells * n_cells - 1              # constant pressure mode removed
-
-    # cell divergence: +h on the east (north) edge, -h on the west (south) one
-    east, west = np.eye(n_cells, n_cells - 1), np.eye(n_cells, n_cells - 1, k=-1)
-    eye = np.eye(n_cells)
-    div = (h * np.hstack([np.kron(east, eye), np.kron(eye, east)])
-           - h * np.hstack([np.kron(west, eye), np.kron(eye, west)]))
-    b_star = div[:-1, :]
-
-    # slices of one zero array and in-place sums: each n x n temporary costs fresh pages
     k = nu_x * nu_y
-    fwd = np.zeros((n_vel, n_vel))
-    fwd[:k, :k], fwd[k:, k:] = _grid_shift(nu_x, nu_y), _grid_shift(nv_x, nv_y)
-    # unscaled 5-point Laplacian 4I - Adj with Dirichlet boundary per component
-    lap = 4.0 * np.eye(n_vel)
-    lap -= fwd
-    lap -= fwd.T
-    # skew centered-difference transport along the (1, 1) wind direction
-    amp = 0.5 * convection * h
-    a_skew = amp * fwd  # (amp F)^T is amp F^T; a C- minus an F-ordered product is 4x slower
-    a_skew = a_skew - a_skew.T
+    n_vel = k + nv_x * nv_y
+    n_p = n_cells * n_cells - 1              # constant pressure mode removed
+    n = n_vel + n_p
 
-    zero_p = np.zeros((n_p, n_p))
-    e, r = np.zeros((n_vel + n_p,) * 2), np.zeros((n_vel + n_p,) * 2)
-    np.fill_diagonal(e[:n_vel, :n_vel], h * h)
-    j = np.block([[a_skew, b_star.T], [-b_star, zero_p]])
-    np.multiply(viscosity, lap, out=r[:n_vel, :n_vel])
-    np.multiply(stabilization, np.eye(n_p), out=r[n_vel:, n_vel:])
+    # velocity neighbours (a, b), b after a, per component
+    fa, fb = np.concatenate([_grid_edges(nu_x, nu_y), _grid_edges(nv_x, nv_y, k)], axis=1)
+    # cell divergence: +h on the east (north) edge, -h on the west (south) one,
+    # where u(i, j) is the east edge of cell (i, j) and v(i, j) its north edge
+    cell = np.arange(n_cells * n_cells).reshape(n_cells, n_cells)
+    u, v = np.arange(k).reshape(nu_x, nu_y), k + np.arange(k).reshape(nv_x, nv_y)
+    d_cell = np.concatenate([cell[:-1], cell[:, :-1], cell[1:], cell[:, 1:]], axis=None)
+    d_edge = np.concatenate([u, v, u, v], axis=None)
+    d_val = np.repeat([h, -h], 2 * k)
+    keep = d_cell < n_p                      # the last cell's row is dropped
+    p, d_edge, d_val = n_vel + d_cell[keep], d_edge[keep], d_val[keep]
+
+    vel, prs = np.arange(n_vel), np.arange(n_vel, n)
+    e = _csr(n, (vel, vel, h * h))
+    # skew centered-difference transport along the (1, 1) wind direction, and B
+    amp = 0.5 * convection * h
+    j = _csr(n, (fa, fb, amp), (fb, fa, -amp), (d_edge, p, d_val), (p, d_edge, -d_val))
+    # unscaled 5-point Laplacian 4I - Adj with Dirichlet boundary per component
+    r = _csr(n, (vel, vel, viscosity * 4.0), (fa, fb, -viscosity), (fb, fa, -viscosity),
+             (prs, prs, stabilization))
     f = None
     if forcing is not None:
         f = lambda t: np.concatenate([np.asarray(forcing(t)), np.zeros(n_p)])
@@ -323,11 +342,12 @@ def nullspace_of_e(sys_or_e):
     A Cholesky certificate at ``RANK_TOL`` (:func:`certify_definiteness`)
     shows a positive definite E to have an empty kernel; eigenvectors are
     computed only for a singular E.  For a :class:`DhDaeSystem` the basis is
-    computed once per system and returned read-only.
+    computed once per system and returned read-only.  A sparse E is
+    densified first.
     """
     if isinstance(sys_or_e, DhDaeSystem):
         return sys_or_e._e_nullspace
-    return _nullspace(np.asarray(sys_or_e))
+    return _nullspace(as_dense(sys_or_e))
 
 
 def _nullspace(e):
@@ -372,14 +392,15 @@ def index_classify(sys: DhDaeSystem) -> IndexReport:
     dimension), a rank deficiency leaves genuinely free variables (n5 > 0)
     and the pencil is singular.  Rank decisions use singular values with
     relative threshold ``RANK_TOL``; regularity is cross-checked at three
-    deterministic pseudo-random real shifts.
+    deterministic pseudo-random real shifts.  Sparse E, J and R are
+    densified first.
     """
     n = sys.n
-    jr = sys.operator()
+    e, jr = as_dense(sys.e), as_dense(sys.operator())
     diag = {}
-    v_range, v_null = _range_of_e(sys.e)
+    v_range, v_null = _range_of_e(e)
     rank_e = v_range.shape[1]
-    shift_checks = _regularity_shifts(sys.e, jr)
+    shift_checks = _regularity_shifts(e, jr)
     diag["rank_e"] = rank_e
     diag["shift_regularity_checks"] = shift_checks
     cross_regular = any(shift_checks)

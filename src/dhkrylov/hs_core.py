@@ -1,4 +1,4 @@
-"""Hermitian/skew-Hermitian splitting and the dense Hermitian kernels.
+"""Hermitian/skew-Hermitian splitting of dense and CSR matrices, and the Hermitian kernels.
 
 Every square matrix splits uniquely as ``a = h + s`` with ``h = (a + a*)/2``
 Hermitian and ``s = (a - a*)/2`` skew-Hermitian.  This module provides that
@@ -20,11 +20,15 @@ Hermitian part of a system: the certified Cholesky factor serves every
 H-solve and the half-width computed in :mod:`dhkrylov.bounds`, and the
 spectrum of ``h`` is computed only when a caller reads it.
 
-Matrices are plain 2-D numpy arrays, real or complex, and the split and its
-certificate work on them.  Products run on :attr:`HsSplitSystem.ops`:
-``scipy.sparse`` CSR copies of A, H and S when the pattern of A + A* is
-sparse, else the arrays themselves.  All functions are pure; returned
-arrays are marked read-only where they become part of a value object.
+Matrices are 2-D numpy arrays or ``scipy.sparse`` CSR arrays, real or
+complex.  A CSR input stays CSR: the checks, the split, the Gershgorin
+certificate and the band factor read only its stored entries, and its split
+fields serve the products themselves.  A dense input keeps dense fields, and
+its products run on :attr:`HsSplitSystem.ops`: CSR copies of A, H and S when
+the pattern of A + A* is sparse, else the arrays themselves.  A caller that
+needs an n x n array converts through :func:`as_dense`.  All functions are
+pure; returned arrays, and the parts of returned CSR arrays, are marked
+read-only where they become part of a value object.
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ _CSR_MAX_FILL = 1 / 16
 #: A certified ``h`` is factored on its band when n >= 128 and its
 #: half-bandwidth kd has kd + 1 <= n / 16.  At Stokes grid 16 (n = 735,
 #: kd = 16, one BLAS thread) ``pbtrf`` takes 0.07-0.14 ms against 4.8-8.4 ms
-#: for ``potrf``, after a 0.3 ms scan for kd, and a vector solve by ``pbtrs``
-#: 25-31 us against 150 us for the ``trsv`` pair.
+#: for ``potrf``, and a vector solve by ``pbtrs`` 25-31 us against 150 us for
+#: the ``trsv`` pair.
 _BAND_MIN_N = 128
 _BAND_MAX_FILL = 1 / 16
 
@@ -69,17 +73,33 @@ class Definiteness(enum.Enum):
     INDEFINITE = "indefinite"
 
 
+def as_dense(m):
+    """``m`` as a 2-D ndarray: a sparse ``m`` densified, any other through ``np.asarray``.
+
+    The one conversion of a CSR model or split system to an n x n array,
+    made at the entry of the callers that need one.
+    """
+    return m.toarray() if scipy.sparse.issparse(m) else np.asarray(m)
+
+
 def as_square_matrix(a, name="a"):
-    """Validate and return ``a`` as a square 2-D array with finite entries."""
-    a = np.asarray(a)
+    """Validate and return ``a`` as a square 2-D array with finite entries.
+
+    A sparse ``a`` is returned as a CSR array, and only its stored entries
+    are scanned.
+    """
+    a = scipy.sparse.csr_array(a) if scipy.sparse.issparse(a) else np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
+    entries = a.data if scipy.sparse.issparse(a) else a
+    if entries.size and not np.all(np.isfinite(entries)):
         raise StructureError(f"{name} has non-finite entries")
     return a
 
 
 def max_norm(a):
+    if scipy.sparse.issparse(a):
+        return float(np.abs(a.data).max(initial=0.0))
     a = np.abs(a) if np.iscomplexobj(a) else np.asarray(a)  # a real a needs no |a| temporary
     return abs(float(max(a.max(), -a.min()))) if a.size else 0.0  # abs() drops a -0.0
 
@@ -89,9 +109,19 @@ def _adjoint(a):
     return a.conj().T if np.iscomplexobj(a) else a.T
 
 
-def _half(op, a, b):
-    """``op(a, b) / 2`` bitwise, halved in place; ``* 0.5`` would flip zero signs if complex."""
-    c = op(a, b, dtype=np.result_type(a, b, 0.5))  # an integer input gives floats
+def _half(a, sign):
+    """``(a + sign a*) / 2`` bitwise, for a dense or CSR ``a`` and sign +-1.
+
+    Halved in place, or on the stored entries of a CSR sum, which holds
+    only its nonzero entries; ``* 0.5`` would flip zero signs if complex.
+    """
+    at = _adjoint(a)
+    if scipy.sparse.issparse(a):
+        c = a + at if sign > 0 else a - at
+        c.data = np.divide(c.data, 2) if np.iscomplexobj(c) else np.multiply(c.data, 0.5)
+        return c
+    op = np.add if sign > 0 else np.subtract
+    c = op(a, at, dtype=np.result_type(a, at, 0.5))  # an integer input gives floats
     return np.divide(c, 2, out=c) if np.iscomplexobj(c) else np.multiply(c, 0.5, out=c)
 
 
@@ -102,11 +132,15 @@ def _by_panels(f, *arrays):
 
 def hermitian_deviation(a):
     """Max-norm of ``a - a*`` (zero iff ``a`` is Hermitian)."""
+    if scipy.sparse.issparse(a):
+        return max_norm(a - _adjoint(a))
     return max(_by_panels(lambda p, q: max_norm(p - q), a, _adjoint(a)), default=0.0)
 
 
 def skew_deviation(a):
     """Max-norm of ``a + a*`` (zero iff ``a`` is skew-Hermitian)."""
+    if scipy.sparse.issparse(a):
+        return max_norm(a + _adjoint(a))
     return max(_by_panels(lambda p, q: max_norm(p + q), a, _adjoint(a)), default=0.0)
 
 
@@ -131,8 +165,7 @@ def split_hs(a):
     ``a = h + s``, ``h = h*`` and ``s = -s*`` exactly up to rounding.
     """
     a = as_square_matrix(a)
-    at = _adjoint(a)
-    return _half(np.add, a, at), _half(np.subtract, a, at)
+    return _half(a, 1), _half(a, -1)
 
 
 def saddle_blocks(a):
@@ -144,8 +177,9 @@ def saddle_blocks(a):
     Re A_ii <= 1e-12 max|A|.  They must be some but not all coordinates,
     and come last.  Returns ``(a11, b, (n1, n2))`` with the block sizes;
     raises ``DimensionError`` when A does not have this form or is empty.
+    The blocks are dense; a CSR A is densified first.
     """
-    a = as_square_matrix(a)
+    a = as_square_matrix(as_dense(a))
     n = a.shape[0]
     if n == 0:
         raise DimensionError("the Schur path needs a nonempty system")
@@ -189,7 +223,7 @@ def definiteness_class(h, tol=DEFAULT_TOL):
     inputs that are not Hermitian within ``DEFAULT_TOL``.
     """
     h = require_hermitian(h, name="h")
-    return certify_definiteness(_half(np.add, h, _adjoint(h)), tol)[0]
+    return certify_definiteness(_half(h, 1), tol)[0]
 
 
 def _cholesky(h):
@@ -202,6 +236,8 @@ def _cholesky(h):
 
 def _abs_row_sums(a):
     """Row sums of ``|a|``: Gershgorin radius plus ``|a_ii|``; their max is ``||a||_inf``."""
+    if scipy.sparse.issparse(a):
+        return abs(a).sum(axis=1)
     return np.concatenate(_by_panels(lambda p: np.abs(p).sum(axis=1), a) + [np.zeros(0)])
 
 
@@ -218,21 +254,27 @@ def _trace_bound_certifies(c_lower, threshold):
 def _band_factor(h):
     """The band :class:`HermitianFactor` of a dominant ``h`` with a narrow band, else None.
 
-    kd is the largest ``i - j`` over the nonzeros ``h_ij``; the diagonal of
-    a dominant ``h`` is nonzero, so each row's first nonzero lies at or left
-    of it.  Returns None when n < ``_BAND_MIN_N``, kd + 1 > ``_BAND_MAX_FILL``
-    n, or ``pbtrf`` fails.
+    kd is the largest ``i - j`` over the nonzeros ``h_ij``, read from the
+    pattern of ``h`` in CSR; a dense ``h`` is converted first, unless it
+    holds more than the ``2 _BAND_MAX_FILL n^2`` nonzeros that any band
+    accepted here has room for.  Returns None when n < ``_BAND_MIN_N``,
+    kd + 1 > ``_BAND_MAX_FILL`` n, or ``pbtrf`` fails.
     """
     n = h.shape[0]
     if n < _BAND_MIN_N:
         return None
-    kd = int(np.max(np.arange(n) - np.argmax(h != 0, axis=1)))
+    if not scipy.sparse.issparse(h):
+        if np.count_nonzero(h) > 2 * _BAND_MAX_FILL * n * n:
+            return None
+        h = scipy.sparse.csr_array(h)
+    rows, cols = np.repeat(np.arange(n), np.diff(h.indptr)), h.indices
+    kd = int(np.max(rows - cols, initial=0))
     if kd + 1 > _BAND_MAX_FILL * n:
         return None
     # LAPACK's lower band storage: row d holds the d-th subdiagonal, h[j + d, j] at column j
     band = np.zeros((kd + 1, n), dtype=h.dtype, order="F")  # F-ordered: pbtrf works in place
-    for d in range(kd + 1):
-        band[d, :n - d] = np.diagonal(h, -d)
+    lower = rows >= cols
+    band[rows[lower] - cols[lower], cols[lower]] = h.data[lower]
     pbtrf, = scipy.linalg.lapack.get_lapack_funcs(("pbtrf",), (band,))
     band, info = pbtrf(band, lower=1, overwrite_ab=1)
     return HermitianFactor(c_lower=None, n=n, band=_freeze(band, copy=False)) if info == 0 else None
@@ -250,16 +292,19 @@ def certify_definiteness(h, tol=DEFAULT_TOL):
     and is returned as ``eigs``.  ``factor`` is the :class:`HermitianFactor`
     of a positive definite ``h`` whose factorization succeeded, else None.
     A narrow-band ``h`` that the margin certifies gets the band factor of
-    :func:`_band_factor`; only then is its bandwidth read.
+    :func:`_band_factor`; only then is its bandwidth read.  A CSR ``h``
+    gets its margin and band from its stored entries, and is densified
+    only when neither certifies it.
     """
     n, eps, rows = h.shape[0], np.finfo(float).eps, _abs_row_sums(h)
     norm_inf = float(rows.max(initial=0.0))
     # the margin of an empty h is inf: it is definite, and never reaches trtri
-    margin = float(np.min(2.0 * np.diagonal(h).real - rows, initial=np.inf))
+    margin = float(np.min(2.0 * h.diagonal().real - rows, initial=np.inf))
     dominant = margin > (tol + 2 * n * eps) * norm_inf
     factor = _band_factor(h) if dominant else None
     if factor is not None:
         return Definiteness.POSITIVE_DEFINITE, factor, None
+    h = as_dense(h)
     c = _cholesky(h if np.iscomplexobj(h) else h.T)  # h.T = h, F-ordered: potrf copies it flat
     eigs = None
     if c is None or not (dominant
@@ -280,11 +325,12 @@ def is_semidefinite(a):
     Cholesky factorization, and only then the spectrum through
     :func:`_classify`.  The last two see only the rows and columns that are
     not identically zero: ``a`` is semidefinite iff that principal
-    submatrix is, and a zero block would make every Cholesky fail.
+    submatrix is, and a zero block would make every Cholesky fail.  A CSR
+    ``a`` is densified only for the last two.
     """
-    diag = np.diagonal(a).real
-    if np.all(2.0 * diag >= _abs_row_sums(a)):
+    if np.all(2.0 * a.diagonal().real >= _abs_row_sums(a)):
         return True
+    a = as_dense(a)
     touched = a != 0
     nonzero = np.flatnonzero(touched.any(axis=0) | touched.any(axis=1))
     if nonzero.size < a.shape[0]:
@@ -392,10 +438,8 @@ def _csr_on(m, rows, cols):
     vals = m[rows, cols]
     keep = vals != 0
     indptr = np.searchsorted(rows[keep], np.arange(m.shape[0] + 1))
-    csr = scipy.sparse.csr_array((vals[keep], cols[keep], indptr), shape=m.shape)
-    for part in (csr.data, csr.indices, csr.indptr):
-        _freeze(part, copy=False)
-    return csr
+    return _freeze(scipy.sparse.csr_array((vals[keep], cols[keep], indptr), shape=m.shape),
+                   copy=False)
 
 
 def csr_copy(m):
@@ -409,10 +453,30 @@ def csr_copy(m):
 
 
 def _freeze(a, copy=True):
-    """``a`` made read-only; a copy unless ``copy`` is False (an array no one else holds)."""
-    a = np.array(a) if copy else a
-    a.setflags(write=False)
+    """``a`` made read-only; a copy unless ``copy`` is False (an array no one else holds).
+
+    A sparse ``a`` becomes a CSR array with read-only parts; a copy is in
+    canonical form and stores only its nonzero entries.
+    """
+    if not scipy.sparse.issparse(a):
+        a = np.array(a) if copy else a
+        a.setflags(write=False)
+        return a
+    a = scipy.sparse.csr_array(a, copy=copy)
+    if copy:
+        a.sum_duplicates()
+        a.eliminate_zeros()
+    for part in (a.data, a.indices, a.indptr):
+        part.setflags(write=False)
     return a
+
+
+def _frozen(a):
+    """True when no one can write ``a``: read-only owning its data, or CSR with read-only parts."""
+    if scipy.sparse.issparse(a):
+        return a.format == "csr" and not any(
+            part.flags.writeable for part in (a.data, a.indices, a.indptr))
+    return isinstance(a, np.ndarray) and a.flags.owndata and not a.flags.writeable
 
 
 @dataclass(frozen=True)
@@ -421,7 +485,9 @@ class HsSplitSystem:
 
     Fields
     ------
-    a, h, s : ndarray with ``a = h + s``, ``h = (a+a*)/2``, ``s = (a-a*)/2``
+    a, h, s : ``a = h + s``, ``h = (a+a*)/2``, ``s = (a-a*)/2``; read-only
+        ``scipy.sparse`` CSR arrays of their nonzero entries when ``a`` is
+        given sparse, else read-only ndarrays
     definiteness : classification of ``h``, certified by its Cholesky
         factor (:func:`certify_definiteness`) and decided by the spectrum
         only when that certificate is inconclusive
@@ -432,7 +498,7 @@ class HsSplitSystem:
     ``h_eigenvalues``, the ascending spectrum of ``h``, is computed on first
     read and kept; a spectrum computed for the classification is reused.
     ``hss_factors`` and ``ops`` are computed on first read and kept in the
-    same way.
+    same way.  The spectrum and ``hss_factors`` densify CSR fields.
     """
 
     a: np.ndarray
@@ -447,18 +513,19 @@ class HsSplitSystem:
 
     @functools.cached_property
     def h_eigenvalues(self):
-        return _freeze(np.linalg.eigvalsh(self.h))
+        return _freeze(np.linalg.eigvalsh(as_dense(self.h)))
 
     @functools.cached_property
     def ops(self):
-        """``(a, h, s)`` for products: ``scipy.sparse.csr_array`` copies or the fields.
+        """``(a, h, s)`` for products: ``scipy.sparse.csr_array`` arrays or the fields.
 
-        The copies hold exactly the nonzero entries of the fields, and are
-        made when n >= ``_CSR_MIN_N`` and the pattern of A + A* holds at most
-        ``_CSR_MAX_FILL`` n^2 entries; otherwise, and when ``a`` is not an
-        ndarray, the fields serve.  A field that is not an ndarray (an
-        operator with ``@``) is always passed through.  Every product of the
-        solvers with A, H or S runs on these.
+        CSR fields serve as they are.  Dense fields get CSR copies of
+        exactly their nonzero entries when n >= ``_CSR_MIN_N`` and the
+        pattern of A + A* holds at most ``_CSR_MAX_FILL`` n^2 entries;
+        otherwise, and when ``a`` is not an ndarray, the fields serve.  A
+        field that is not an ndarray (an operator with ``@``) is always
+        passed through.  Every product of the solvers with A, H or S runs on
+        these.
         """
         fields = (self.a, self.h, self.s)
         pattern = _sparse_pattern(self.a) if isinstance(self.a, np.ndarray) else None
@@ -478,23 +545,22 @@ class HsSplitSystem:
         eigs = self.h_eigenvalues
         alpha = float(np.sqrt(eigs[0] * eigs[-1]))
         eye = np.eye(self.n, dtype=self.a.dtype)
-        factor = HermitianFactor(scipy.linalg.cho_factor(alpha * eye + self.h, lower=True),
-                                 self.n)
-        return alpha, factor, scipy.linalg.lu_factor(alpha * eye + self.s)
+        factor = HermitianFactor(
+            scipy.linalg.cho_factor(alpha * eye + as_dense(self.h), lower=True), self.n)
+        return alpha, factor, scipy.linalg.lu_factor(alpha * eye + as_dense(self.s))
 
     @classmethod
     def from_matrix(cls, a):
         # h = (a + a*)/2 is exactly Hermitian: no symmetrization or re-check;
-        # h and s are new arrays, frozen without a copy.  So is a read-only
-        # array that owns its data, such as midpoint_system's; any other a
-        # is copied, so the caller's later writes cannot reach the system.
+        # h and s are new arrays, frozen without a copy.  So is a frozen a,
+        # such as midpoint_system's; any other a is copied, so the caller's
+        # later writes cannot reach the system.  A sparse a gives CSR fields.
         h, s = split_hs(a)
         dclass, factor, eigs = certify_definiteness(h)
         if dclass is Definiteness.POSITIVE_DEFINITE and factor is None:
             raise DefinitenessError("Cholesky failed: h is not positive definite")
-        frozen = isinstance(a, np.ndarray) and a.flags.owndata and not a.flags.writeable
         system = cls(
-            a=_freeze(a, copy=not frozen),
+            a=_freeze(a, copy=not _frozen(a)),
             h=_freeze(h, copy=False),
             s=_freeze(s, copy=False),
             definiteness=dclass,
@@ -516,11 +582,11 @@ class HsSplitSystem:
 # ---------------------------------------------------------------------------
 
 def write_matrix(path, a):
-    """Write a dense matrix in Matrix Market array format.
+    """Write a matrix, densified if sparse, in Matrix Market array format.
 
     17 significant digits round-trip float64/complex128 entries bit-exactly.
     """
-    mmwrite(str(path), np.asarray(a), precision=17)
+    mmwrite(str(path), as_dense(a), precision=17)
 
 
 def read_matrix(path):

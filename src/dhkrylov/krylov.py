@@ -1114,7 +1114,8 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
     A v = f - B p once more.  A is required to have positive definite
     Hermitian part and B full column rank, which makes S1 positive definite
     as well.  B must be a finite 2-D block whose n_v rows match the order
-    of A; otherwise ``DimensionError`` or ``StructureError`` names it.  Up
+    of A; otherwise ``DimensionError`` or ``StructureError`` names it, and
+    so names a wrong-length or non-finite f or g.  Up
     to two residual-based refinement passes are applied if needed.
     ``inner_iterations`` sums the steps of every inner column.  An inner or
     outer solve that misses its tolerance raises ``SolverError`` with the
@@ -1129,8 +1130,8 @@ def solve_via_schur(a11, b_block, f, g, inner_solver="rapoport", tol=1e-10,
         raise DimensionError(f"B must be a 2-D (n_v, n_p) block, got shape {b_block.shape}")
     n_v, n_p = len(a11), b_block.shape[1]
     _as_rhs(b_block, n_v, n_p, name="B")
-    f = _as_rhs(f, n_v)
-    g = _as_rhs(g, n_p)
+    f = _as_rhs(f, n_v, name="f")
+    g = _as_rhs(g, n_p, name="g")
     inner_tol = max(tol * 1e-3, 1e-15)
     inner_sys = HsSplitSystem.from_matrix(a11)
     inner_count = 0

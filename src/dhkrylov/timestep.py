@@ -46,7 +46,7 @@ from .errors import (
     SingularHermitianPartError,
     SolverError,
 )
-from .hs_core import Definiteness, HsSplitSystem, _freeze, csr_copy, saddle_blocks
+from .hs_core import Definiteness, HsSplitSystem, _freeze, as_dense, csr_copy, saddle_blocks
 
 #: Relative tolerance for the algebraic-constraint residual of initial values.
 CONSISTENCY_TOL = 1e-8
@@ -58,7 +58,11 @@ HISTORY = 8
 
 @dataclass(frozen=True)
 class MidpointSystem:
-    """The time-discrete linear system of one midpoint step."""
+    """The time-discrete linear system of one midpoint step.
+
+    ``sys`` holds A = E + tau/2 (R - J) and its split in the form of the
+    model: CSR when E, J and R are, else dense.
+    """
 
     sys: HsSplitSystem
     tau: float
@@ -70,15 +74,17 @@ class MidpointSystem:
 
     @functools.cached_property
     def model_ops(self):
-        """``(e, r)`` of the model for products: CSR copies when ``sys.ops`` are, else the arrays.
+        """``(e, r)`` of the model for products: CSR when ``sys.ops`` are, else the arrays.
 
-        A model whose step matrix keeps dense products (mechanical,
-        poroelastic) keeps its arrays, and no pattern of E or R is read.  At
-        Stokes grid 16 (n = 735) a product with E or R takes 172-175 us
-        dense and 6-11 us in CSR.
+        A CSR model (Stokes) serves as it is.  A dense model whose step
+        matrix keeps dense products (mechanical, poroelastic) keeps its
+        arrays, and no pattern of E or R is read; one whose step matrix gets
+        CSR products gets CSR copies of E and R.  At Stokes grid 16
+        (n = 735) a product with E or R takes 172-175 us dense and 6-11 us
+        in CSR.
         """
         e, r = self.source.e, self.source.r
-        if not scipy.sparse.issparse(self.sys.ops[0]):
+        if scipy.sparse.issparse(e) or not scipy.sparse.issparse(self.sys.ops[0]):
             return e, r
         return csr_copy(e), csr_copy(r)
 
@@ -95,7 +101,7 @@ def _midpoint_matrix(sys: DhDaeSystem, tau: float):
 
 
 def midpoint_system(sys: DhDaeSystem, tau: float) -> MidpointSystem:
-    """Assemble A = E + tau/2 (R - J) with its Hermitian/skew split."""
+    """Assemble A = E + tau/2 (R - J) with its Hermitian/skew split, in CSR for a CSR model."""
     # frozen as built, so from_matrix keeps it without a copy
     a = _freeze(_midpoint_matrix(sys, tau), copy=False)
     return MidpointSystem(sys=HsSplitSystem.from_matrix(a), tau=tau, source=sys)
@@ -173,12 +179,13 @@ def check_consistency(sys: DhDaeSystem, x0, t0=0.0):
     demands V2* ((J - R) x0 + f(t0)) = 0, scaled by ``sqrt(||J - R||_1 ||J - R||_inf)
     >= ||J - R||_2`` (Golub & Van Loan, sec. 2.3) in place of an SVD.  Raises
     ``ConsistencyError`` when the relative residual exceeds ``CONSISTENCY_TOL``.
+    A sparse J - R is densified first.
     """
     v_null = nullspace_of_e(sys)
     if v_null.shape[1] == 0:
         return 0.0
     x0 = np.asarray(x0)
-    jr = sys.operator()
+    jr = as_dense(sys.operator())
     f0 = np.asarray(sys.f(t0))
     g = v_null.conj().T @ (jr @ x0 + f0)
     norm_jr = math.sqrt(np.linalg.norm(jr, 1) * np.linalg.norm(jr, np.inf))
@@ -302,7 +309,7 @@ def integrate(sys: DhDaeSystem, x0, tau: float, n_steps: int, solver="direct",
 
     # products run on these: CSR copies when A is sparse
     a, a_op, (e_op, r_op) = msys.sys.a, msys.sys.ops[0], msys.model_ops
-    lu = scipy.linalg.lu_factor(a) if solver == "direct" else None
+    lu = scipy.linalg.lu_factor(as_dense(a)) if solver == "direct" else None
 
     x = x0
     t = t0

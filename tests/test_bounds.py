@@ -167,13 +167,14 @@ def test_spectral_interval_spectrum_in_the_arithmetic_of_the_data(monkeypatch, c
 
 def _max_imag_oracle(sysm):
     """max |Im mu| over spec(H^{-1} S) from a dense nonsymmetric eigensolver."""
-    return float(np.max(np.abs(scipy.linalg.eigvals(np.linalg.solve(sysm.h, sysm.s)).imag)))
+    return float(np.max(np.abs(scipy.linalg.eigvals(
+        np.linalg.solve(dk.as_dense(sysm.h), dk.as_dense(sysm.s))).imag)))
 
 
 def _n_by_n_route(sysm):
     """(lam, max_real_part) by the n x n congruence M = L^{-1} S L^{-*}, call for call."""
     low = dense_lower(sysm.h_factor)
-    tmp = scipy.linalg.solve_triangular(low, sysm.s, lower=True)
+    tmp = scipy.linalg.solve_triangular(low, dk.as_dense(sysm.s), lower=True)
     m = scipy.linalg.solve_triangular(low, tmp.conj().T, lower=True).conj().T
     skew = (m - m.conj().T) / 2
     theta2 = np.linalg.eigvalsh(skew.conj().T @ skew)
@@ -388,7 +389,7 @@ def test_band_factor_route_matches_the_dense_factor_route(convection, complex_, 
     # route runs.  Both routes solve on the band by tbtrs alone.
     model = dk.from_descriptor({"name": "stokes", "params": {
         "grid_n": 12, "viscosity": 100.0, "stabilization": 0.005, "convection": convection}})
-    a = np.array(dk.midpoint_system(model, 1e-3).sys.a)
+    a = dk.midpoint_system(model, 1e-3).sys.a.toarray()
     if complex_:
         a = _complex_band_variant(a)
     runs = []

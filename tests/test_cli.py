@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -433,7 +434,7 @@ def test_manifest_records_product_operators_and_sparse_reference(tmp_path, monke
     system = dk.from_descriptor(model)
     expected = []
     for tau in taus:
-        a = dk.midpoint_system(system, tau).sys.a
+        a = dk.as_dense(dk.midpoint_system(system, tau).sys.a)
         expected.append({"tau": tau, "products": products, "nnz_a": int(np.count_nonzero(a)),
                          **factor})
         b = np.random.default_rng(7).standard_normal(a.shape[0])
@@ -445,6 +446,37 @@ def test_manifest_records_product_operators_and_sparse_reference(tmp_path, monke
         assert err0 == pytest.approx(np.sqrt(x @ h @ x), rel=1e-10)
     assert manifest["operators"] == expected
     assert all(row["converged"] for row in table.rows)
+
+
+def _count_densify(monkeypatch):
+    """Log the shape of each matrix that ``hs_core.as_dense`` converts, wherever it is bound."""
+    calls, as_dense = [], dk.hs_core.as_dense
+
+    def counted(m):
+        calls.append(m.shape)
+        return as_dense(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dhkrylov" and getattr(module, "as_dense", None) is as_dense:
+            monkeypatch.setattr(module, "as_dense", counted)
+    return calls
+
+
+def test_stokes_bench_path_makes_no_dense_matrix(tmp_path, monkeypatch):
+    # the stokes-pipeline scenario of the benchmark: model, midpoint split,
+    # lam, three solvers, the splu reference and the CSVs, all on CSR
+    model = {"name": "stokes", "params": {"grid_n": 16, "viscosity": 100.0,
+                                          "stabilization": 0.005}}
+    scn = Scenario(model=model, tau_list=[1e-3, 1e-4],
+                   solvers=["widlund", "rapoport", "lgmres"], tol=1e-12, maxit=250,
+                   rhs={"kind": "random", "seed": 1})
+    calls = _count_densify(monkeypatch)
+    table = run_scenario(scn, tmp_path / "run")
+    assert all(row["converged"] for row in table.rows) and len(table.rows) == 6
+    assert calls == []
+    # the counter sees the conversions that do happen: HSS needs dense H and S
+    dk.midpoint_system(dk.from_descriptor(model), 1e-3).sys.hss_factors
+    assert calls and all(shape == (735, 735) for shape in calls)
 
 
 def test_integrate_subcommand(tmp_path):

@@ -112,7 +112,7 @@ def test_stokes_index_by_stabilization():
 def test_stokes_divergence_full_row_rank_minimal_grid():
     sys = dk.assemble_stokes_like(2)
     nv = dk.midpoint_saddle_blocks(sys, 1e-2)[2][0]
-    b_star = -sys.j[nv:, :nv]
+    b_star = -sys.j.toarray()[nv:, :nv]
     svals = np.linalg.svd(b_star, compute_uv=False)
     assert svals[-1] > 1e-10 * svals[0]
     assert b_star.shape == (3, 4)
@@ -121,12 +121,21 @@ def test_stokes_divergence_full_row_rank_minimal_grid():
 def test_stokes_structure():
     sys = dk.assemble_stokes_like(3, viscosity=2.0, convection=1.5, stabilization=0.25)
     nv = 2 * 3 * 2  # 2 g (g - 1) velocities on grid g = 3
-    a_s = sys.j[:nv, :nv]
+    a_s = sys.j.toarray()[:nv, :nv]
     assert np.max(np.abs(a_s + a_s.T)) < 1e-14
     assert np.max(np.abs(a_s)) > 0
     # dissipation blocks: viscous Laplacian PSD, stabilization on pressure
-    assert np.linalg.eigvalsh(sys.r[:nv, :nv])[0] >= 0
-    assert np.allclose(sys.r[nv:, nv:], 0.25 * np.eye(8))
+    assert np.linalg.eigvalsh(sys.r.toarray()[:nv, :nv])[0] >= 0
+    assert np.allclose(sys.r.toarray()[nv:, nv:], 0.25 * np.eye(8))
+
+
+def _grid_shift(nx, ny):
+    """1 at (a, b) when node b follows node a along either axis of an nx-by-ny grid.
+
+    Node (i, j) has flat index i * ny + j.  Stencils are built as
+    ``c * F - c * F.T`` from this nonnegative F, so every zero stays +0.0.
+    """
+    return np.kron(np.eye(nx, k=1), np.eye(ny)) + np.kron(np.eye(nx), np.eye(ny, k=1))
 
 
 @pytest.mark.parametrize("grid_n, viscosity, convection, stabilization",
@@ -136,18 +145,20 @@ def test_stokes_assembly_bitwise_equal_to_block_diag_build(grid_n, viscosity, co
                                                            stabilization):
     # the reference is the scipy.linalg.block_diag assembly of the same stencils
     sys = dk.assemble_stokes_like(grid_n, viscosity, convection, stabilization)
+    sys_e, sys_j, sys_r = sys.e.toarray(), sys.j.toarray(), sys.r.toarray()
     h = 1.0 / grid_n
-    fwd = scipy.linalg.block_diag(dk.dhdae._grid_shift(grid_n - 1, grid_n),
-                                  dk.dhdae._grid_shift(grid_n, grid_n - 1))
+    fwd = scipy.linalg.block_diag(_grid_shift(grid_n - 1, grid_n),
+                                  _grid_shift(grid_n, grid_n - 1))
     nv, n_p = fwd.shape[0], grid_n * grid_n - 1
     amp = 0.5 * convection * h
     lap = 4.0 * np.eye(nv) - fwd - fwd.T
     e = scipy.linalg.block_diag((h * h) * np.eye(nv), np.zeros((n_p, n_p)))
     r = scipy.linalg.block_diag(viscosity * lap, stabilization * np.eye(n_p))
-    assert sys.e.tobytes() == e.tobytes() and sys.r.tobytes() == r.tobytes()
-    assert sys.j[:nv, :nv].tobytes() == (amp * fwd - amp * fwd.T).tobytes()
-    assert sys.j[:nv, nv:].tobytes() == (-sys.j[nv:, :nv]).T.copy().tobytes()
-    assert not sys.j[nv:, nv:].any()
+    assert sys_e.tobytes() == e.tobytes() and sys_r.tobytes() == r.tobytes()
+    assert sys_j[:nv, :nv].tobytes() == (amp * fwd - amp * fwd.T).tobytes()
+    # 0.0 - x, not -x: a CSR J densifies with +0.0 for every absent entry
+    assert sys_j[:nv, nv:].tobytes() == (0.0 - sys_j[nv:, :nv]).T.copy().tobytes()
+    assert not sys_j[nv:, nv:].any()
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +205,7 @@ def test_index_oracle_agrees_on_all_model_cases():
     ]
     for sys, expected in cases:
         assert dk.index_classify(sys).index.value == expected
-        assert pencil_index_exact(sys.e, sys.operator()) == expected
+        assert pencil_index_exact(dk.as_dense(sys.e), dk.as_dense(sys.operator())) == expected
 
 
 def test_index_invariant_under_unitary_congruence():
@@ -241,7 +252,9 @@ def test_from_parts_copies_the_callers_arrays_and_freezes_its_own():
         assert mine.flags.writeable and not np.shares_memory(mine, kept)
         assert np.array_equal(mine, kept) and not kept.flags.writeable
     stokes = dk.assemble_stokes_like(3, stabilization=0.1)
-    assert not (stokes.e.flags.writeable or stokes.j.flags.writeable or stokes.r.flags.writeable)
+    # the Stokes parts are CSR arrays, read-only in each of their arrays
+    assert not any(getattr(getattr(stokes, m), part).flags.writeable
+                   for m in "ejr" for part in ("data", "indices", "indptr"))
 
 
 def test_zero_source_default():
@@ -288,7 +301,8 @@ def test_from_descriptor_defaults_are_the_registry_params(name):
     entry = dk.MODEL_REGISTRY[name]
     built, listed = dk.from_descriptor({"name": name}), entry["build"](dict(entry["params"]))
     for part in ("e", "j", "r"):
-        assert np.array_equal(getattr(built, part), getattr(listed, part))
+        assert np.array_equal(dk.as_dense(getattr(built, part)),
+                              dk.as_dense(getattr(listed, part)))
     assert np.array_equal(built.f(0.5), listed.f(0.5))
     with pytest.raises(ModelError, match="unknown parameter"):
         dk.from_descriptor({"name": name, "params": {"gridn": 16}})

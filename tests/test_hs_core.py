@@ -39,7 +39,7 @@ def test_saddle_blocks_of_an_assembled_matrix():
         dk.saddle_blocks(np.eye(3))
     with pytest.raises(DimensionError, match="square"):
         dk.saddle_blocks(np.ones((2, 3)))
-    corner = a.copy()  # a zero diagonal with a nonzero entry beside it in the corner
+    corner = a.toarray()  # a zero diagonal with a nonzero entry beside it in the corner
     corner[-1, -2] = corner[-2, -1] = 1.0
     with pytest.raises(DimensionError, match="trailing diagonal block"):
         dk.saddle_blocks(corner)
@@ -307,7 +307,7 @@ BAND_SETUP_CASES = {"stabilized_stokes": 8, "stabilized_stokes_tau_1e-4": 8,
 @pytest.mark.parametrize("case", sorted(SETUP_CASES))
 def test_setup_certifies_dominant_h_without_inverse(case):
     build, expected = SETUP_CASES[case]
-    a = np.array(build())
+    a = dk.as_dense(build())
     with _Kernels() as kernels:
         sysm = dk.HsSplitSystem.from_matrix(a)
     assert kernels.names.count("trtri") == expected
@@ -363,7 +363,7 @@ def test_product_operators_are_csr_copies_of_sparse_systems(case):
         assert isinstance(op, scipy.sparse.csr_array) and op.has_canonical_format
         # exactly the nonzero entries of the field
         assert np.all(op.data != 0)
-        assert _bits(op.toarray()) == _bits(field)
+        assert _bits(op.toarray()) == _bits(dk.as_dense(field))
 
 
 def test_product_operators_pass_non_arrays_through():
@@ -374,7 +374,7 @@ def test_product_operators_pass_non_arrays_through():
         def __matmul__(self, x):
             return self.m @ x
 
-    sysm = OPS_CASES["stabilized_stokes_grid12"][0]()
+    sysm = dk.HsSplitSystem.from_matrix(OPS_CASES["stabilized_stokes_grid12"][0]().a.toarray())
     # the pattern is read from a: without an array a every field serves
     no_a = dataclasses.replace(sysm, a=Op(sysm.a))
     assert all(op is field for op, field in zip(no_a.ops, (no_a.a, no_a.h, no_a.s)))
@@ -382,6 +382,58 @@ def test_product_operators_pass_non_arrays_through():
     a_op, h_op, s_op = no_h.ops
     assert h_op is no_h.h
     assert _bits(a_op.toarray()) == _bits(sysm.a) and _bits(s_op.toarray()) == _bits(sysm.s)
+
+
+# the parameters of the Stokes models whose CSR midpoint matrix is split both ways
+PARITY_MODELS = {
+    "stabilized": {"viscosity": 100.0, "stabilization": 0.005},
+    "convective": {"viscosity": 100.0, "convection": 50.0, "stabilization": 0.005},
+    "unstabilized": {"viscosity": 1.0, "stabilization": 0.0},
+}
+
+
+def _same_matrix(x, y):
+    """Bitwise equality of two matrices: CSR part by part when both are CSR, else densified."""
+    if scipy.sparse.issparse(x) and scipy.sparse.issparse(y):
+        return all(_bits(getattr(x, part)) == _bits(getattr(y, part))
+                   for part in ("data", "indices", "indptr"))
+    return _bits(dk.as_dense(x)) == _bits(dk.as_dense(y))
+
+
+@pytest.mark.parametrize("model", sorted(PARITY_MODELS))
+@pytest.mark.parametrize("grid_n", [3, 8, 16])
+def test_csr_split_matches_the_dense_split(grid_n, model):
+    # from_matrix works on the stored entries of a CSR A; the same A as an
+    # ndarray gives bitwise the same split, class, factor and products
+    csr_a = dk.midpoint_system(dk.assemble_stokes_like(grid_n, **PARITY_MODELS[model]),
+                               1e-3).sys.a
+    assert isinstance(csr_a, scipy.sparse.csr_array)
+    sparse, dense = dk.HsSplitSystem.from_matrix(csr_a), dk.HsSplitSystem.from_matrix(
+        csr_a.toarray())
+    for name in ("a", "h", "s"):
+        assert scipy.sparse.issparse(getattr(sparse, name))
+        assert _bits(getattr(sparse, name).toarray()) == _bits(getattr(dense, name))
+    assert sparse.definiteness is dense.definiteness
+    assert (sparse.definiteness is dk.Definiteness.POSITIVE_DEFINITE) == (model != "unstabilized")
+    if sparse.h_factor is None:
+        assert dense.h_factor is None
+        assert _bits(sparse.h_eigenvalues) == _bits(dense.h_eigenvalues)
+    elif sparse.h_factor.band is not None:
+        assert _bits(sparse.h_factor.band) == _bits(dense.h_factor.band)
+    else:
+        assert dense.h_factor.band is None
+        assert _bits(sparse.h_factor.c_lower[0]) == _bits(dense.h_factor.c_lower[0])
+    assert (sparse.h_factor is not None and sparse.h_factor.band is not None) == (
+        grid_n >= 8 and model != "unstabilized")
+    assert all(op is field for op, field in zip(sparse.ops, (sparse.a, sparse.h, sparse.s)))
+    assert all(_same_matrix(x, y) for x, y in zip(sparse.ops, dense.ops))
+    if grid_n == 16 and sparse.h_factor is not None:
+        b = np.random.default_rng(16).standard_normal(sparse.n)
+        for method in ("widlund", "rapoport"):
+            got, want = (dk.solve(method, m, b, tol=1e-12) for m in (sparse, dense))
+            assert got.iterations == want.iterations
+            assert _bits(got.residual_2norm) == _bits(want.residual_2norm)
+            assert _bits(got.solution) == _bits(want.solution)
 
 
 def test_integer_matrices_split_and_classify_as_floats():

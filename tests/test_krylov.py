@@ -525,7 +525,7 @@ def _gmres_parity_system(case):
     if case == "stokes":
         sysm = dk.midpoint_system(
             dk.assemble_stokes_like(12, viscosity=100.0, stabilization=0.005), 1e-3).sys
-        return sysm.a, np.random.default_rng(11).standard_normal(sysm.n), sysm
+        return sysm.a.toarray(), np.random.default_rng(11).standard_normal(sysm.n), sysm
     kind, n = case.split("-")
     rng = np.random.default_rng([61, int(n)])
     sysm = random_hs_system(rng, int(n), cond_h=200.0, lam=2.0, complex_=kind == "complex")
@@ -913,6 +913,20 @@ def test_schur_path_names_a_bad_b():
                             (nan_b, StructureError, "B has non-finite entries")):
         with pytest.raises(error, match=match):
             dk.solve_via_schur(a11, b, np.ones(nv), np.zeros(n_p))
+
+
+def test_schur_path_names_a_bad_f_or_g():
+    sys = dk.assemble_stokes_like(3, stabilization=0.0)
+    a11, b_block, (nv, n_p) = dk.midpoint_saddle_blocks(sys, 1e-2)
+    f, g = np.ones(nv), np.zeros(n_p)
+    for bad_f, bad_g, error, match in (
+            (np.ones(nv + 1), g, DimensionError,
+             rf"f must have shape \({nv},\), got \({nv + 1},\)"),
+            (f, np.zeros(n_p + 1), DimensionError,
+             rf"g must have shape \({n_p},\), got \({n_p + 1},\)"),
+            (np.full(nv, np.nan), g, StructureError, "f has non-finite entries")):
+        with pytest.raises(error, match=match):
+            dk.solve_via_schur(a11, b_block, bad_f, bad_g)
 
 
 # ---------------------------------------------------------------------------

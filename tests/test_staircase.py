@@ -165,7 +165,7 @@ def test_stokes_schur_complement_formula():
     tau = 0.05
     a11, b, (nv, n_p) = dk.midpoint_saddle_blocks(sys, tau)
     rep = dk.solve_via_schur(a11, b, np.ones(nv), np.ones(n_p), tol=1e-10)
-    b_m = sys.j[:nv, nv:]
+    b_m = sys.j.toarray()[:nv, nv:]
     expected = (tau**2 / 4) * b_m.T @ np.linalg.solve(a11, b_m)
     comp = rep.schur_matrix
     assert np.linalg.norm(comp - expected, 2) <= 1e-10 * np.linalg.norm(expected, 2)

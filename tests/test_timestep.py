@@ -1,6 +1,7 @@
 import collections
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ def _consistent_x0(sys, rng):
     """A random x0 whose kernel coordinates (the last ones, here) solve the constraints."""
     n_alg = dk.nullspace_of_e(sys).shape[1]
     x0 = rng.standard_normal(sys.n)
-    jr, alg = sys.operator(), slice(sys.n - n_alg, None)
+    jr, alg = dk.as_dense(sys.operator()), slice(sys.n - n_alg, None)
     rest = jr[alg, :-n_alg] @ x0[:-n_alg] + np.asarray(sys.f(0.0))[alg]
     x0[alg] = -np.linalg.solve(jr[alg, alg], rest)
     return x0
@@ -207,7 +208,7 @@ def test_consistency_decisions_need_no_svd(model, monkeypatch):
     x_ok = _consistent_x0(sys, rng)
     x_bad = x_ok.copy()
     x_bad[-1] += np.linalg.norm(x_ok)
-    jr = sys.operator()
+    jr = dk.as_dense(sys.operator())
     v_null = dk.nullspace_of_e(sys)
     f0 = np.asarray(sys.f(0.0))
     old = [np.linalg.norm(v_null.T @ (jr @ x + f0))
@@ -332,6 +333,8 @@ def test_integrate_on_csr_products_matches_dense_products(solver, monkeypatch):
     assert isinstance(dk.midpoint_system(model, 1e-3).sys.ops[0], scipy.sparse.csr_array)
     csr = dk.integrate(model, x0, 1e-3, 12, solver=solver)
     monkeypatch.setattr(dk.hs_core, "_CSR_MIN_N", model.n + 1)
+    # the same model with dense E, J and R
+    model = dk.DhDaeSystem.from_parts(model.e.toarray(), model.j.toarray(), model.r.toarray())
     assert isinstance(dk.midpoint_system(model, 1e-3).sys.ops[0], np.ndarray)
     dense = dk.integrate(model, x0, 1e-3, 12, solver=solver)
     assert np.array_equal(csr.iterations, dense.iterations)
@@ -355,6 +358,8 @@ def test_integrate_on_csr_model_products_matches_dense_model_products(solver, mo
     csr = dk.integrate(model, x0, 1e-3, 12, solver=solver)
     monkeypatch.setattr(dk.timestep.MidpointSystem, "model_ops",
                         property(lambda self: (self.source.e, self.source.r)))
+    # the same model with dense E, J and R
+    model = dk.DhDaeSystem.from_parts(model.e.toarray(), model.j.toarray(), model.r.toarray())
     dense = dk.integrate(model, x0, 1e-3, 12, solver=solver)
     assert np.array_equal(csr.iterations, dense.iterations)
     scale = np.linalg.norm(dense.states, axis=1).max()
@@ -376,11 +381,30 @@ def test_trajectory_csv_schema(tmp_path):
     assert float(rows[1][0]) == 0.0
 
 
+def test_stokes_grid_64_sets_up_and_solves_in_sparse_memory():
+    # n = 12,159: one dense n x n float64 array would take 1.18 GB
+    tracemalloc.start()
+    try:
+        model = dk.from_descriptor({"name": "stokes", "params": {
+            "grid_n": 64, "viscosity": 100.0, "stabilization": 0.005}})
+        msys = dk.midpoint_system(model, 1e-3)
+        b = np.random.default_rng(64).standard_normal(msys.n)
+        reps = [dk.solve(method, msys.sys, b, tol=1e-10) for method in ("widlund", "rapoport")]
+        residuals = [np.linalg.norm(b - msys.sys.ops[0] @ rep.solution) for rep in reps]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert msys.n == 12159 and msys.sys.h_factor.band.shape == (65, 12159)  # kd = 64
+    assert all(rep.converged for rep in reps)
+    assert max(residuals) <= 1e-10 * np.linalg.norm(b)
+    assert peak < 64 * 2**20
+
+
 def test_midpoint_saddle_blocks_extraction():
     sys = dk.assemble_stokes_like(3, stabilization=0.0)
     tau = 1e-2
     a11, b, (nv, np_) = dk.midpoint_saddle_blocks(sys, tau)
-    a_full = sys.e + tau / 2 * (sys.r - sys.j)
+    a_full = (sys.e + tau / 2 * (sys.r - sys.j)).toarray()
     assert np.array_equal(a11, a_full[:nv, :nv])
     assert np.array_equal(b, a_full[:nv, nv:])
     assert np.max(np.abs(a_full[nv:, :nv] + b.conj().T)) < 1e-14
