@@ -8,10 +8,10 @@ M = L^{-1} S L^{-*} (Cholesky congruence, H = L L*), which is similar to K,
 so the purely-imaginary property is enforced structurally rather than
 trusted to a nonsymmetric eigensolver.  The eigenvalues of the Gram matrix
 M* M = -M^2 are the squares of the moduli |Im mu| over spec(K), so lam is
-the square root of its largest eigenvalue; on real data that is a real
-symmetric eigenproblem.  L is the system's own factor, ``sys.h_factor``;
-nothing here factors H.  The congruence runs on that factor
-(``HermitianFactor.solve_lower``): ``trsm`` on a dense L, and LAPACK
+the square root of its largest eigenvalue, computed alone; on real data
+that is a real symmetric eigenproblem.  L is the system's own factor,
+``sys.h_factor``; nothing here factors H.  The congruence runs on that
+factor (``HermitianFactor.solve_lower``): ``trsm`` on a dense L, and LAPACK
 ``tbtrs`` on a band factor in O(n kd) per column, with no dense L built.
 
 A two-part coupling takes a reduced route.  When the coordinates split into
@@ -19,15 +19,14 @@ P and Q with S_PP = S_QQ = 0 and H_PQ = 0, as in the Stokes saddle system
 without convection, the RLC circuit and canonical position/momentum
 Hamiltonians, the Cholesky factor has L_PQ = L_QP = 0, so L_P and L_Q are
 principal blocks of L (``HermitianFactor.principal_block``; on a band
-factor a band of at most the same width, and kd = 0 for a diagonal block)
-and M = [[0, Y], [Z, 0]] with Y = L_P^{-1} S_PQ L_Q^{-*}
-and Z = L_Q^{-1} S_QP L_P^{-*} = -Y* up to rounding.  Then spec(K) =
-+-i sigma(Y) (Golub & Van Loan, *Matrix Computations*, §8.6), and
-lam is the largest singular value of the skew part (Y - Z*)/2, taken from
-the smaller of its two Gram matrices.  The split and the blocks S_PQ, S_QP
-are read off the exact zero patterns of H and S, from their CSR copies when
-the system has them (``HsSplitSystem.ops``); every other input takes the
-n x n route.
+factor a band of at most the same width, and kd = 0 for a diagonal block).
+With S exactly skew, S + S* = 0 bit for bit as ``HsSplitSystem.from_matrix``
+makes it, M = [[0, Y], [-Y*, 0]] with Y = L_P^{-1} S_PQ L_Q^{-*}.  Then
+spec(K) = +-i sigma(Y) (Golub & Van Loan, *Matrix Computations*, §8.6), and
+lam is the largest singular value of Y, taken from the smaller of its two
+Gram matrices.  The split and the block S_PQ are read off the exact zero
+patterns of H and S, from their CSR copies when the system has them
+(``HsSplitSystem.ops``); every other input takes the n x n route.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import DefinitenessError
-from .hs_core import Definiteness, HsSplitSystem, as_dense
+from .hs_core import Definiteness, HsSplitSystem, as_dense, skew_deviation
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,8 @@ class SpectralInterval:
     By Bendixson's theorem it bounds |Re mu| over the eigenvalues of K, as
     any norm of that residue does; it should be tiny relative to ``lam`` and
     is reported as a sanity value.  On the n x n route the residue is formed
-    from M itself.  On the two-part route M's diagonal blocks are exact
-    zeros, so the same norm is sqrt(2) ||(Y + Z*)/2||_F from the coupling
-    blocks Y and Z alone.
+    from M itself.  On the two-part route S is exactly skew and M is
+    [[0, Y], [-Y*, 0]], so the residue is exactly zero and the value is 0.0.
     """
 
     lam: float
@@ -71,23 +69,30 @@ def _congruence(left, x, right):
 
 
 def _half_width(gram):
-    """sqrt of the largest eigenvalue of a Hermitian positive semidefinite Gram matrix."""
-    # real arithmetic on real data
-    theta2 = np.linalg.eigvalsh(gram)
-    return float(np.sqrt(max(theta2[-1], 0.0)))
+    """sqrt of the largest eigenvalue of a Hermitian positive semidefinite Gram matrix.
+
+    LAPACK ``syevr`` computes that eigenvalue alone and may overwrite ``gram``.
+    """
+    m = gram.shape[0]
+    top = scipy.linalg.eigvalsh(gram, subset_by_index=[m - 1, m - 1], overwrite_a=True,
+                                check_finite=False)
+    return float(np.sqrt(max(top[0], 0.0)))
 
 
 def _two_part_split(h, s):
     """Coordinates ``(p, q)`` with S_pp = S_qq = 0 and H_pq = 0, or None.
 
     ``h`` and ``s`` are a system's product operators (``HsSplitSystem.ops``),
-    dense or CSR.  The split is a 2-colouring of the graph of S in which
-    every edge of the graph of H joins equal colours, read from the exact
-    zero patterns.  On the signed double cover (node i as i and n + i) an
-    edge of H joins i-j and n+i-n+j, an edge of S joins i-n+j and n+i-j; a
-    colouring exists iff no component holds both copies of a node, and the
-    copy with the smaller component label then picks the part.
+    dense or CSR.  An ``s`` with S + S* != 0 gives None.  The split is a
+    2-colouring of the graph of S in which every edge of the graph of H joins
+    equal colours, read from the exact zero patterns.  On the signed double
+    cover (node i as i and n + i) an edge of H joins i-j and n+i-n+j, an edge
+    of S joins i-n+j and n+i-j; a colouring exists iff no component holds
+    both copies of a node, and the copy with the smaller component label
+    then picks the part.
     """
+    if skew_deviation(s) != 0.0:
+        return None
     # imported here: csgraph adds about 1 MB to a process that never asks for lam
     import scipy.sparse.csgraph
 
@@ -128,21 +133,16 @@ def _block(m, rows, cols):
 
 
 def _two_part_interval(factor, s, p, q):
-    """The interval from the coupling blocks Y = L_P^{-1} S_PQ L_Q^{-*}, Z = L_Q^{-1} S_QP L_P^{-*}.
+    """The interval from the coupling block Y = L_P^{-1} S_PQ L_Q^{-*} of an exactly skew ``s``.
 
     H_PQ = 0 makes L_QP = 0 in the system's own factor, so L_P and L_Q are
     its principal blocks and nothing is refactored.  ``s`` is dense or CSR.
     """
     if not (p.size and q.size):
         return SpectralInterval(0.0, 0.0)  # then S = 0
-    low_p, low_q = factor.principal_block(p), factor.principal_block(q)
-    y = _congruence(low_p, _block(s, p, q), low_q)
-    z = _congruence(low_q, _block(s, q, p), low_p)
-    skew = (y - z.conj().T) / 2
-    gram = skew.conj().T @ skew if p.size >= q.size else skew @ skew.conj().T
-    lam = _half_width(gram)
-    max_real = math.sqrt(2.0) * float(np.linalg.norm((y + z.conj().T) / 2))
-    return SpectralInterval(lam=lam, max_real_part=max_real)
+    y = _congruence(factor.principal_block(p), _block(s, p, q), factor.principal_block(q))
+    gram = y.conj().T @ y if p.size >= q.size else y @ y.conj().T
+    return SpectralInterval(lam=_half_width(gram), max_real_part=0.0)
 
 
 def spectral_interval(sys: HsSplitSystem) -> SpectralInterval:

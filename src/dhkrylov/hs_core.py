@@ -582,11 +582,11 @@ class HsSplitSystem:
 # ---------------------------------------------------------------------------
 
 def write_matrix(path, a):
-    """Write a matrix, densified if sparse, in Matrix Market array format.
+    """Write a matrix in Matrix Market coordinate format if sparse, else array format.
 
     17 significant digits round-trip float64/complex128 entries bit-exactly.
     """
-    mmwrite(str(path), as_dense(a), precision=17)
+    mmwrite(str(path), a, precision=17)
 
 
 def read_matrix(path):

@@ -32,6 +32,30 @@ def holds_n_by_n_array(factor):
                for v in vars(factor).values())
 
 
+def record_eigen_kernels(monkeypatch, record):
+    """Patch the Hermitian eigenvalue kernels to call ``record(kernel, order, dtype)`` first.
+
+    ``kernel`` names the call: "eigvalsh" for ``np.linalg.eigvalsh``, the
+    whole spectrum; "top_eigenvalue" for ``scipy.linalg.eigvalsh`` asked for
+    the largest eigenvalue alone (``subset_by_index=[m - 1, m - 1]``); and
+    "scipy.linalg.eigvalsh" for any other call of it.  ``order`` and
+    ``dtype`` are those of the matrix.
+    """
+    def kernel_name(owner, a, kwargs):
+        if owner is np.linalg:
+            return "eigvalsh"
+        top = [a.shape[0] - 1] * 2
+        return "top_eigenvalue" if list(kwargs.get("subset_by_index", ())) == top \
+            else "scipy.linalg.eigvalsh"
+
+    for owner in (np.linalg, scipy.linalg):
+        def recorded(a, *args, _owner=owner, _original=owner.eigvalsh, **kwargs):
+            record(kernel_name(_owner, a, kwargs), a.shape[0], a.dtype)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "eigvalsh", recorded)
+
+
 def random_unitary(rng, n, complex_=False):
     g = rng.standard_normal((n, n))
     if complex_:

@@ -13,6 +13,7 @@ from support import (
     random_hs_system,
     random_spd,
     random_unitary,
+    record_eigen_kernels,
 )
 
 
@@ -154,15 +155,9 @@ def test_spectral_interval_spectrum_in_the_arithmetic_of_the_data(monkeypatch, c
     # a real system takes its one spectrum in real arithmetic, with no complex copy
     sysm = random_hs_system(np.random.default_rng(29), 25, lam=0.7, complex_=complex_)
     seen = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def recorded(a, *args, **kwargs):
-        seen.append(a.dtype)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    record_eigen_kernels(monkeypatch, lambda kernel, order, dtype: seen.append((kernel, dtype)))
     assert dk.spectral_interval(sysm).lam == pytest.approx(0.7, rel=1e-12)
-    assert seen == [dtype]
+    assert seen == [("top_eigenvalue", dtype)]
 
 
 def _max_imag_oracle(sysm):
@@ -177,23 +172,22 @@ def _n_by_n_route(sysm):
     tmp = scipy.linalg.solve_triangular(low, dk.as_dense(sysm.s), lower=True)
     m = scipy.linalg.solve_triangular(low, tmp.conj().T, lower=True).conj().T
     skew = (m - m.conj().T) / 2
-    theta2 = np.linalg.eigvalsh(skew.conj().T @ skew)
+    theta2 = scipy.linalg.eigvalsh(skew.conj().T @ skew, subset_by_index=[sysm.n - 1, sysm.n - 1],
+                                   overwrite_a=True, check_finite=False)
     return float(np.sqrt(max(theta2[-1], 0.0))), float(np.linalg.norm((m + m.conj().T) / 2))
 
 
 def _traced_interval(sysm):
-    """spectral_interval with the orders of its eigvalsh, triangular-solve and band-solve matrices.
+    """spectral_interval with the orders of its eigenvalue, triangular and band-solve matrices.
 
-    The band kernel is LAPACK ``tbtrs``, which ``HermitianFactor.solve_lower``
-    runs on a band factor; its order is the number of columns of the band.
+    "eigvalsh" records whole spectra and "top_eigenvalue" largest eigenvalues
+    alone (``record_eigen_kernels``).  The band kernel is LAPACK ``tbtrs``,
+    which ``HermitianFactor.solve_lower`` runs on a band factor; its order is
+    the number of columns of the band.
     """
-    seen = {"eigvalsh": [], "solve_triangular": [], "tbtrs": []}
-    eigvalsh, solve_triangular = np.linalg.eigvalsh, scipy.linalg.solve_triangular
+    seen = {"eigvalsh": [], "top_eigenvalue": [], "solve_triangular": [], "tbtrs": []}
+    solve_triangular = scipy.linalg.solve_triangular
     get_lapack_funcs = scipy.linalg.lapack.get_lapack_funcs
-
-    def rec_eigvalsh(a, *args, **kwargs):
-        seen["eigvalsh"].append(a.shape[0])
-        return eigvalsh(a, *args, **kwargs)
 
     def rec_solve_triangular(a, *args, **kwargs):
         seen["solve_triangular"].append(a.shape[0])
@@ -211,7 +205,7 @@ def _traced_interval(sysm):
         return (rec_tbtrs,)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "eigvalsh", rec_eigvalsh)
+        record_eigen_kernels(mp, lambda kernel, order, dtype: seen[kernel].append(order))
         mp.setattr(scipy.linalg, "solve_triangular", rec_solve_triangular)
         mp.setattr(scipy.linalg.lapack, "get_lapack_funcs", rec_get_lapack_funcs)
         interval = dk.spectral_interval(sysm)
@@ -268,29 +262,34 @@ def test_two_part_interval_matches_oracle_on_the_reduced_route(sizes, seed, comp
     assert interval.max_real_part <= 1e-10 * interval.lam
     if not np.any(sysm.s):
         assert interval.lam == 0.0
-        assert seen == {"eigvalsh": [], "solve_triangular": [], "tbtrs": []}
+        assert seen == {"eigvalsh": [], "top_eigenvalue": [], "solve_triangular": [], "tbtrs": []}
         return
     assert interval.lam == pytest.approx(_max_imag_oracle(sysm), rel=1e-12, abs=0.0)
-    assert len(seen["eigvalsh"]) == 1 and n not in seen["solve_triangular"]
+    assert seen["eigvalsh"] == [] and len(seen["top_eigenvalue"]) == 1
+    assert n not in seen["solve_triangular"]
     if density == 1.0:
-        assert seen["eigvalsh"] == [min(p.size, q.size)]
+        assert seen["top_eigenvalue"] == [min(p.size, q.size)]
         assert set(seen["solve_triangular"]) == {p.size, q.size}
     else:
-        assert 2 * seen["eigvalsh"][0] <= n
+        assert 2 * seen["top_eigenvalue"][0] <= n
 
 
 def test_two_part_residue_is_the_n_by_n_residue():
-    # with S_QP != -S_PQ* the Hermitian residue of M is not rounding: the
-    # two-part route must report its Frobenius norm and the sigma_max of its
+    # with S_QP != -S_PQ* on the two-part pattern the Hermitian residue of M
+    # is not rounding: S is not exactly skew, so spectral_interval takes the
+    # n x n route and reports its Frobenius norm and the sigma_max of its
     # skew part, as M itself gives them
     rng = np.random.default_rng(83)
     a, p, q = _two_part_system(rng, 12, 5, True, 1.0)
-    sysm = dk.HsSplitSystem.from_matrix(a)
-    s = sysm.s.copy()
+    split = dk.HsSplitSystem.from_matrix(a)
+    s = split.s.copy()
     s[np.ix_(q, p)] += 0.3 * (rng.standard_normal((q.size, p.size))
                               + 1j * rng.standard_normal((q.size, p.size)))
+    sysm = dk.HsSplitSystem(a=split.h + s, h=split.h, s=s, definiteness=split.definiteness,
+                            h_factor=split.h_factor)
     low = dense_lower(sysm.h_factor)
-    interval = dk.bounds._two_part_interval(sysm.h_factor, s, p, q)
+    interval, seen = _traced_interval(sysm)
+    assert seen["top_eigenvalue"] == [12] and set(seen["solve_triangular"]) == {12}
     tmp = scipy.linalg.solve_triangular(low, s, lower=True)
     m = scipy.linalg.solve_triangular(low, tmp.conj().T, lower=True).conj().T
     assert interval.max_real_part == pytest.approx(np.linalg.norm((m + m.conj().T) / 2),
@@ -334,7 +333,7 @@ def test_spectral_interval_without_two_parts_takes_the_n_by_n_route(name):
     # rounding-level entries in both diagonal blocks: no split, bitwise as before
     sysm = _fallback_systems()[name]
     interval, seen = _traced_interval(sysm)
-    assert seen["eigvalsh"] == [sysm.n]
+    assert seen["eigvalsh"] == [] and seen["top_eigenvalue"] == [sysm.n]
     assert set(seen["solve_triangular"]) == {sysm.n}
     assert (interval.lam, interval.max_real_part) == _n_by_n_route(sysm)
     assert interval.lam == pytest.approx(_max_imag_oracle(sysm), rel=1e-12, abs=0.0)
@@ -354,7 +353,8 @@ def test_two_part_route_agrees_with_the_n_by_n_route(desc, tau, lam_n_by_n):
     # into two parts; lam_n_by_n is the n x n route's value before the split
     sysm = dk.midpoint_system(dk.from_descriptor(desc), tau).sys
     interval, seen = _traced_interval(sysm)
-    assert len(seen["eigvalsh"]) == 1 and seen["eigvalsh"][0] < sysm.n
+    assert seen["eigvalsh"] == [] and len(seen["top_eigenvalue"]) == 1
+    assert seen["top_eigenvalue"][0] < sysm.n
     assert sysm.n not in seen["solve_triangular"]
     if sysm.h_factor.band is not None:
         # Stokes at grid 16 holds a band factor: tbtrs on the principal band
@@ -371,6 +371,47 @@ def test_two_part_route_agrees_with_the_n_by_n_route(desc, tau, lam_n_by_n):
         assert lam == pytest.approx(lam_n_by_n, rel=1e-14, abs=0.0)
     assert interval.lam == pytest.approx(lam, rel=1e-14, abs=0.0)
     assert abs(interval.max_real_part - max_real) <= 1e-10 * lam
+
+
+PIPELINE_KERNEL_CASES = {
+    "stokes-tau1e-3": (STOKES_PIPELINE, 1e-3),
+    "stokes-tau1e-4": (STOKES_PIPELINE, 1e-4),
+    "convective-stokes": ({"name": "stokes", "params": {**STOKES_PIPELINE["params"],
+                                                        "convection": 50.0}}, 1e-3),
+    "mechanical": ({"name": "mechanical", "params": {"n": 20}}, 1e-3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_KERNEL_CASES))
+def test_spectral_interval_kernels_on_the_pipeline_systems(case, monkeypatch):
+    # the stokes-pipeline system takes the two-part route: one dense |P| x |Q|
+    # block S_PQ, one congruence on the principal band blocks of L (tbtrs at
+    # orders 480 and 255) and the top eigenvalue of the 255 x 255 Gram matrix.
+    # Convective Stokes and mechanical, whose S is exactly skew too, keep the
+    # n x n route.
+    desc, tau = PIPELINE_KERNEL_CASES[case]
+    sysm = dk.midpoint_system(dk.from_descriptor(desc), tau).sys
+    assert dk.hs_core.skew_deviation(sysm.ops[2]) == 0.0
+    blocks, block = [], dk.bounds._block
+
+    def recorded(m, rows, cols):
+        out = block(m, rows, cols)
+        blocks.append(out.shape)
+        return out
+
+    monkeypatch.setattr(dk.bounds, "_block", recorded)
+    interval, seen = _traced_interval(sysm)
+    assert seen["eigvalsh"] == []
+    parts = dk.bounds._two_part_split(*sysm.ops[1:])
+    if case.startswith("stokes"):
+        p, q = parts
+        assert sorted((p.size, q.size)) == [255, 480] and blocks == [(p.size, q.size)]
+        assert sorted(seen["tbtrs"]) == [255, 480] and seen["solve_triangular"] == []
+        assert seen["top_eigenvalue"] == [255] and interval.max_real_part == 0.0
+    else:
+        assert parts is None and blocks == [] and seen["top_eigenvalue"] == [sysm.n]
+        assert seen["tbtrs"] + seen["solve_triangular"] == [sysm.n, sysm.n]
+    assert interval.lam == pytest.approx(_max_imag_oracle(sysm), rel=1e-12, abs=0.0)
 
 
 def _complex_band_variant(a):
@@ -406,7 +447,7 @@ def test_band_factor_route_matches_the_dense_factor_route(convection, complex_, 
         assert band_seen["tbtrs"] == dense_seen["solve_triangular"] == [407, 407]
     else:
         assert sorted(band_seen["tbtrs"]) == sorted(dense_seen["solve_triangular"])
-        assert band_seen["eigvalsh"][0] < 407
+        assert band_seen["top_eigenvalue"][0] < 407
     assert band.lam == pytest.approx(dense.lam, rel=1e-14, abs=0.0)
     assert band.lam == pytest.approx(_max_imag_oracle(band_sys), rel=1e-12, abs=0.0)
     assert band.max_real_part <= 1e-10 * band.lam

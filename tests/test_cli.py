@@ -45,6 +45,22 @@ def test_models_export_matrix_market(tmp_path):
     assert np.array_equal(dk.read_matrix(out / "r.mtx"), sys.r)
 
 
+def test_models_export_writes_sparse_stokes_in_coordinate_format(tmp_path):
+    # E, J and R of Stokes are CSR: their stored entries, not 12 MB dense files
+    out = tmp_path / "stokes"
+    assert main(["models", "export", "--model", "stokes", "--param", "grid_n=16",
+                 "--out", str(out)]) == 0
+    model = dk.from_descriptor({"name": "stokes", "params": {"grid_n": 16}})
+    for name in ("e", "j", "r"):
+        path = out / f"{name}.mtx"
+        assert "coordinate" in path.read_text().splitlines()[0]
+        assert path.stat().st_size < 200_000
+        assert np.array_equal(dk.read_matrix(path), getattr(model, name).toarray())
+    # a dense matrix still goes to array format
+    dk.write_matrix(tmp_path / "dense.mtx", model.e.toarray())
+    assert "array" in (tmp_path / "dense.mtx").read_text().splitlines()[0]
+
+
 def test_bench_widlund_rapoport_iterations_nonincreasing_in_tau(tmp_path):
     # desk-scale analogue of the reported trend: smaller tau, fewer steps
     scn = Scenario(

@@ -19,7 +19,14 @@ from dhkrylov.hs_core import (
     skew_deviation,
 )
 
-from support import dense_lower, holds_n_by_n_array, random_hs_system, random_spd, random_unitary
+from support import (
+    dense_lower,
+    holds_n_by_n_array,
+    random_hs_system,
+    random_spd,
+    random_unitary,
+    record_eigen_kernels,
+)
 
 
 def test_split_identity():
@@ -112,6 +119,27 @@ def test_split_invariants_random(n, seed, complex_):
     assert np.max(np.abs(h + s - a)) <= 1e-13 * scale
     assert hermitian_deviation(h) <= 1e-13 * scale
     assert skew_deviation(s) <= 1e-13 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+       st.sampled_from([1.0, 0.3, 0.05]))
+@example(160, 0, False, False, 0.05)  # a dense A whose products run on CSR copies
+@example(160, 1, True, True, 0.05)
+def test_split_skew_part_is_exactly_skew(n, seed, complex_, sparse, density):
+    # S + S* = 0 bit for bit, on dense and CSR A (the CSR split halves the
+    # stored entries of a - a*): the two-part route of spectral_interval
+    # reads S_PQ alone and takes S_QP = -S_PQ* on this
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * 2.0 ** rng.integers(-60, 61, size=(n, n))
+    if complex_:
+        a = a + 1j * rng.standard_normal((n, n)) * 2.0 ** rng.integers(-60, 61, size=(n, n))
+    a = a * (rng.random((n, n)) < density)
+    sysm = dk.HsSplitSystem.from_matrix(scipy.sparse.csr_array(a) if sparse else a)
+    assert scipy.sparse.issparse(sysm.s) == sparse
+    for s in (sysm.s, sysm.ops[2]):
+        s = dk.as_dense(s)
+        assert np.array_equal(s, -s.conj().T)
 
 
 @pytest.mark.parametrize(
@@ -235,6 +263,9 @@ def _planted_dominant(rng, n, kind, tol, complex_):
     # row i has margin delta_i in [margin, 1 - 2 r_i]; the widest row sets ||h||_inf
     delta = margin + rng.random(n) * np.maximum(1.0 - 2 * radii - margin, 0.0)
     delta[np.argmax(radii)] = margin
+    if n > 1 and not radii.any():
+        # no off-diagonal entry: the planted row cannot reach ||h||_inf = 1, so another row does
+        delta[-1] = 1.0
     h = g + np.diag(radii + delta)
     if kind == "zero_rows" and n > 1:
         zero = rng.random(n) < 0.3
@@ -247,6 +278,7 @@ def _planted_dominant(rng, n, kind, tol, complex_):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans(),
        st.sampled_from(["strict", "weak", "zero_rows"]), st.sampled_from([1e-12, 1e-8]))
+@example(n=2, seed=1203, complex_=False, kind="weak", tol=1e-12)  # a mask with no off-diagonal
 def test_dominance_certificate(n, seed, complex_, kind, tol):
     h = _planted_dominant(np.random.default_rng(seed), n, kind, tol, complex_)
     rows = np.abs(h).sum(axis=1)
@@ -803,9 +835,10 @@ def decompositions(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
-                        (scipy.linalg, "cho_factor"), (scipy.linalg, "cholesky")):
+    for owner, name in ((np.linalg, "eigh"), (scipy.linalg, "cho_factor"),
+                        (scipy.linalg, "cholesky")):
         count(owner, name)
+    record_eigen_kernels(monkeypatch, lambda kernel, order, dtype: counts.update([kernel]))
     from_matrix = dk.HsSplitSystem.from_matrix.__func__
 
     def counted_from_matrix(cls, *args, **kwargs):
@@ -879,7 +912,7 @@ def test_spectral_interval_takes_one_spectrum_and_no_svd(decompositions, monkeyp
     sysm = dk.HsSplitSystem.from_matrix(random_spd(rng, 30) + _skew(rng, 30))
     decompositions.clear()
     interval = dk.spectral_interval(sysm)
-    assert decompositions == {"eigvalsh": 1}
+    assert decompositions == {"top_eigenvalue": 1}
     assert svds == []
     assert 0.0 <= interval.max_real_part <= 1e-10 * interval.lam
 
