@@ -11,8 +11,9 @@ M* M = -M^2 are the squares of the moduli |Im mu| over spec(K), so lam is
 the square root of its largest eigenvalue, computed alone; on real data
 that is a real symmetric eigenproblem.  L is the system's own factor,
 ``sys.h_factor``; nothing here factors H.  The congruence runs on that
-factor (``HermitianFactor.solve_lower``): ``trsm`` on a dense L, and LAPACK
-``tbtrs`` on a band factor in O(n kd) per column, with no dense L built.
+factor (``HermitianFactor.solve_lower``): ``trsm`` on a dense L, and on a
+band factor the forward sweep of BLAS-3 calls over row slabs of L, with no
+dense L built.
 
 A two-part coupling takes a reduced route.  When the coordinates split into
 P and Q with S_PP = S_QQ = 0 and H_PQ = 0, as in the Stokes saddle system

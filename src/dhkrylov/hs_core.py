@@ -13,8 +13,10 @@ of cost, a Gershgorin margin from one pass over ``|h|``, the trace bound
 ``h`` that the margin certifies and whose nonzeros lie in a narrow band
 about the diagonal is factored by LAPACK ``pbtrf`` on its packed band,
 in O(n kd^2) rather than O(n^3) for half-bandwidth kd (Golub & Van Loan,
-*Matrix Computations*, §4.3), and every solve with it runs on that band;
-every other ``h`` by dense ``potrf``.
+*Matrix Computations*, §4.3), and every solve with it runs on that band:
+a vector by LAPACK ``pbtrs``, a block by a blocked sweep of BLAS-3 calls
+over row slabs of L (block substitution, §3.1); every other ``h`` by
+dense ``potrf``.
 :meth:`HsSplitSystem.from_matrix` is the one place that decomposes the
 Hermitian part of a system: the certified Cholesky factor serves every
 H-solve and the half-width computed in :mod:`dhkrylov.bounds`, and the
@@ -65,6 +67,13 @@ _CSR_MAX_FILL = 1 / 16
 #: the ``trsv`` pair.
 _BAND_MIN_N = 128
 _BAND_MAX_FILL = 1 / 16
+
+#: A band factor solves a block by row slabs of order nb = max(kd, _SLAB_MIN).
+#: Below the floor the per-slab BLAS calls cost more than they save.  With
+#: one BLAS thread a 144-column block at kd = 12 (n = 264) takes 0.23-0.24 ms
+#: at nb = 16-40, 0.31 ms at nb = 64 and 1.25 ms by ``pbtrs``; at kd = 16
+#: (n = 735) 0.68-0.71 ms at nb = 24-40 and 0.91 ms at nb = 64.
+_SLAB_MIN = 32
 
 
 class Definiteness(enum.Enum):
@@ -280,6 +289,42 @@ def _band_factor(h):
     return HermitianFactor(c_lower=None, n=n, band=_freeze(band, copy=False)) if info == 0 else None
 
 
+def _band_slabs(band):
+    """The row slabs of the band factor L whose packed band is ``band``.
+
+    Slab k spans rows s:e of L, with s = k nb and nb = max(kd,
+    ``_SLAB_MIN``), and is stored as ``(s, e, d, c)``: ``d = L[s:e, s:e]``,
+    its lower-triangular diagonal block, and ``c = L[s:s + q, s - kd:s]``
+    with q = min(kd, e - s), the upper-triangular block that couples it to
+    the kd rows above it (None on the first slab and for kd = 0).  As
+    nb >= kd, L has no other entries in rows s:e.  The blocks are gathered
+    from the band by indexing, Fortran-ordered and read-only: O(n nb)
+    entries in all.
+    """
+    kd, n = len(band) - 1, band.shape[1]
+    nb = max(kd, _SLAB_MIN)
+    starts = np.arange(0, n, nb)
+    # L[s + i, s + j] = band[i - j, s + j]; a short last slab reads clipped
+    # columns past n into rows and columns that it then drops
+    i, j = np.tril_indices(nb)
+    i, j = i[i - j <= kd], j[i - j <= kd]
+    diag = np.zeros((starts.size, nb, nb), dtype=band.dtype)  # diag[k].T is d, F-ordered
+    diag[:, j, i] = band[i - j, np.minimum(starts[:, None] + j, n - 1)]
+    # L[s + a, s - kd + t] = band[a + kd - t, s - kd + t], nonzero for t >= a
+    a, t = np.triu_indices(kd)
+    coupling = np.zeros((starts.size, kd, kd), dtype=band.dtype)  # coupling[k].T is c
+    coupling[1:, t, a] = band[a + kd - t, starts[1:, None] - kd + t]
+    slabs = []
+    for k, s in enumerate(starts.tolist()):
+        e = min(s + nb, n)
+        d = _freeze(np.asfortranarray(diag[k].T[:e - s, :e - s]), copy=False)
+        c = None
+        if s and kd:
+            c = _freeze(np.asfortranarray(coupling[k].T[:min(kd, e - s)]), copy=False)
+        slabs.append((s, e, d, c))
+    return tuple(slabs)
+
+
 def certify_definiteness(h, tol=DEFAULT_TOL):
     """Definiteness of an exactly Hermitian ``h``, certified by Cholesky first.
 
@@ -350,17 +395,27 @@ class HermitianFactor:
     the scipy ``cho_factor(..., lower=True)`` payload, and ``band`` None.
     A band one has ``c_lower`` None and ``band``, the ``pbtrf`` payload:
     the lower band of L in LAPACK's (kd + 1) x n storage, and holds no
-    other array.
+    other array but the row slabs of L that it caches for block solves.
 
-    On a band factor every vector and block is solved by LAPACK ``pbtrs``
-    in O(n kd) per column.  On a dense factor a vector is solved by two
-    BLAS-2 triangular solves (``trsv``) with L and L* on the
+    On a band factor a vector is solved by LAPACK ``pbtrs`` in O(n kd).  A
+    block of any width is solved by a forward sweep with L and a backward
+    sweep with L* over row slabs of order nb = max(kd, 32): each slab is
+    one ``gemm`` with the block that couples it to the kd rows before it
+    and one ``trsm`` with its diagonal block, in O(n nb) per column but at
+    BLAS-3 speed.  ``pbtrs`` solves a block one column at a time: a
+    (264, 144) block of the grid-12 Schur build (kd = 12) takes 1.25 ms by
+    ``pbtrs`` and 0.26 ms by the sweep with one BLAS thread.  The diagonal and coupling blocks,
+    O(n nb) entries and never an n x n array, are gathered from the band
+    on the first block solve and cached read-only, so a factor that solves
+    only vectors never builds them.  On a dense factor a vector is solved
+    by two BLAS-2 triangular solves (``trsv``) with L and L* on the
     Fortran-ordered payload, which read only its lower triangle; at
     n = 143-800 with one BLAS thread they take 2.5-3.7x less time than
     LAPACK ``potrs``.  A block, and an empty vector, which ``trsv``
     rejects, goes through ``potrs``.  :meth:`solve_lower` and
     :meth:`principal_block` serve the congruences of
-    :mod:`dhkrylov.bounds` on either form.
+    :mod:`dhkrylov.bounds` on either form; on a band, :meth:`solve_lower`
+    is the forward sweep alone.
     """
 
     c_lower: tuple | None
@@ -371,6 +426,8 @@ class HermitianFactor:
         """``h^{-1} b`` for a vector or block ``b``; a non-finite ``b`` raises ``ValueError``."""
         b = np.asarray_chkfinite(b)
         if self.band is not None:
+            if b.ndim == 2:
+                return self._sweep(b)
             pbtrs, = scipy.linalg.lapack.get_lapack_funcs(("pbtrs",), (self.band, b))
             return pbtrs(self.band, b, lower=1)[0]
         if b.ndim == 2 or not b.size:
@@ -379,13 +436,51 @@ class HermitianFactor:
         trsv, = scipy.linalg.get_blas_funcs(("trsv",), (low, b))
         return trsv(low, trsv(low, b, lower=1), lower=1, trans=2, overwrite_x=1)
 
+    @functools.cached_property
+    def _slabs(self):
+        """The row slabs of :func:`_band_slabs`, built on the first block solve."""
+        return _band_slabs(self.band)
+
+    def _sweep(self, b, adjoint=True):
+        """``h^{-1} b``, or ``L^{-1} b`` alone if not ``adjoint``, for a block ``b`` on a band.
+
+        In the C-ordered result x, a row slab x[s:e] is the Fortran-ordered
+        (m, nb) matrix x[s:e].T, so each slab step is one ``gemm`` with its
+        coupling block and one ``trsm`` with its diagonal block, both with
+        ``side="R"`` and in place on views.  A real factor solves a complex
+        block on its real (n, 2m) view.  BLAS has no conjugate without
+        transpose, so a complex factor solves L* x = y as L^T conj(x) =
+        conj(y), conjugating x in place before and after.
+        """
+        x = np.array(b, dtype=np.result_type(self.band.dtype, b.dtype), order="C")
+        xt = x.view(self.band.dtype).T
+        trsm, gemm = scipy.linalg.get_blas_funcs(("trsm", "gemm"), (self.band, xt))
+        if not x.size:
+            return x
+        kd, slabs = len(self.band) - 1, self._slabs
+        for s, e, d, c in slabs:  # y[s:e] = d^{-1} (b[s:e] - c y[s - kd:s])
+            if c is not None:
+                gemm(-1.0, xt[:, s - kd:s], c, 1.0, xt[:, s:s + len(c)], 0, 1, 1)
+            trsm(1.0, d, xt[:, s:e], 1, 1, 1, 0, 1)
+        if not adjoint:
+            return x
+        conjugate = np.iscomplexobj(self.band)
+        if conjugate:
+            np.conjugate(x, out=x)
+        for s, e, d, c in reversed(slabs):  # v[s:e] = d^-T w[s:e]; w[s - kd:s] -= c^T v[s:s + q]
+            trsm(1.0, d, xt[:, s:e], 1, 1, 0, 0, 1)
+            if c is not None:
+                gemm(-1.0, xt[:, s:s + len(c)], c, 1.0, xt[:, s - kd:s], 0, 0, 1)
+        if conjugate:
+            np.conjugate(x, out=x)
+        return x
+
     def solve_lower(self, x):
-        """``L^{-1} x`` for a 2-D block ``x``: ``trsm`` on a dense factor, ``tbtrs`` on a band."""
+        """``L^{-1} x`` for a 2-D block ``x``: ``trsm`` on a dense L, a forward sweep on a band."""
         if self.band is None:
             return scipy.linalg.solve_triangular(self.c_lower[0], x, lower=True,
                                                  check_finite=False)
-        tbtrs, = scipy.linalg.lapack.get_lapack_funcs(("tbtrs",), (self.band, x))
-        return tbtrs(self.band, x, uplo="L")[0]
+        return self._sweep(x, adjoint=False)
 
     def principal_block(self, idx):
         """The factor whose L is the principal block ``L[idx, idx]``, for sorted ``idx``.

@@ -57,12 +57,14 @@ with A, H or S runs on the system's ``ops``
 of A + A* is sparse: then a product costs O(nnz), 6-11 us against 230 us
 dense for S at Stokes grid 16 (n = 735).  The H-solve runs on the
 Cholesky factor of H (:meth:`HermitianFactor.solve`).  On the band factor
-of a narrow-band, diagonally dominant H (Stokes) a vector or block takes
-one LAPACK ``pbtrs`` call in O(n kd) per column, 25-31 us against 150-220
-us dense for a vector at grid 16, so a step there costs about one band
-H-solve plus one CSR product with S.  On a dense factor a vector takes two
-BLAS-2 triangular solves and a block one ``potrs`` call over all its
-columns.  An L-GMRES step makes one H-solve and one
+of a narrow-band, diagonally dominant H (Stokes) a vector takes one LAPACK
+``pbtrs`` call in O(n kd), 25-31 us against 150-220 us dense at grid 16,
+so a step there costs about one band H-solve plus one CSR product with S.
+A block there takes two blocked sweeps of BLAS-3 calls over row slabs of
+L: a (264, 144) block of the grid-12 Schur build takes 0.26 ms against
+1.25 ms for ``pbtrs``, which solves it column by column.  On a dense
+factor a vector takes two BLAS-2 triangular solves and a block one
+``potrs`` call over all its columns.  An L-GMRES step makes one H-solve and one
 multiplication with A, plus five products of a k-row basis with a vector
 and one k x k triangular solve; in a block run the H-solve and the product
 take all running columns at once.  Residual histories are kept per iteration

@@ -27,9 +27,17 @@ def dense_lower(factor):
 
 
 def holds_n_by_n_array(factor):
-    """True when a field of a ``HermitianFactor`` is an n x n array, as a dense L would be."""
-    return any(isinstance(v, np.ndarray) and v.shape == (factor.n, factor.n)
-               for v in vars(factor).values())
+    """True when a ``HermitianFactor`` holds an n x n array, as a dense L would be.
+
+    Its fields are searched, and so are the row slabs that a band factor
+    caches on its first block solve, a tuple of ``(s, e, d, c)`` tuples.
+    """
+    def arrays(v):
+        if isinstance(v, (tuple, list)):
+            return [a for item in v for a in arrays(item)]
+        return [v] if isinstance(v, np.ndarray) else []
+
+    return any(a.shape == (factor.n, factor.n) for a in arrays(list(vars(factor).values())))
 
 
 def record_eigen_kernels(monkeypatch, record):

@@ -181,33 +181,29 @@ def _traced_interval(sysm):
     """spectral_interval with the orders of its eigenvalue, triangular and band-solve matrices.
 
     "eigvalsh" records whole spectra and "top_eigenvalue" largest eigenvalues
-    alone (``record_eigen_kernels``).  The band kernel is LAPACK ``tbtrs``,
-    which ``HermitianFactor.solve_lower`` runs on a band factor; its order is
-    the number of columns of the band.
+    alone (``record_eigen_kernels``).  The band kernel is the forward sweep of
+    BLAS ``trsm`` and ``gemm`` over the row slabs of L, which
+    ``HermitianFactor.solve_lower`` runs on a band factor; it is recorded as
+    "trsm" when its kernels are looked up, with the number of columns of the
+    band as its order.
     """
-    seen = {"eigvalsh": [], "top_eigenvalue": [], "solve_triangular": [], "tbtrs": []}
+    seen = {"eigvalsh": [], "top_eigenvalue": [], "solve_triangular": [], "trsm": []}
     solve_triangular = scipy.linalg.solve_triangular
-    get_lapack_funcs = scipy.linalg.lapack.get_lapack_funcs
+    get_blas_funcs = scipy.linalg.get_blas_funcs
 
     def rec_solve_triangular(a, *args, **kwargs):
         seen["solve_triangular"].append(a.shape[0])
         return solve_triangular(a, *args, **kwargs)
 
-    def rec_get_lapack_funcs(names, *args, **kwargs):
-        funcs = get_lapack_funcs(names, *args, **kwargs)
-        if tuple(names) != ("tbtrs",):
-            return funcs
-
-        def rec_tbtrs(ab, *args, **kwargs):
-            seen["tbtrs"].append(ab.shape[1])
-            return funcs[0](ab, *args, **kwargs)
-
-        return (rec_tbtrs,)
+    def rec_get_blas_funcs(names, arrays=(), *args, **kwargs):
+        if tuple(names) == ("trsm", "gemm"):
+            seen["trsm"].append(arrays[0].shape[1])
+        return get_blas_funcs(names, arrays, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         record_eigen_kernels(mp, lambda kernel, order, dtype: seen[kernel].append(order))
         mp.setattr(scipy.linalg, "solve_triangular", rec_solve_triangular)
-        mp.setattr(scipy.linalg.lapack, "get_lapack_funcs", rec_get_lapack_funcs)
+        mp.setattr(scipy.linalg, "get_blas_funcs", rec_get_blas_funcs)
         interval = dk.spectral_interval(sysm)
     return interval, seen
 
@@ -262,7 +258,7 @@ def test_two_part_interval_matches_oracle_on_the_reduced_route(sizes, seed, comp
     assert interval.max_real_part <= 1e-10 * interval.lam
     if not np.any(sysm.s):
         assert interval.lam == 0.0
-        assert seen == {"eigvalsh": [], "top_eigenvalue": [], "solve_triangular": [], "tbtrs": []}
+        assert seen == {"eigvalsh": [], "top_eigenvalue": [], "solve_triangular": [], "trsm": []}
         return
     assert interval.lam == pytest.approx(_max_imag_oracle(sysm), rel=1e-12, abs=0.0)
     assert seen["eigvalsh"] == [] and len(seen["top_eigenvalue"]) == 1
@@ -357,9 +353,9 @@ def test_two_part_route_agrees_with_the_n_by_n_route(desc, tau, lam_n_by_n):
     assert seen["top_eigenvalue"][0] < sysm.n
     assert sysm.n not in seen["solve_triangular"]
     if sysm.h_factor.band is not None:
-        # Stokes at grid 16 holds a band factor: tbtrs on the principal band
-        # blocks of L (480 velocities, 255 pressures), and no dense L
-        assert seen["solve_triangular"] == [] and sorted(set(seen["tbtrs"])) == [255, 480]
+        # Stokes at grid 16 holds a band factor: the forward sweep on the principal
+        # band blocks of L (480 velocities, 255 pressures), and no dense L
+        assert seen["solve_triangular"] == [] and sorted(set(seen["trsm"])) == [255, 480]
         assert not holds_n_by_n_array(sysm.h_factor)
         # the pressure block of L is diagonal: its band keeps kd = 0
         p, q = dk.bounds._two_part_split(*sysm.ops[1:])
@@ -385,8 +381,8 @@ PIPELINE_KERNEL_CASES = {
 @pytest.mark.parametrize("case", sorted(PIPELINE_KERNEL_CASES))
 def test_spectral_interval_kernels_on_the_pipeline_systems(case, monkeypatch):
     # the stokes-pipeline system takes the two-part route: one dense |P| x |Q|
-    # block S_PQ, one congruence on the principal band blocks of L (tbtrs at
-    # orders 480 and 255) and the top eigenvalue of the 255 x 255 Gram matrix.
+    # block S_PQ, one congruence on the principal band blocks of L (the forward
+    # sweep at orders 480 and 255) and the top eigenvalue of the 255 x 255 Gram matrix.
     # Convective Stokes and mechanical, whose S is exactly skew too, keep the
     # n x n route.
     desc, tau = PIPELINE_KERNEL_CASES[case]
@@ -406,11 +402,11 @@ def test_spectral_interval_kernels_on_the_pipeline_systems(case, monkeypatch):
     if case.startswith("stokes"):
         p, q = parts
         assert sorted((p.size, q.size)) == [255, 480] and blocks == [(p.size, q.size)]
-        assert sorted(seen["tbtrs"]) == [255, 480] and seen["solve_triangular"] == []
+        assert sorted(seen["trsm"]) == [255, 480] and seen["solve_triangular"] == []
         assert seen["top_eigenvalue"] == [255] and interval.max_real_part == 0.0
     else:
         assert parts is None and blocks == [] and seen["top_eigenvalue"] == [sysm.n]
-        assert seen["tbtrs"] + seen["solve_triangular"] == [sysm.n, sysm.n]
+        assert seen["trsm"] + seen["solve_triangular"] == [sysm.n, sysm.n]
     assert interval.lam == pytest.approx(_max_imag_oracle(sysm), rel=1e-12, abs=0.0)
 
 
@@ -427,7 +423,7 @@ def test_band_factor_route_matches_the_dense_factor_route(convection, complex_, 
     # stabilized Stokes at grid 12 (n = 407, kd = 12) holds a band factor; a
     # size threshold above n gives the same H its dense factor.  Convection
     # puts entries in S_PP and takes the n x n route; without it the two-part
-    # route runs.  Both routes solve on the band by tbtrs alone.
+    # route runs.  Both routes solve on the band by the forward sweep alone.
     model = dk.from_descriptor({"name": "stokes", "params": {
         "grid_n": 12, "viscosity": 100.0, "stabilization": 0.005, "convection": convection}})
     a = dk.midpoint_system(model, 1e-3).sys.a.toarray()
@@ -441,12 +437,12 @@ def test_band_factor_route_matches_the_dense_factor_route(convection, complex_, 
     (band_sys, band, band_seen), (dense_sys, dense, dense_seen) = runs
     assert band_sys.h_factor.band.shape == (13, 407) and dense_sys.h_factor.band is None
     assert np.iscomplexobj(band_sys.h) == complex_
-    assert band_seen["solve_triangular"] == [] and dense_seen["tbtrs"] == []
+    assert band_seen["solve_triangular"] == [] and dense_seen["trsm"] == []
     assert not holds_n_by_n_array(band_sys.h_factor)
     if convection:
-        assert band_seen["tbtrs"] == dense_seen["solve_triangular"] == [407, 407]
+        assert band_seen["trsm"] == dense_seen["solve_triangular"] == [407, 407]
     else:
-        assert sorted(band_seen["tbtrs"]) == sorted(dense_seen["solve_triangular"])
+        assert sorted(band_seen["trsm"]) == sorted(dense_seen["solve_triangular"])
         assert band_seen["top_eigenvalue"][0] < 407
     assert band.lam == pytest.approx(dense.lam, rel=1e-14, abs=0.0)
     assert band.lam == pytest.approx(_max_imag_oracle(band_sys), rel=1e-12, abs=0.0)

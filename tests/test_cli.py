@@ -843,3 +843,44 @@ def test_bench_rows_report_residual_gap(tmp_path):
     run_scenario(scn, tmp_path / "stokes")
     (row,) = json.loads((tmp_path / "stokes" / "table.json").read_text())
     assert row["converged"] and row["residual_gap"] is None
+
+
+def test_vector_solves_build_no_band_slabs(tmp_path, monkeypatch):
+    # the stokes-pipeline scenario solves vectors alone, so no system factor
+    # builds the row slabs of the blocked band sweep (lam builds them on its
+    # principal blocks of L, which no system holds); a Schur solve builds
+    # them once, on the band factor of A11, for its lockstep block solves
+    factors, built = [], []
+    certify, band_slabs = dk.hs_core.certify_definiteness, dk.hs_core._band_slabs
+
+    def rec_certify(*args, **kwargs):
+        out = certify(*args, **kwargs)
+        factors.append(out[1])
+        return out
+
+    def rec_band_slabs(band):
+        built.append(band)
+        return band_slabs(band)
+
+    monkeypatch.setattr(dk.hs_core, "certify_definiteness", rec_certify)
+    monkeypatch.setattr(dk.hs_core, "_band_slabs", rec_band_slabs)
+    run_scenario(Scenario(
+        model={"name": "stokes", "params": {"grid_n": 16, "viscosity": 100.0,
+                                            "stabilization": 0.005}},
+        tau_list=[1e-3, 1e-4], solvers=["widlund", "rapoport", "lgmres"], tol=1e-10,
+        rhs={"kind": "random", "seed": 1}, name="stokes-pipeline"), tmp_path)
+    bands = [f.band for f in factors if f is not None and f.band is not None]
+    assert len(bands) == 2
+    assert not any("_slabs" in vars(f) for f in factors if f is not None)
+    assert len(built) == 4 and not any(b is band for b in built for band in bands)
+    a11, b_block, (n_v, n_p) = dk.midpoint_saddle_blocks(
+        dk.assemble_stokes_like(12, convection=50.0), 1e-3)
+    rhs = np.random.default_rng(8).standard_normal(n_v + n_p)
+    for inner in ("rapoport", "lgmres"):
+        factors.clear()
+        built.clear()
+        rep = dk.solve_via_schur(a11, b_block, rhs[:n_v], rhs[n_v:], inner_solver=inner,
+                                 tol=1e-10)
+        inner_bands = [f.band for f in factors if f is not None and f.band is not None]
+        assert rep.converged and len(built) == len(inner_bands) == 1
+        assert built[0] is inner_bands[0]

@@ -6,7 +6,7 @@ import pytest
 import scipy.io
 import scipy.linalg
 import scipy.sparse
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dhkrylov as dk
 from dhkrylov.cli import audit_staircase
@@ -219,8 +219,8 @@ class _Kernels:
     """Names of the LAPACK and BLAS kernels looked up or called inside a ``with`` block.
 
     ``pbtrs`` and the ``trtri`` of the trace-bound certificate come from a
-    LAPACK lookup, ``trsv`` from a BLAS lookup and ``potrs`` from
-    ``scipy.linalg.cho_solve``.
+    LAPACK lookup, ``trsv`` and the ``trsm`` and ``gemm`` of the blocked band
+    sweep from a BLAS lookup and ``potrs`` from ``scipy.linalg.cho_solve``.
     """
 
     PATCHED = ((scipy.linalg.lapack, "get_lapack_funcs"), (scipy.linalg, "get_blas_funcs"),
@@ -637,7 +637,8 @@ def test_band_factor_backward_stable(shape, seed, kind, narrow, extra):
     h = _planted_band(rng, n, kd, complex_h)
     factor = dk.HsSplitSystem.from_matrix(h).h_factor
     assert factor.c_lower is None and factor.band.shape == (kd + 1, n)
-    # a vector, a narrow block and a wide block, each by pbtrs on the band
+    # a vector by pbtrs, a narrow block and a wide block by the blocked sweep,
+    # all on the band
     wide = 16 + extra
     scale = 8 * n * EPS * np.linalg.norm(h, 2)
     for b in (_rhs(rng, n, complex_b), _rhs(rng, (n, narrow), complex_b),
@@ -652,9 +653,10 @@ def test_band_factor_backward_stable(shape, seed, kind, narrow, extra):
 
 
 def test_band_h_solve_takes_potrs_only_for_wide_blocks(monkeypatch):
-    # on a band factor no block takes potrs, however wide: vectors, empty,
-    # narrow and wide blocks, such as the Schur build of [B | f] at grid 12,
-    # all take pbtrs on the band, and no dense L is scattered from it
+    # on a band factor no block takes potrs, however wide: vectors take pbtrs
+    # on the band, and empty, narrow and wide blocks, such as the Schur build
+    # of [B | f] at grid 12, the blocked sweep over its row slabs; no dense L
+    # is scattered from it
     rng = np.random.default_rng(7)
     potrs, cho_solve = [], scipy.linalg.cho_solve
 
@@ -692,23 +694,24 @@ def _kernel_solve(factor, b):
 @example((264, 12), 0, "real")     # the grid-12 Schur A11 and its 144-column [B | f]
 @example((735, 16), 1, "complex")  # the band of stabilized Stokes at grid 16
 def test_block_h_solve_matches_column_solves_on_one_kernel_per_form(shape, seed, kind):
-    # a band factor (kd given) solves every vector and block by pbtrs; a
-    # dense one a nonempty vector by the trsv pair, any other right side by
-    # potrs.  Each column of a block solve and its vector solve agree to
-    # their backward error, and no solve leaves an n x n array on a band
+    # a band factor (kd given) solves every vector by pbtrs and every block
+    # by the blocked sweep (trsm and gemm); a dense one a nonempty vector by
+    # the trsv pair, any other right side by potrs.  Each column of a block
+    # solve and its vector solve agree to their backward error, and no solve
+    # leaves an n x n array on a band
     n, kd = shape
     complex_h, complex_b = SOLVE_KINDS[kind]
     rng = np.random.default_rng(seed)
     h = _hpd(rng, n, 1e3, complex_h) if kd is None else _planted_band(rng, n, kd, complex_h)
     factor = dk.HsSplitSystem.from_matrix(h).h_factor
     assert (factor.band is None) == (kd is None)
-    block_kernel = "potrs" if kd is None else "pbtrs"
-    vector_kernel = "trsv" if kd is None and n else block_kernel
+    block_kernels = {"potrs"} if kd is None else {"trsm", "gemm"}
+    vector_kernel = ("trsv" if n else "potrs") if kd is None else "pbtrs"
     scale = 8 * n * EPS * (np.linalg.norm(h, 2) if n else 0.0)
     for width in (0, 1, 2, 3, 16, 17, 144):
         b = _rhs(rng, (n, width), complex_b)
         x, kernels = _kernel_solve(factor, b)
-        assert kernels == {block_kernel} and x.shape == b.shape
+        assert kernels == block_kernels and x.shape == b.shape
         assert np.iscomplexobj(x) == complex_b
         for j in range(width):
             col, kernels = _kernel_solve(factor, b[:, j])
@@ -719,6 +722,50 @@ def test_block_h_solve_matches_column_solves_on_one_kernel_per_form(shape, seed,
         assert factor.band.shape == (kd + 1, n) and not holds_n_by_n_array(factor)
 
 
+LAYOUTS = {
+    "C": lambda b: np.ascontiguousarray(b),
+    "F": lambda b: np.asfortranarray(b),
+    "strided": lambda b: np.repeat(b, 2, axis=1)[:, ::2],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(128, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n // 16 - 1))),
+       st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.sampled_from(sorted(LAYOUTS)))
+@example((264, 12), 0, False, False, "C")       # the grid-12 Schur A11 and its [B | f] blocks
+@example((735, 16), 1, True, False, "F")        # the band of stabilized Stokes at grid 16
+@example((129, 0), 2, False, True, "strided")   # a diagonal L, one row past a slab
+@example((300, 17), 3, True, True, "C")         # kd > 16: slabs of order kd
+def test_blocked_band_sweep_matches_pbtrs_column_solves(shape, seed, complex_h, complex_b,
+                                                        layout):
+    # each column of a block solve by the slab sweep lies within the backward
+    # error of its vector solve by pbtrs, for real and complex factors and
+    # blocks and any memory layout of the block, with n not a multiple of nb;
+    # the slabs are built once, read-only, and hold O(n nb) entries
+    n, kd = shape
+    nb = max(kd, dk.hs_core._SLAB_MIN)
+    assume(n % nb)
+    rng = np.random.default_rng(seed)
+    h = _planted_band(rng, n, kd, complex_h)
+    factor = dk.HsSplitSystem.from_matrix(h).h_factor
+    assert factor.band.shape == (kd + 1, n) and "_slabs" not in vars(factor)
+    scale = 8 * n * EPS * np.linalg.norm(h, 2)
+    for width in (0, 1, 2, 17, 144):
+        b = LAYOUTS[layout](_rhs(rng, (n, width), complex_b))
+        x = factor.solve(b)
+        assert x.shape == b.shape and x.dtype == np.result_type(factor.band.dtype, b.dtype)
+        for j in range(width):
+            col = factor.solve(b[:, j])
+            gap = np.linalg.norm(h @ (x[:, j] - col))
+            assert gap <= scale * (np.linalg.norm(x[:, j]) + np.linalg.norm(col))
+    slabs = vars(factor)["_slabs"]
+    assert [e for _, e, _, _ in slabs][-1] == n and len(slabs) == -(-n // nb)
+    blocks = [a for *_, d, c in slabs for a in (d, c) if a is not None]
+    assert not any(a.flags.writeable for a in blocks)
+    assert sum(a.size for a in blocks) <= n * (nb + kd)
+    assert not holds_n_by_n_array(factor)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(128, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n // 16 - 1))),
        st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 40))
@@ -726,7 +773,7 @@ def test_block_h_solve_matches_column_solves_on_one_kernel_per_form(shape, seed,
 @example((300, 17), 1, True, 1)    # one-column blocks
 def test_principal_band_block_and_lower_solve(shape, seed, complex_, columns):
     # the band of a principal block L[idx, idx] is gathered exactly, and
-    # L^{-1} x by tbtrs is backward stable on the band and on the block
+    # L^{-1} x by the forward sweep is backward stable on the band and on the block
     n, kd = shape
     rng = np.random.default_rng(seed)
     factor = dk.HsSplitSystem.from_matrix(_planted_band(rng, n, kd, complex_)).h_factor

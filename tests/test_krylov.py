@@ -1303,7 +1303,8 @@ def test_band_factor_matches_dense_factor_on_stokes(tau, monkeypatch):
 @pytest.mark.parametrize("inner", ["widlund", "rapoport", "lgmres"])
 def test_schur_path_on_band_factor_keeps_step_counts(inner, monkeypatch):
     # A11 of unstabilized Stokes at grid 12 (n_v = 264, kd = 12) takes the
-    # band factor; its wide lockstep blocks of [B | f] go through pbtrs
+    # band factor; its wide lockstep blocks of [B | f] go through the blocked
+    # sweep over the row slabs of L, and its vectors through pbtrs
     a11, b_block, (n_v, n_p) = dk.midpoint_saddle_blocks(
         dk.assemble_stokes_like(12, convection=50.0), 1e-3)
     assert dk.HsSplitSystem.from_matrix(a11).h_factor.band.shape == (13, n_v)
