@@ -8,15 +8,16 @@ All other modules build on these kernels.
 
 Definiteness is certified, not read off a spectrum, wherever it can be:
 :func:`certify_definiteness` factors ``h = L L*`` once and tests, in order
-of cost, a Gershgorin margin from one pass over ``|h|``, the trace bound
-``1/||L^{-1}||_F^2``, which inverts L, and only then ``eigvalsh``.  An
-``h`` that the margin certifies and whose nonzeros lie in a narrow band
-about the diagonal is factored by LAPACK ``pbtrf`` on its packed band,
-in O(n kd^2) rather than O(n^3) for half-bandwidth kd (Golub & Van Loan,
-*Matrix Computations*, §4.3), and every solve with it runs on that band:
-a vector by LAPACK ``pbtrs``, a block by a blocked sweep of BLAS-3 calls
-over row slabs of L (block substitution, §3.1); every other ``h`` by
-dense ``potrf``.
+of cost, a Gershgorin margin from one pass over ``|h|``, a second Cholesky
+factorization of ``h`` shifted down by the threshold plus a rounding
+allowance (Rump), which proves ``lambda_min`` above the threshold, and only
+then ``eigvalsh``.  An ``h`` that the margin certifies and whose nonzeros
+lie in a narrow band about the diagonal is factored by LAPACK ``pbtrf`` on
+its packed band, in O(n kd^2) rather than O(n^3) for half-bandwidth kd
+(Golub & Van Loan, *Matrix Computations*, §4.3), and every solve with it
+runs on that band: a vector by LAPACK ``pbtrs``, a block by a blocked
+sweep of BLAS-3 calls over row slabs of L (block substitution, §3.1);
+every other ``h`` by dense ``potrf``.
 :meth:`HsSplitSystem.from_matrix` is the one place that decomposes the
 Hermitian part of a system: the certified Cholesky factor serves every
 H-solve and the half-width computed in :mod:`dhkrylov.bounds`, and the
@@ -250,14 +251,41 @@ def _abs_row_sums(a):
     return np.concatenate(_by_panels(lambda p: np.abs(p).sum(axis=1), a) + [np.zeros(0)])
 
 
-def _trace_bound_certifies(c_lower, threshold):
-    """True when ``1/||L^{-1}||_F^2 = 1/trace(h^{-1}) <= lambda_min`` exceeds ``threshold``."""
-    # the transpose of a C-ordered copy of L is Fortran-ordered, so trtri
-    # inverts L^T in place; (L^T)^{-1} = (L^{-1})^T has the same F-norm
-    upper = np.tril(c_lower[0]).T
-    trtri, = scipy.linalg.lapack.get_lapack_funcs(("trtri",), (upper,))
-    inv, info = trtri(upper, lower=0, overwrite_c=1)
-    return bool(info == 0 and np.linalg.norm(inv) ** 2 * threshold < 1.0)
+def _shifted_cholesky_certifies(h, threshold):
+    """True when ``potrf`` of ``h - sigma I`` succeeds, which proves ``lambda_min(h) > threshold``.
+
+    If a floating-point Cholesky factorization of a Hermitian A runs to
+    completion, its factor satisfies ``R* R = A + dA`` with ``|dA| <=
+    gamma_{n+1} |R*| |R|`` for any order of the inner products (Demmel;
+    Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    §10.1), with ``gamma_k = k u / (1 - k u)`` and u = eps / 2.  As
+    ``||R||_F^2 = tr(A + dA)``, ``||dA||_2 <= g_{n+1} tr(A)`` with ``g_k =
+    gamma_k / (1 - gamma_k)``, and ``R* R`` is positive definite, so
+    ``lambda_min(A) > -g_{n+1} tr(A)`` (Rump, BIT 46 (2006) 433-452).  Here
+    A is the rounded ``h - sigma I``, with
+
+        sigma = (threshold + g_k tr(h) + 4n (n + 1 + max_i h_ii) eta) (1 + 8 eps),
+
+    ``eta = 2^-1074`` the smallest subnormal, k = n + 3 for real data and
+    2(n + 3) for complex.  The two steps of k past n + 1 cover the rounding
+    of the shifted diagonal (at most u max_i h_ii) and of the computed
+    trace; doubling k covers the rounding of complex products (Higham
+    §3.6); the eta term covers gradual underflow, at most (n + 1 + max_i
+    h_ii) eta in each entry of dA; and the last factor covers the rounding
+    of sigma itself.  A successful ``potrf`` then gives ``lambda_min(h) >
+    threshold``.  It costs one copy of ``h`` and one ``potrf``.
+    """
+    n, diag, eps = h.shape[0], h.diagonal().real, np.finfo(float).eps
+    k = (n + 3) * (2 if np.iscomplexobj(h) else 1)
+    g = k * eps / 2 / (1 - k * eps)
+    eta = np.finfo(float).smallest_subnormal  # 4n eta first: n + 1 + max h_ii may be near overflow
+    sigma = threshold + g * float(diag.sum()) + 4 * n * eta * (n + 1 + float(diag.max()))
+    sigma *= 1 + 8 * eps
+    # conj(h.T) = h, a new Fortran-ordered array: potrf shifts and factors it in place
+    shifted = np.conjugate(h.T, dtype=np.result_type(h.dtype, float))
+    shifted[np.arange(n), np.arange(n)] -= sigma
+    potrf, = scipy.linalg.lapack.get_lapack_funcs(("potrf",), (shifted,))
+    return potrf(shifted, lower=1, overwrite_a=1, clean=0)[1] == 0
 
 
 def _band_factor(h):
@@ -332,18 +360,20 @@ def certify_definiteness(h, tol=DEFAULT_TOL):
     is positive definite in the sense of :func:`_classify`, and ``eigs``
     None, when its Gershgorin margin ``min_i (2 h_ii - sum_j |h_ij|)``
     exceeds ``(tol + 2n eps) ||h||_inf`` (``2n eps`` covers the rounding of
-    the sums) or else the trace bound of :func:`_trace_bound_certifies`
-    holds at ``(tol + n eps) ||h||_inf``.  Otherwise the spectrum decides
-    and is returned as ``eigs``.  ``factor`` is the :class:`HermitianFactor`
-    of a positive definite ``h`` whose factorization succeeded, else None.
-    A narrow-band ``h`` that the margin certifies gets the band factor of
-    :func:`_band_factor`; only then is its bandwidth read.  A CSR ``h``
-    gets its margin and band from its stored entries, and is densified
-    only when neither certifies it.
+    the sums) or else a Cholesky factorization of ``h`` shifted down by
+    ``(tol + n eps) ||h||_inf`` plus a rounding allowance succeeds
+    (:func:`_shifted_cholesky_certifies`), which proves that
+    ``lambda_min`` exceeds ``(tol + n eps) ||h||_inf``.  Otherwise the
+    spectrum decides and is returned as ``eigs``.  ``factor`` is the
+    :class:`HermitianFactor` of a positive definite ``h`` whose unshifted
+    factorization succeeded, else None.  A narrow-band ``h`` that the
+    margin certifies gets the band factor of :func:`_band_factor`; only then
+    is its bandwidth read.  A CSR ``h`` gets its margin and band from its
+    stored entries, and is densified only when neither certifies it.
     """
     n, eps, rows = h.shape[0], np.finfo(float).eps, _abs_row_sums(h)
     norm_inf = float(rows.max(initial=0.0))
-    # the margin of an empty h is inf: it is definite, and never reaches trtri
+    # the margin of an empty h is inf: it is definite, and never reaches the shifted test
     margin = float(np.min(2.0 * h.diagonal().real - rows, initial=np.inf))
     dominant = margin > (tol + 2 * n * eps) * norm_inf
     factor = _band_factor(h) if dominant else None
@@ -353,7 +383,7 @@ def certify_definiteness(h, tol=DEFAULT_TOL):
     c = _cholesky(h if np.iscomplexobj(h) else h.T)  # h.T = h, F-ordered: potrf copies it flat
     eigs = None
     if c is None or not (dominant
-                         or _trace_bound_certifies(c, (tol + n * eps) * norm_inf)):
+                         or _shifted_cholesky_certifies(h, (tol + n * eps) * norm_inf)):
         eigs = np.linalg.eigvalsh(h)
     dclass = Definiteness.POSITIVE_DEFINITE if eigs is None else _classify(eigs, tol)
     factor = None

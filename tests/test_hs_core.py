@@ -199,7 +199,7 @@ def test_certificate_agrees_with_spectrum(n, seed, complex_, kind, tol):
     assert dclass is _classify(eigs_ref, tol)
     if eigs is not None:
         assert np.array_equal(eigs, eigs_ref)
-    # below the threshold the trace bound cannot certify; the spectrum decides
+    # below the threshold the shifted Cholesky cannot certify; the spectrum decides
     if kind in ("psd", "indefinite") or (kind == "near_below" and n > 1):
         assert eigs is not None
     if factor is not None:
@@ -218,9 +218,10 @@ def test_certificate_of_empty_matrix(capfd):
 class _Kernels:
     """Names of the LAPACK and BLAS kernels looked up or called inside a ``with`` block.
 
-    ``pbtrs`` and the ``trtri`` of the trace-bound certificate come from a
-    LAPACK lookup, ``trsv`` and the ``trsm`` and ``gemm`` of the blocked band
-    sweep from a BLAS lookup and ``potrs`` from ``scipy.linalg.cho_solve``.
+    ``pbtrs`` and the ``potrf`` of the shifted-Cholesky certificate come from
+    a LAPACK lookup (the unshifted ``cho_factor`` looks up its own ``potrf``
+    unseen), ``trsv`` and the ``trsm`` and ``gemm`` of the blocked band sweep
+    from a BLAS lookup and ``potrs`` from ``scipy.linalg.cho_solve``.
     """
 
     PATCHED = ((scipy.linalg.lapack, "get_lapack_funcs"), (scipy.linalg, "get_blas_funcs"),
@@ -288,9 +289,10 @@ def test_dominance_certificate(n, seed, complex_, kind, tol):
     with _Kernels() as kernels:
         dclass, factor, eigs = certify_definiteness(h, tol)
     assert dclass is _classify(np.linalg.eigvalsh(h), tol)
-    # the inverse runs exactly when dominance fails and a Cholesky factor exists
+    # the shifted Cholesky runs exactly when dominance fails and a Cholesky factor exists
     cholesky = dk.hs_core._cholesky(h) is not None
-    assert kernels.names.count("trtri") == int(not dominant and cholesky)
+    assert kernels.names.count("potrf") == int(not dominant and cholesky)
+    assert "trtri" not in kernels.names
     if dominant:
         assert dclass is dk.Definiteness.POSITIVE_DEFINITE and eigs is None
         assert factor is not None
@@ -299,11 +301,76 @@ def test_dominance_certificate(n, seed, complex_, kind, tol):
         assert np.allclose(low @ low.conj().T, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
 
 
+def _certified_level(h, tol):
+    """``(tol + n eps) ||h||_inf``, the level that the shifted Cholesky proves lambda_min above."""
+    return (tol + h.shape[0] * EPS) * float(np.abs(h).sum(axis=1).max(initial=0.0))
+
+
+def _planted_at_level(rng, n, ratio, tol, complex_, low=1):
+    """Hermitian h whose ``low`` smallest eigenvalues sit at ``ratio`` times its certified level.
+
+    Q diag(lam) Q* with max(lam) = 1 and lam[:low] = 0, shifted by delta I
+    so that lambda_min = ratio (tol + n eps) ||h||_inf up to rounding: the
+    shift adds delta to ||h||_inf, as every diagonal entry is nonnegative.
+    """
+    lam = np.geomspace(1.0, 10.0 ** rng.uniform(0.0, 4.0), n)
+    lam /= lam[-1]
+    lam[:low] = 0.0
+    q = random_unitary(rng, n, complex_)
+    h = (q * lam) @ q.conj().T
+    h = (h + h.conj().T) / 2
+    level = ratio * (tol + n * EPS)
+    delta = (level * float(np.abs(h).sum(axis=1).max()) - np.linalg.eigvalsh(h)[0]) / (1 - level)
+    h[np.arange(n), np.arange(n)] += delta
+    return h
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.integers(1, 60), st.sampled_from([298, 300, 301])),
+       st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0.5, 0.99, 1.01, 2.0, 100.0]),
+       st.sampled_from([1e-12, 1e-8]), st.integers(-40, 40))
+@example(n=300, seed=0, complex_=True, ratio=0.5, tol=1e-12, scale=-40)
+@example(n=40, seed=1, complex_=False, ratio=0.99, tol=1e-8, scale=40)
+def test_shifted_cholesky_certificate_is_sound(n, seed, complex_, ratio, tol, scale):
+    # powers of two scale h, its level and its spectrum exactly
+    h = _planted_at_level(np.random.default_rng(seed), n, ratio, tol, complex_) * 2.0 ** scale
+    eigs_ref, level = np.linalg.eigvalsh(h), _certified_level(h, tol)
+    smallest = eigs_ref[0]
+    assert smallest == pytest.approx(ratio * level, rel=1e-2, abs=0.0)
+    dclass, factor, eigs = certify_definiteness(h, tol)
+    assert dclass is _classify(eigs_ref, tol)
+    if eigs is None:  # certified by the margin or the shifted Cholesky, with no spectrum
+        assert smallest > level and factor is not None
+    if ratio <= 0.99:
+        assert eigs is not None
+    if ratio == 100.0 and tol == 1e-8 and n > 1:  # far above the level it always certifies
+        assert eigs is None
+
+
+def test_shifted_cholesky_certifies_where_the_trace_bound_did_not(monkeypatch):
+    # twenty eigenvalues at 4x the level: 1/trace(h^-1) <= lambda_min / 20 lies
+    # below it, so the trace bound 1/||L^-1||_F^2 refused this h
+    h = _planted_at_level(np.random.default_rng(11), 100, 4.0, 1e-8, False, low=20)
+    smallest, level = np.linalg.eigvalsh(h)[0], _certified_level(h, 1e-8)
+    trace_bound = 1.0 / np.linalg.norm(np.linalg.inv(np.linalg.cholesky(h))) ** 2
+    assert trace_bound < level < smallest
+    rows = np.abs(h).sum(axis=1)
+    assert np.min(2 * h.diagonal() - rows) <= 0.0  # no Gershgorin margin
+    called = []
+    record_eigen_kernels(monkeypatch, lambda kernel, order, dtype: called.append(kernel))
+    with _Kernels() as kernels:
+        dclass, factor, eigs = certify_definiteness(h, 1e-8)
+    assert dclass is dk.Definiteness.POSITIVE_DEFINITE and factor is not None
+    assert eigs is None and called == []
+    assert kernels.names.count("potrf") == 1
+
+
 def _stokes_midpoint(tau=1e-3, **params):
     return dk.midpoint_system(dk.from_descriptor({"name": "stokes", "params": params}), tau)
 
 
-# (builder of the model or matrix, trtri runs when its split system is made)
+# (builder of the model or matrix, times the shifted-Cholesky certificate runs when its
+# split system is made)
 SETUP_CASES = {
     "stabilized_stokes": (lambda: _stokes_midpoint(grid_n=8, viscosity=100.0,
                                                    stabilization=0.005).sys.a, 0),
@@ -342,7 +409,8 @@ def test_setup_certifies_dominant_h_without_inverse(case):
     a = dk.as_dense(build())
     with _Kernels() as kernels:
         sysm = dk.HsSplitSystem.from_matrix(a)
-    assert kernels.names.count("trtri") == expected
+    assert kernels.names.count("potrf") == expected
+    assert "trtri" not in kernels.names
     # split, factor and class are bitwise those of the direct formulas: a
     # narrow-band H's factor is pbtrf of its packed band, any other's cho_factor
     at = a.conj().T
